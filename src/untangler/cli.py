@@ -178,20 +178,24 @@ def _load_model(args) -> tuple[embedder.EncoderConfig, embedder.EncoderParams, c
     vocab_path = ckpt.with_suffix(".vocab")
     if not vocab_path.exists():
         raise UserError(f"missing vocabulary file: {vocab_path}")
-    with open(vocab_path, "r", encoding="utf-8") as fp:
-        vocab = corpus.load_vocab(fp)
+    try:
+        with open(vocab_path, "r", encoding="utf-8") as fp:
+            vocab = corpus.load_vocab(fp)
+    except ValueError as exc:
+        raise UserError(f"{vocab_path}: {exc}") from exc
+    if len(vocab) != config.vocab_size:
+        raise UserError(f"{vocab_path}: {len(vocab)} tokens, but the checkpoint "
+                        f"was trained on {config.vocab_size}")
     return config, params, vocab
 
 
 def run_pipeline(thread: ingest.Thread, config: embedder.EncoderConfig,
                  params: embedder.EncoderParams, vocab: corpus.Vocab,
                  model: temporal.HawkesModel, tau, quantile: float):
-    """embed -> ranges -> similarity -> prune -> orient -> thin -> extract."""
+    """embed -> ranges -> reply forest -> extract."""
     embeddings = embedder.embed_thread(params, thread, vocab, max_len=config.max_len)
     ranges = temporal.detect_ranges(thread, model, tau=tau, quantile=quantile)
-    sim = graphmod.similarity_matrix(embeddings)
-    pruned = graphmod.prune_average(sim, ranges)
-    forest = graphmod.thin(graphmod.orient(pruned))
+    forest = graphmod.reply_forest(embeddings, ranges)
     conversations = graphmod.extract_conversations(forest)
     return embeddings, ranges, forest, conversations
 
@@ -270,14 +274,14 @@ def cmd_synth(args) -> int:
 def cmd_eval(args) -> int:
     try:
         pred_graph = graphmod.parse_graph_json(Path(args.pred).read_bytes())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, OverflowError) as exc:
         raise UserError(f"cannot read predicted graph {args.pred}: {exc}") from exc
     try:
         gold = harness.GoldStandard.from_json(Path(args.gold).read_text(encoding="utf-8"))
     except (OSError, ValueError, KeyError) as exc:
         raise UserError(f"cannot read gold standard {args.gold}: {exc}") from exc
     n = pred_graph.n
-    if set(gold.labels) != set(range(n)):
+    if len(gold.labels) != n or set(gold.labels) != set(range(n)):
         raise UserError("predicted graph and gold standard cover different posts")
     try:
         conversations = graphmod.extract_conversations(pred_graph)
@@ -345,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Reply-structure recovery for flat chat threads")
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--seed", type=int, default=0, help="global RNG seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (reserved; numpy vectorization is used regardless)")
     parser.add_argument("--out-dir", default=None, help="directory for output files")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -96,23 +96,33 @@ def save_vocab(vocab: Vocab, fp: IO[str]) -> None:
 
 
 def load_vocab(fp: IO[str]) -> Vocab:
+    """Inverse of save_vocab.  Raises ValueError on a malformed file."""
     header = fp.readline().strip().split("\t")
-    if len(header) != 3 or header[0] != "#vocab":
+    if (len(header) != 3 or header[0] != "#vocab"
+            or not header[1].startswith("min_count=") or not header[2].startswith("size=")):
         raise ValueError("bad vocabulary header")
-    min_count = int(header[1].split("=")[1])
-    size = int(header[2].split("=")[1])
-    index_to_token: list[str] = [""] * size
+    min_count = int(header[1][len("min_count="):])
+    size = int(header[2][len("size="):])
+    tokens: dict[int, str] = {}
     token_to_index: dict[str, int] = {}
     counts: dict[str, int] = {}
-    for line in fp:
+    for lineno, line in enumerate(fp, start=2):
         if not line.strip():
             continue
-        tok, idx_s, count_s = line.rstrip("\n").split("\t")
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != 3:
+            raise ValueError(f"line {lineno}: expected token, index and count")
+        tok, idx_s, count_s = fields
         idx = int(idx_s)
-        index_to_token[idx] = tok
+        if not 0 <= idx < size or idx in tokens:
+            raise ValueError(f"line {lineno}: index {idx} is out of range or repeated")
+        tokens[idx] = tok
         if idx >= 2:
             token_to_index[tok] = idx
             counts[tok] = int(count_s)
+    if len(tokens) != size:
+        raise ValueError(f"header says {size} entries, file has {len(tokens)}")
+    index_to_token = [tokens[i] for i in range(size)]
     return Vocab(token_to_index, index_to_token, counts, min_count)
 
 

@@ -15,6 +15,7 @@ whole loss is finite-difference checkable.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -363,6 +364,8 @@ def save_checkpoint(path: str, config: EncoderConfig, params: EncoderParams) -> 
 
 
 def load_checkpoint(path: str) -> tuple[EncoderConfig, EncoderParams]:
+    """Inverse of save_checkpoint.  Raises ValueError on a malformed file;
+    the header dims are checked against the file size before any read."""
     with open(path, "rb") as fp:
         header = fp.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -377,14 +380,16 @@ def load_checkpoint(path: str) -> tuple[EncoderConfig, EncoderParams]:
                                max_len=max_len, seed=int(seed), learning_rate=lr,
                                epochs=epochs, negatives_per_sample=negs,
                                batch_size=batch)
+        config.validate()
         shapes = [(v, d), (d, 4 * h), (h, 4 * h), (4 * h,), (h, d)]
+        payload = 4 * sum(int(np.prod(shape)) for shape in shapes)
+        size = os.fstat(fp.fileno()).st_size - _HEADER.size
+        if size < payload:
+            raise ValueError("truncated checkpoint parameter block")
+        if size > payload:
+            raise ValueError("trailing bytes after checkpoint payload")
         arrays = []
         for shape in shapes:
-            count = int(np.prod(shape))
-            buf = fp.read(4 * count)
-            if len(buf) < 4 * count:
-                raise ValueError("truncated checkpoint parameter block")
+            buf = fp.read(4 * int(np.prod(shape)))
             arrays.append(np.frombuffer(buf, dtype="<f4").astype(np.float64).reshape(shape))
-        if fp.read(1):
-            raise ValueError("trailing bytes after checkpoint payload")
     return config, EncoderParams(*arrays)

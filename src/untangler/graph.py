@@ -7,16 +7,37 @@ thins the resulting DAG to a forest: when a post is reachable from both
 a node and one of that node's descendants, the shallower link is
 dropped, so every post keeps at most one parent -- its chronologically
 latest surviving candidate.
+
+``similarity_matrix``, ``prune_average``, ``orient`` and ``thin`` do this
+literally on dense n x n matrices and serve as the reference.
+``reply_forest`` computes the same forest in closed form with memory
+linear in the number of posts.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .temporal import Range
+
+# float64 elements in one similarity tile of reply_forest (8 MB)
+_TILE_ELEMENTS = 1 << 20
+
+
+def _unit_rows(embeddings: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit length; all-zero rows stay zero."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    if emb.ndim != 2:
+        raise ValueError("embeddings must be an n x d matrix")
+    norms = np.linalg.norm(emb, axis=1)
+    safe = np.where(norms > 0, norms, 1.0)
+    unit = emb / safe[:, None]
+    unit[norms == 0] = 0.0
+    return unit
 
 
 def similarity_matrix(embeddings: np.ndarray) -> np.ndarray:
@@ -25,13 +46,7 @@ def similarity_matrix(embeddings: np.ndarray) -> np.ndarray:
     All-zero embedding rows (empty posts) get zero similarity to every
     other post and therefore never take part in edges.
     """
-    emb = np.asarray(embeddings, dtype=np.float64)
-    if emb.ndim != 2:
-        raise ValueError("embeddings must be an n x d matrix")
-    norms = np.linalg.norm(emb, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = emb / safe[:, None]
-    unit[norms == 0] = 0.0
+    unit = _unit_rows(embeddings)
     sim = np.clip(unit @ unit.T, -1.0, 1.0)
     np.fill_diagonal(sim, 0.0)
     return sim
@@ -149,6 +164,48 @@ def thin(graph: ReplyGraph) -> ReplyGraph:
                       child=graph.child[keep].copy(), weight=graph.weight[keep].copy())
 
 
+def reply_forest(embeddings: np.ndarray, ranges: list[Range]) -> ReplyGraph:
+    """``thin(orient(prune_average(similarity_matrix(embeddings), ranges)))``
+    without any n x n array.
+
+    Each post j gets as parent the latest earlier post i of its range
+    whose cosine to j is >= the global average and nonzero, with that
+    cosine as weight.  The average over the strict upper triangle is
+    (||sum u_i||^2 - sum ||u_i||^2) / (n (n - 1)) over unit rows u, which
+    rounds differently from a mean over the matrix, so a cosine within a
+    few ulps of it may fall the other way.  Cosines are computed over
+    column tiles of each range holding at most _TILE_ELEMENTS values.
+    """
+    unit = _unit_rows(embeddings)
+    n = unit.shape[0]
+    _check_partition(ranges, n)
+    if n < 2:
+        return ReplyGraph(n=n)
+    total = unit.sum(axis=0)
+    avg = (float(total @ total) - float(np.einsum("ij,ij->", unit, unit))) / (n * (n - 1))
+    parents, children, weights = [], [], []
+    for r in ranges:
+        width = max(1, _TILE_ELEMENTS // (r.hi - r.lo))
+        for c0 in range(r.lo + 1, r.hi, width):
+            c1 = min(r.hi, c0 + width)
+            # rows lo..c1-1 hold every candidate parent of columns c0..c1-1
+            tile = np.clip(unit[r.lo:c1] @ unit[c0:c1].T, -1.0, 1.0)
+            rows = np.arange(r.lo, c1)[:, None]
+            ok = (tile >= avg) & (tile != 0.0) & (rows < np.arange(c0, c1)[None, :])
+            cols = np.flatnonzero(ok.any(axis=0))
+            last = ok.shape[0] - 1 - np.argmax(ok[::-1, cols], axis=0)
+            parents.append(last + r.lo)
+            children.append(cols + c0)
+            weights.append(tile[last, cols])
+    if not parents:
+        return ReplyGraph(n=n)
+    parent = np.concatenate(parents).astype(np.int64)
+    child = np.concatenate(children).astype(np.int64)
+    order = np.lexsort((child, parent))
+    return ReplyGraph(n=n, parent=parent[order], child=child[order],
+                      weight=np.concatenate(weights)[order])
+
+
 @dataclass
 class Conversation:
     root: int
@@ -195,14 +252,44 @@ def export_graph(graph: ReplyGraph, fmt: str) -> bytes:
     raise ValueError(f"unknown export format {fmt!r}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def parse_graph_json(data) -> ReplyGraph:
-    """Inverse of export_graph(..., 'json')."""
+    """Inverse of export_graph(..., 'json').
+
+    Raises ValueError unless n >= 0, every edge has
+    0 <= parent < child < n and every weight is a finite number.
+    """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     payload = json.loads(data)
+    if not isinstance(payload, dict):
+        raise ValueError("graph must be a JSON object")
+    n = payload["n"]
+    if not _is_int(n) or n < 0:
+        raise ValueError("'n' must be an integer >= 0")
     edges = payload.get("edges", [])
+    if not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
+        raise ValueError("'edges' must be a list of objects")
+    for e in edges:
+        u, v, w = e["parent"], e["child"], e["w"]
+        if not (_is_int(u) and _is_int(v) and 0 <= u < v < n):
+            raise ValueError(f"edge {u!r} -> {v!r} breaks 0 <= parent < child < n")
+        if not _is_finite(w):
+            raise ValueError(f"edge {u} -> {v} has weight {w!r}, not a finite number")
     return ReplyGraph(
-        n=int(payload["n"]),
+        n=n,
         parent=np.array([e["parent"] for e in edges], dtype=np.int64),
         child=np.array([e["child"] for e in edges], dtype=np.int64),
         weight=np.array([e["w"] for e in edges], dtype=np.float64),

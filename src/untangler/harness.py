@@ -17,6 +17,7 @@ from math import comb
 
 import numpy as np
 
+from .graph import similarity_matrix
 from .ingest import Post, Thread
 from .temporal import HawkesModel, simulate
 
@@ -176,17 +177,6 @@ def partition_ari(predicted: dict[int, int], gold: dict[int, int]) -> float:
     return (index - expected) / (maximum - expected)
 
 
-def _cosine_distances(embeddings: np.ndarray) -> np.ndarray:
-    emb = np.asarray(embeddings, dtype=np.float64)
-    norms = np.linalg.norm(emb, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = emb / safe[:, None]
-    unit[norms == 0] = 0.0
-    d = 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
-    np.fill_diagonal(d, 0.0)
-    return d
-
-
 def agglomerative(embeddings: np.ndarray, n_clusters: int) -> np.ndarray:
     """Bottom-up average-linkage clustering under cosine distance.
 
@@ -202,7 +192,8 @@ def agglomerative(embeddings: np.ndarray, n_clusters: int) -> np.ndarray:
         raise ValueError("cannot cluster an empty embedding matrix")
     if not 1 <= n_clusters <= n:
         raise ValueError("n_clusters must be in [1, n]")
-    dist = _cosine_distances(emb)
+    dist = 1.0 - similarity_matrix(emb)
+    np.fill_diagonal(dist, 0.0)
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
     active = set(range(n))
     while len(active) > n_clusters:

@@ -1,14 +1,15 @@
 """Chat-log parsing, canonicalization, and descriptive statistics.
 
 Input format is JSON-Lines: one object per line with keys ``id`` (unique
-string), ``ts`` (seconds since epoch, >= 0), ``text`` (UTF-8 string) and
-optional ``author``.  Author is parsed but never used downstream; the
-pipeline relies on timestamps only.
+string), ``ts`` (seconds since epoch, finite and >= 0), ``text`` (UTF-8
+string) and optional ``author``.  Author is parsed but never used
+downstream; the pipeline relies on timestamps only.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional, Union
 
@@ -88,6 +89,12 @@ def _parse_line(raw: str, lineno: int) -> Optional[Post]:
         raise ChatLogError("'id' must be a non-empty string", lineno)
     if isinstance(ts, bool) or not isinstance(ts, (int, float)):
         raise ChatLogError("'ts' must be a number", lineno)
+    try:
+        ts = float(ts)
+    except OverflowError:  # an integer beyond the float range
+        ts = math.inf
+    if not math.isfinite(ts):
+        raise ChatLogError("'ts' must be finite", lineno)
     if ts < 0:
         raise ChatLogError("'ts' must be >= 0", lineno)
     if not isinstance(text, str):
@@ -95,7 +102,7 @@ def _parse_line(raw: str, lineno: int) -> Optional[Post]:
     author = obj.get("author")
     if author is not None and not isinstance(author, str):
         raise ChatLogError("'author' must be a string when present", lineno)
-    return Post(id=pid, timestamp=float(ts), text=text, author=author)
+    return Post(id=pid, timestamp=ts, text=text, author=author)
 
 
 def parse_chat_log(
@@ -107,7 +114,7 @@ def parse_chat_log(
 
     Posts are stably sorted by timestamp, so ties keep input order.
     Raises ChatLogError (with line number) on malformed lines, duplicate
-    ids, or negative timestamps.
+    ids, or negative or non-finite timestamps.
     """
     options = options or ParseOptions()
     posts: list[Post] = []

@@ -1,10 +1,11 @@
 """Independent reference implementations used as test oracles.
 
 These are deliberately naive, literal transcriptions of the two pruning
-stages, written against plain dict/list structures with no shared code
-paths into the package.  The production implementations in
-``untangler.graph`` are vectorized rewrites; every test that matters
-checks them against these references on randomized inputs.
+stages and of the Laplace smoothing, written against plain dict/list
+structures and dense arrays with no shared code paths into the package.
+The production implementations in ``untangler.graph`` and
+``untangler.temporal`` are vectorized or recursive rewrites; every test
+that matters checks them against these references on randomized inputs.
 """
 
 from __future__ import annotations
@@ -65,3 +66,11 @@ def reference_thin(n: int, edges: dict[tuple[int, int], float]) -> dict[tuple[in
         for u in range(n)
         for v in children[u]
     }
+
+
+def reference_smooth(grid: np.ndarray, raw: np.ndarray, tau: float) -> np.ndarray:
+    """Laplace-kernel smoothing as the dense formula: every point's
+    weights exp(-|t_i - t_j| / tau) over the whole grid, normalised to
+    sum to one."""
+    w = np.exp(-np.abs(grid[:, None] - grid[None, :]) / tau)
+    return (w @ raw) / w.sum(axis=1)

@@ -1,10 +1,14 @@
 """Command-line interface: happy paths, precedence, exit codes."""
 
 import json
+import os
+import struct
+import subprocess
+import sys
 
 import pytest
 
-from untangler import cli
+from untangler import cli, harness, ingest
 
 from conftest import write_jsonl
 
@@ -45,6 +49,16 @@ class TestStats:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert run("stats", tmp_path / "nope.jsonl") == 2
         assert "no such file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ts", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_timestamp_exits_2(self, tmp_path, capsys, ts):
+        path = tmp_path / "bad.jsonl"
+        write_jsonl(path, [{"id": "a", "ts": 1.0, "text": "x"},
+                           {"id": "b", "ts": ts, "text": "y"}])
+        assert run("stats", path) == 2
+        captured = capsys.readouterr()
+        assert "line 2: 'ts' must be finite" in captured.err
+        assert captured.out == ""
 
 
 class TestTrain:
@@ -117,6 +131,80 @@ class TestDisentangle:
         assert run("disentangle", "--input", thread_file,
                    "--checkpoint", tmp_path / "no.untg") == 2
 
+    def test_non_finite_timestamp_exits_2(self, thread_file, tmp_path, capsys):
+        assert run(*train_args(thread_file, tmp_path)) == 0
+        rows = [json.loads(line) for line in thread_file.read_text().splitlines()]
+        rows[3]["ts"] = float("nan")
+        write_jsonl(tmp_path / "nan.jsonl", rows)
+        assert run("disentangle", "--input", tmp_path / "nan.jsonl",
+                   "--checkpoint", tmp_path / "out" / "model.untg") == 2
+        assert "line 4: 'ts' must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda vocab: vocab.replace("#vocab", "#vocabulary"), "bad vocabulary header"),
+        (lambda vocab: vocab.rsplit("\n", 2)[0] + "\n", "entries"),
+        (lambda vocab: vocab.replace("\t2\t", "\t999\t"), "index 999"),
+    ])
+    def test_malformed_vocab_exits_2(self, thread_file, tmp_path, capsys, corrupt, message):
+        assert run(*train_args(thread_file, tmp_path)) == 0
+        vocab = tmp_path / "out" / "model.vocab"
+        vocab.write_text(corrupt(vocab.read_text()))
+        assert run("disentangle", "--input", thread_file,
+                   "--checkpoint", tmp_path / "out" / "model.untg") == 2
+        assert message in capsys.readouterr().err
+
+    def test_vocab_of_another_model_exits_2(self, thread_file, tmp_path, capsys):
+        assert run(*train_args(thread_file, tmp_path)) == 0
+        small = tmp_path / "small.jsonl"
+        write_jsonl(small, [{"id": "a", "ts": 0.0, "text": "one"},
+                            {"id": "b", "ts": 1.0, "text": "two"}])
+        assert run("--out-dir", tmp_path / "small", "train", "--input", small,
+                   "--dim", 4, "--hidden", 4, "--epochs", 1, "--k", 1) == 0
+        os.replace(tmp_path / "small" / "model.vocab", tmp_path / "out" / "model.vocab")
+        assert run("disentangle", "--input", thread_file,
+                   "--checkpoint", tmp_path / "out" / "model.untg") == 2
+        assert "the checkpoint was trained on" in capsys.readouterr().err
+
+    def test_negative_checkpoint_dim_exits_2(self, thread_file, tmp_path, capsys):
+        assert run(*train_args(thread_file, tmp_path)) == 0
+        ckpt = tmp_path / "out" / "model.untg"
+        data = ckpt.read_bytes()
+        ckpt.write_bytes(data[:16] + struct.pack("<i", -4) + data[20:])  # hidden_dim
+        assert run("disentangle", "--input", thread_file, "--checkpoint", ckpt) == 2
+        assert "hidden_dim must be >= 1" in capsys.readouterr().err
+
+
+class TestScale:
+    def test_20k_posts_in_linear_memory(self, tmp_path):
+        # 100 conversations of 200 posts started 10 s apart interleave
+        # into a few huge ranges; one dense n x n float64 matrix alone
+        # would take 3.2 GB
+        config = cli.default_synth_config(n_conversations=100, posts_lo=200,
+                                          posts_hi=200, gap=10.0)
+        thread, _ = harness.generate(config, seed=20)
+        assert len(thread) == 20000
+        big = tmp_path / "big.jsonl"
+        big.write_text(ingest.serialize_thread(thread))
+        prefix = tmp_path / "prefix.jsonl"
+        prefix.write_text(ingest.serialize_thread(ingest.Thread(posts=thread.posts[::100])))
+        assert run("--out-dir", tmp_path, "train", "--input", prefix,
+                   "--dim", 8, "--hidden", 8, "--epochs", 2,
+                   "--k", 2, "--batch-size", 8) == 0
+
+        with open(tmp_path / "stdout", "w") as out, open(tmp_path / "stderr", "w") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "untangler.cli", "--out-dir", str(tmp_path / "big"),
+                 "disentangle", "--input", str(big), "--checkpoint", str(tmp_path / "model.untg"),
+                 "--mu", "0.1", "--alpha", "0.1", "--beta", "0.01"],
+                stdout=out, stderr=err)
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0, (tmp_path / "stderr").read_text()
+        payload = json.loads((tmp_path / "stdout").read_text().strip().splitlines()[-1])
+        assert payload["n_posts"] == 20000
+        peak_mb = usage.ru_maxrss / 1024
+        assert peak_mb < 512, f"peak RSS {peak_mb:.0f} MB"
+
 
 class TestSynthEval:
     def test_synth_then_eval_round_trip(self, tmp_path, capsys):
@@ -137,6 +225,28 @@ class TestSynthEval:
         assert set(report) == {"precision", "recall", "f1", "ari",
                                "predicted_conversations", "gold_conversations"}
         assert report["gold_conversations"] == 2
+
+    @pytest.mark.parametrize("graph,message", [
+        ({"n": -1, "edges": [], "roots": []}, "'n' must be an integer >= 0"),
+        ({"n": 2.5, "edges": [], "roots": []}, "'n' must be an integer >= 0"),
+        ({"n": 3, "edges": [{"parent": 2, "child": 0, "w": 0.5}]}, "parent < child"),
+        ({"n": 3, "edges": [{"parent": 0, "child": 9, "w": 0.5}]}, "child < n"),
+        ({"n": 3, "edges": [{"parent": -1, "child": 1, "w": 0.5}]}, "0 <= parent"),
+        ({"n": 3, "edges": [{"parent": 0, "child": 1.0, "w": 0.5}]}, "parent < child"),
+        ({"n": 3, "edges": [{"parent": 0, "child": 1, "w": float("nan")}]}, "finite"),
+        ({"n": 3, "edges": [{"parent": 0, "child": 1, "w": float("inf")}]}, "finite"),
+        ({"n": 3, "edges": [{"parent": 0, "child": 1, "w": "0.5"}]}, "finite"),
+        ({"n": 3, "edges": {"parent": 0}}, "list of objects"),
+        ({"n": 10**30, "edges": [{"parent": 10**20, "child": 10**21, "w": 0.5}]}, "too large"),
+        ([1, 2], "JSON object"),
+    ])
+    def test_eval_rejects_invalid_graph(self, tmp_path, capsys, graph, message):
+        (tmp_path / "g.json").write_text(json.dumps(graph))
+        gold = {"parents": {}, "labels": {"0": 0, "1": 0, "2": 1}}
+        (tmp_path / "gold.json").write_text(json.dumps(gold))
+        assert run("eval", "--pred", tmp_path / "g.json",
+                   "--gold", tmp_path / "gold.json") == 2
+        assert message in capsys.readouterr().err
 
     def test_eval_mismatched_inputs_exit_2(self, tmp_path, capsys):
         (tmp_path / "g.json").write_text(json.dumps({"n": 2, "edges": [], "roots": [0, 1]}))

@@ -81,6 +81,17 @@ class TestVocab:
         with pytest.raises(ValueError, match="header"):
             load_vocab(io.StringIO("nonsense\n"))
 
+    @pytest.mark.parametrize("body,match", [
+        ("#vocab\tmin_count=1\tsize\n", "header"),
+        ("#vocab\tmin_count=1\tsize=3\n<pad>\t0\t0\n<unk>\t1\t0\na\t7\t1\n", "index 7"),
+        ("#vocab\tmin_count=1\tsize=3\n<pad>\t0\t0\n<unk>\t1\t0\na\t-1\t1\n", "index -1"),
+        ("#vocab\tmin_count=1\tsize=3\n<pad>\t0\t0\n<unk>\t1\t0\n", "3 entries"),
+        ("#vocab\tmin_count=1\tsize=3\n<pad>\t0\t0\n<unk>\t1\t0\na 2 1\n", "line 4"),
+    ])
+    def test_load_rejects_malformed_entries(self, body, match):
+        with pytest.raises(ValueError, match=match):
+            load_vocab(io.StringIO(body))
+
     def test_pad_unk_reserved(self):
         vocab = build_vocab([make_thread([0], ["word"])])
         assert vocab.index_to_token[PAD] == "<pad>"

@@ -1,5 +1,7 @@
 """Encoder numerics: forward pass, gradients, training, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,8 @@ class TestCheckpoint:
         (lambda b: b[:10], "truncated"),
         (lambda b: b[:-3], "truncated"),
         (lambda b: b + b"\x00", "trailing"),
+        (lambda b: b[:12] + struct.pack("<i", -5) + b[16:], "embed_dim must be >= 1"),
+        (lambda b: b[:8] + struct.pack("<i", 2**31 - 1) + b[12:], "truncated"),
     ])
     def test_corrupt_files_rejected(self, tmp_path, mutate, match):
         path = tmp_path / "model.untg"

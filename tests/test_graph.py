@@ -8,7 +8,7 @@ import pytest
 from untangler import graph
 from untangler.graph import (Conversation, ReplyGraph, average_score,
                              extract_conversations, export_graph, orient,
-                             parse_graph_json, prune_average,
+                             parse_graph_json, prune_average, reply_forest,
                              similarity_matrix, thin)
 from untangler.temporal import Range
 
@@ -138,6 +138,79 @@ class TestOrientAndThin:
                        weight=np.array([1.0, 1.0]))
         assert g.roots() == [0, 2]
         assert g.children(0) == [1, 3]
+
+
+def random_embeddings(rng, n):
+    """Gaussian rows with, at random, zero rows (empty posts), repeated
+    rows and an all-identical matrix; the last two put cosines exactly
+    at the pruning threshold up to rounding."""
+    emb = rng.standard_normal((n, int(rng.integers(1, 9))))
+    if rng.random() < 0.3:
+        emb[rng.integers(0, n, size=rng.integers(1, n + 1))] = 0.0
+    if rng.random() < 0.3:
+        emb[rng.integers(0, n, size=rng.integers(1, n + 1))] = emb[rng.integers(0, n)]
+    if rng.random() < 0.1:
+        emb[:] = emb[0]
+    return emb
+
+
+# Cosines within this distance of the average may be pruned differently by
+# reply_forest's O(nd) average than by the reference's mean over the matrix.
+TIE_BAND = 1e-12
+# Tile GEMMs may sum in another order than the full one.
+WEIGHT_ATOL = 1e-15
+
+
+class TestReplyForest:
+    def test_matches_dense_reference_on_fuzzed_inputs(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        tie_pairs = tie_children = compared = 0
+        for trial in range(1500):
+            n = [1, 2][trial] if trial < 2 else int(rng.integers(1, 40))
+            emb = random_embeddings(rng, n)
+            ranges = [Range(a, b) for a, b in random_partition(rng, n)]
+            # small tiles so a range spans several of them
+            monkeypatch.setattr(graph, "_TILE_ELEMENTS", int(rng.choice([1, 5, 64, 1 << 20])))
+            sim = similarity_matrix(emb)
+            ref = thin(orient(prune_average(sim, ranges)))
+            fast = reply_forest(emb, ranges)
+            assert fast.n == n
+            assert np.unique(fast.child).size == fast.child.size
+
+            in_range = np.zeros((n, n), dtype=bool)
+            for r in ranges:
+                in_range[r.lo:r.hi, r.lo:r.hi] = True
+            near = (np.triu(in_range, k=1) & (sim != 0.0)
+                    & (np.abs(sim - average_score(sim)) <= TIE_BAND))
+            tied = near.any(axis=0)
+            tie_pairs += int(near.sum())
+            tie_children += int(tied.sum())
+            ref_edges = {v: (u, w) for (u, v), w in ref.edge_dict().items() if not tied[v]}
+            fast_edges = {v: (u, w) for (u, v), w in fast.edge_dict().items() if not tied[v]}
+            assert ref_edges.keys() == fast_edges.keys()
+            for v, (u, w) in ref_edges.items():
+                assert fast_edges[v][0] == u
+                assert abs(fast_edges[v][1] - w) <= WEIGHT_ATOL
+            compared += n - int(tied.sum())
+        print(f"reply_forest fuzz: 1500 instances, {compared} posts compared, "
+              f"{tie_children} posts with {tie_pairs} candidate pairs within "
+              f"{TIE_BAND} of the threshold excluded")
+        assert tie_pairs > 0  # the fuzz does reach threshold ties
+
+    def test_known_forest(self):
+        emb = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0], [0.0, 0.0], [0.1, 1.0]])
+        forest = reply_forest(emb, [Range(0, 2), Range(2, 5)])
+        assert forest.n == 5
+        # 3 is an empty post; 4 skips it for the latest kept candidate 2
+        assert set(forest.edge_dict()) == {(0, 1), (2, 4)}
+
+    def test_small_and_bad_inputs(self):
+        assert reply_forest(np.zeros((0, 3)), []).n == 0
+        assert reply_forest(np.ones((1, 3)), [Range(0, 1)]).n_edges == 0
+        with pytest.raises(ValueError):
+            reply_forest(np.ones((3, 2)), [Range(0, 2)])
+        with pytest.raises(ValueError):
+            reply_forest(np.ones(3), [Range(0, 3)])
 
 
 class TestExtractConversations:

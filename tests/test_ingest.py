@@ -55,6 +55,11 @@ class TestParse:
         (json.dumps({"id": "a", "ts": "1", "text": "x"}), "must be a number"),
         (json.dumps({"id": "a", "ts": True, "text": "x"}), "must be a number"),
         (row("a", -1, "x"), ">= 0"),
+        (row("a", float("nan"), "x"), "finite"),
+        (row("a", float("inf"), "x"), "finite"),
+        (row("a", float("-inf"), "x"), "finite"),
+        ('{"id": "a", "ts": 1e400, "text": "x"}', "finite"),
+        (row("a", 10**400, "x"), "finite"),
         (json.dumps({"id": "a", "ts": 1, "text": 7}), "must be a string"),
         (row("a", 1, "x", author=3), "'author' must be a string"),
     ])

@@ -9,6 +9,7 @@ from untangler.temporal import (HawkesModel, Range, detect_ranges, fit,
                                 median_gap, sample_intensity, simulate, smooth)
 
 from conftest import make_thread
+from oracles import reference_smooth
 
 
 def naive_intensity(model, events, t):
@@ -177,6 +178,37 @@ class TestSmoothing:
         series = sample_intensity(HawkesModel(1, 0, 1), np.array([1.0]), np.array([2.0]))
         with pytest.raises(ValueError):
             smooth(series, tau=0.0)
+
+    def test_matches_dense_reference(self):
+        # the recursion multiplies per-gap decays where the dense kernel
+        # takes one exp per pair; both round, so compare to rtol 1e-12
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n = int(rng.integers(1, 200))
+            grid = np.sort(rng.uniform(0, 1000, size=n))
+            if rng.random() < 0.5:  # duplicate times
+                grid = np.sort(np.r_[grid, grid[rng.integers(0, n, size=rng.integers(1, n + 1))]])
+            if rng.random() < 0.3:  # a gap of a million seconds, far beyond tau
+                grid[grid.size // 2:] += 1e6
+            if rng.random() < 0.3:  # epoch-scale timestamps
+                grid += 1.7e9
+            raw = rng.uniform(0.01, 5.0, size=grid.size)
+            tau = float(rng.choice([0.01, 1.0, 30.0, 1e4]))
+            out = smooth(temporal.IntensitySeries(grid, raw, raw.copy()), tau)
+            np.testing.assert_allclose(out.smoothed, reference_smooth(grid, raw, tau),
+                                       rtol=1e-12, atol=0)
+
+    def test_equal_times_get_equal_values(self):
+        grid = np.array([0.0, 1.0, 1.0, 1.0, 2.5, 9.0, 9.0])
+        raw = np.array([1.0, 0.3, 2.0, 0.7, 1.1, 4.0, 0.2])
+        out = smooth(temporal.IntensitySeries(grid, raw, raw.copy()), tau=1.3).smoothed
+        assert out[1] == out[2] == out[3] and out[5] == out[6]
+
+    def test_empty_and_unsorted_grids(self):
+        empty = np.zeros(0)
+        assert smooth(temporal.IntensitySeries(empty, empty, empty), 1.0).smoothed.size == 0
+        with pytest.raises(ValueError, match="sorted"):
+            smooth(temporal.IntensitySeries(np.array([1.0, 0.0]), np.ones(2), np.ones(2)), 1.0)
 
     def test_sample_intensity_values(self):
         model = HawkesModel(0.5, 1.0, 2.0)
