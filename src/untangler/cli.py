@@ -32,6 +32,8 @@ def _read_thread(path: str, keep_empty: bool = False) -> ingest.Thread:
         raise UserError(f"no such file: {path}") from exc
     except ingest.ChatLogError as exc:
         raise UserError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UserError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -283,6 +285,8 @@ def cmd_eval(args) -> int:
     n = pred_graph.n
     if len(gold.labels) != n or set(gold.labels) != set(range(n)):
         raise UserError("predicted graph and gold standard cover different posts")
+    if any(child >= n for child in gold.parents):
+        raise UserError(f"gold standard has an edge to a post beyond the graph's {n}")
     try:
         conversations = graphmod.extract_conversations(pred_graph)
     except ValueError as exc:
@@ -327,7 +331,7 @@ def cmd_project(args) -> int:
     config, params, vocab = _load_model(args)
     embeddings = embedder.embed_thread(params, thread, vocab, max_len=config.max_len)
     try:
-        coords = harness.project_3d(embeddings, seed=args.seed)
+        coords = harness.project_3d(embeddings)
     except ValueError as exc:
         raise UserError(str(exc)) from exc
     csv_path = Path(args.csv) if args.csv else _out_path(args, "projection.csv")

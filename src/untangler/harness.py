@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .graph import similarity_matrix
+from .graph import _is_int, similarity_matrix
 from .ingest import Post, Thread
 from .temporal import HawkesModel, simulate
 
@@ -65,11 +65,22 @@ class GoldStandard:
 
     @classmethod
     def from_json(cls, data: str) -> "GoldStandard":
+        """Inverse of to_json.  Raises ValueError unless 'parents' and
+        'labels' are objects mapping decimal post indices to integers and
+        every gold edge has 0 <= parent < child."""
         payload = json.loads(data)
-        return cls(
-            parents={int(c): int(p) for c, p in payload["parents"].items()},
-            labels={int(i): int(l) for i, l in payload["labels"].items()},
-        )
+        if not isinstance(payload, dict):
+            raise ValueError("gold standard must be a JSON object")
+        for key in ("parents", "labels"):
+            table = payload[key]
+            if not (isinstance(table, dict) and all(
+                    k.isascii() and k.isdigit() and _is_int(v) for k, v in table.items())):
+                raise ValueError(f"{key!r} must be an object mapping post indices to integers")
+        parents = {int(c): p for c, p in payload["parents"].items()}
+        for child, parent in parents.items():
+            if not 0 <= parent < child:
+                raise ValueError(f"gold edge {parent} -> {child} breaks 0 <= parent < child")
+        return cls(parents=parents, labels={int(i): l for i, l in payload["labels"].items()})
 
 
 @dataclass
@@ -157,7 +168,7 @@ def partition_ari(predicted: dict[int, int], gold: dict[int, int]) -> float:
     if set(predicted) != set(gold):
         raise ValueError("partitions must label the same posts")
     n = len(gold)
-    if n == 0:
+    if n < 2:  # no pairs to count
         return 1.0
     table: dict[tuple[int, int], int] = {}
     a: dict[int, int] = {}
@@ -219,40 +230,18 @@ def agglomerative(embeddings: np.ndarray, n_clusters: int) -> np.ndarray:
     return labels
 
 
-def project_3d(embeddings: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Top-3 principal components via power iteration with deflation.
+def project_3d(embeddings: np.ndarray) -> np.ndarray:
+    """Coordinates on the top-3 principal axes.
 
-    Deterministic (seeded start vectors).  Degenerate data (all rows
-    identical) projects to all-zero coordinates.
+    The axes are the leading eigenvectors of the d x d scatter matrix
+    (np.linalg.eigh), each signed so that its largest-magnitude loading
+    is positive; when d < 3 the missing axes are zero columns.
+    Degenerate data (all rows identical) projects to all-zero coordinates.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.ndim != 2 or emb.shape[0] < 3:
         raise ValueError("need at least 3 rows to project")
     centered = emb - emb.mean(axis=0)
-    cov = centered.T @ centered
-    d = cov.shape[0]
-    rng = np.random.default_rng(seed)
-    comps = []
-    for _ in range(min(3, d)):
-        if np.abs(cov).max() < 1e-12:
-            comps.append(np.zeros(d))
-            continue
-        v = rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        for _ in range(1000):
-            w = cov @ v
-            norm = np.linalg.norm(w)
-            if norm < 1e-15:
-                break
-            w /= norm
-            done = min(np.linalg.norm(w - v), np.linalg.norm(w + v)) < 1e-13
-            v = w
-            if done:
-                break
-        comps.append(v)
-        lam = float(v @ cov @ v)
-        cov = cov - lam * np.outer(v, v)
-    while len(comps) < 3:
-        comps.append(np.zeros(d))
-    basis = np.stack(comps, axis=1)  # (d, 3)
-    return centered @ basis
+    axes = np.linalg.eigh(centered.T @ centered)[1][:, ::-1][:, :3]  # eigenvalues ascend
+    axes = axes * np.sign(axes[np.argmax(np.abs(axes), axis=0), np.arange(axes.shape[1])])
+    return np.pad(centered @ axes, ((0, 0), (0, 3 - axes.shape[1])))

@@ -4,15 +4,15 @@ The conversation rate is modeled with the exponential-kernel intensity
 
     lambda(t) = mu + sum_{t_j < t} alpha * exp(-beta * (t - t_j))
 
-Fitting is projected gradient ascent on the log-likelihood.  The sampled
-intensity is smoothed with a two-sided Laplace kernel and low local
-minima of the smoothed curve mark conversation schisms, yielding the
-contiguous index ranges consumed by the graph-pruning stage.
+Fitting is projected gradient ascent on the log-likelihood, whose exact
+gradient and the sampled intensity come from one O(n) recursion.  The
+intensity is smoothed with a two-sided Laplace kernel and low local minima
+mark conversation schisms, yielding the ranges the graph stage consumes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -46,12 +46,14 @@ class Range:
     hi: int  # exclusive
 
 
-def _check_sorted(events: np.ndarray) -> np.ndarray:
+def _check_sorted(events: np.ndarray, horizon: Optional[float] = None) -> np.ndarray:
     events = np.asarray(events, dtype=np.float64)
     if events.ndim != 1:
         raise ValueError("events must be a 1-d array of times")
     if events.size > 1 and np.any(np.diff(events) < 0):
         raise ValueError("events must be sorted ascending")
+    if horizon is not None and events.size and (events[0] < 0 or events[-1] > horizon):
+        raise ValueError("events must lie in [0, horizon]")
     return events
 
 
@@ -63,28 +65,44 @@ def intensity(model: HawkesModel, events: np.ndarray, t: float) -> float:
     return float(model.mu + model.alpha * np.exp(-model.beta * (t - past)).sum())
 
 
+def _excitation(events: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """s[i] = sum_{j<i} exp(-beta * (t_i - t_j)) and r[i] = -ds[i]/dbeta in
+    one pass over the gaps g, with e = exp(-beta * g): s[i] = e * (s[i-1] + 1)
+    and r[i] = e * (r[i-1] + g * (s[i-1] + 1)).  Equal times count (g = 0)."""
+    gaps = np.diff(events)
+    s = [0.0] * events.size
+    r = [0.0] * events.size
+    for i, (g, e) in enumerate(zip(gaps.tolist(), np.exp(-beta * gaps).tolist()), start=1):
+        s[i] = e * (s[i - 1] + 1.0)
+        r[i] = e * (r[i - 1] + g * (s[i - 1] + 1.0))
+    return np.array(s), np.array(r)
+
+
+def _log_likelihood_and_gradient(events: np.ndarray, horizon: float, mu: float,
+                                 alpha: float, beta: float) -> tuple[float, np.ndarray]:
+    """Log-likelihood on [0, horizon] and its exact gradient in (mu, alpha,
+    beta); (-inf, nan) if any event intensity is non-positive."""
+    s, r = _excitation(events, beta)
+    lam = mu + alpha * s
+    if np.any(lam <= 0):
+        return -np.inf, np.full(3, np.nan)
+    tail = horizon - events
+    spent = -np.expm1(-beta * tail).sum()  # sum of 1 - exp(-beta * tail), accurate for small beta
+    inv = 1.0 / lam
+    grad = np.array([inv.sum() - horizon, (s * inv).sum() - spent / beta,
+                     alpha * (spent / beta ** 2 - (r * inv).sum()
+                              - (tail * np.exp(-beta * tail)).sum() / beta)])
+    return float(np.log(lam).sum() - mu * horizon - (alpha / beta) * spent), grad
+
+
 def log_likelihood(model: HawkesModel, events: np.ndarray, horizon: float) -> float:
     """Exponential-kernel Hawkes log-likelihood on [0, horizon].
 
     Returns -inf if any event intensity is non-positive.
     """
     model.validate()
-    events = _check_sorted(events)
-    if events.size and (events[0] < 0 or events[-1] > horizon):
-        raise ValueError("events must lie in [0, horizon]")
-    mu, alpha, beta = model.mu, model.alpha, model.beta
-    if events.size == 0:
-        return -mu * horizon
-    # recursive excitation sum: e_i = exp(-beta*dt) * (e_{i-1} + alpha)
-    dts = np.diff(events)
-    excite = np.zeros(events.size)
-    for i in range(1, events.size):
-        excite[i] = np.exp(-beta * dts[i - 1]) * (excite[i - 1] + alpha)
-    lam = mu + excite
-    if np.any(lam <= 0):
-        return -np.inf
-    compensator = mu * horizon + (alpha / beta) * np.sum(1.0 - np.exp(-beta * (horizon - events)))
-    return float(np.sum(np.log(lam)) - compensator)
+    events = _check_sorted(events, horizon)
+    return _log_likelihood_and_gradient(events, horizon, model.mu, model.alpha, model.beta)[0]
 
 
 def simulate(model: HawkesModel, horizon: float, rng: np.random.Generator,
@@ -115,28 +133,15 @@ def simulate(model: HawkesModel, horizon: float, rng: np.random.Generator,
     return np.array(times)
 
 
-def _fd_gradient(fun, p: np.ndarray) -> np.ndarray:
-    g = np.zeros_like(p)
-    for i in range(p.size):
-        h = 1e-6 * max(1.0, abs(p[i]))
-        up = p.copy()
-        dn = p.copy()
-        up[i] += h
-        dn[i] = max(dn[i] - h, _POSITIVE_FLOOR)
-        denom = up[i] - dn[i]
-        g[i] = (fun(up) - fun(dn)) / denom if denom > 0 else 0.0
-    return g
-
-
 def fit(events: np.ndarray, horizon: float, init: HawkesModel,
         steps: int = 400, step_size: float = 0.1) -> HawkesModel:
-    """Projected gradient ascent on the log-likelihood.
+    """Projected gradient ascent on the log-likelihood (exact gradient).
 
     Parameters are clamped at 1e-8 and projected to alpha < beta
     (stationarity).  Backtracking on the step length guarantees the
     returned likelihood is never below the initial one.  Deterministic.
     """
-    events = _check_sorted(events)
+    events = _check_sorted(events, horizon)
     if events.size < 2:
         raise ValueError("need at least 2 events to fit")
     init.validate()
@@ -147,16 +152,12 @@ def fit(events: np.ndarray, horizon: float, init: HawkesModel,
             p[1] = 0.999 * p[2]
         return p
 
-    def ll(p: np.ndarray) -> float:
-        return log_likelihood(HawkesModel(p[0], p[1], p[2]), events, horizon)
-
     p = project(np.array([init.mu, init.alpha, init.beta]))
-    cur = ll(p)
+    cur, g = _log_likelihood_and_gradient(events, horizon, *p)
     delta = step_size
     for _ in range(steps):
         if delta <= 0:
             break
-        g = _fd_gradient(ll, p)
         norm = float(np.linalg.norm(g))
         if not np.isfinite(norm) or norm == 0.0:
             break
@@ -165,9 +166,9 @@ def fit(events: np.ndarray, horizon: float, init: HawkesModel,
         improved = False
         while delta > 1e-12:
             cand = project(p + delta * direction)
-            val = ll(cand)
+            val, cand_g = _log_likelihood_and_gradient(events, horizon, *cand)
             if val > cur:
-                p, cur = cand, val
+                p, cur, g = cand, val, cand_g
                 improved = True
                 break
             delta *= 0.5
@@ -180,8 +181,7 @@ _FIT_SCALES = (0.01, 0.1, 1.0, 10.0)
 
 
 def fit_multistart(events: np.ndarray, horizon: float, steps: int = 200,
-                   step_size: float = 0.1,
-                   scales: tuple[float, ...] = _FIT_SCALES) -> HawkesModel:
+                   step_size: float = 0.1) -> HawkesModel:
     """Fit from several decay timescales and keep the best likelihood.
 
     The log-likelihood surface has separate basins for fast decay (within
@@ -196,7 +196,7 @@ def fit_multistart(events: np.ndarray, horizon: float, steps: int = 200,
     rate = events.size / horizon
     gap = median_gap(events)
     best: Optional[tuple[float, HawkesModel]] = None
-    for scale in scales:
+    for scale in _FIT_SCALES:
         beta0 = scale / gap
         init = HawkesModel(mu=0.5 * rate, alpha=0.5 * beta0, beta=beta0)
         model = fit(events, horizon, init, steps=steps, step_size=step_size)
@@ -208,9 +208,18 @@ def fit_multistart(events: np.ndarray, horizon: float, steps: int = 200,
 
 def sample_intensity(model: HawkesModel, events: np.ndarray,
                      grid: np.ndarray) -> IntensitySeries:
-    """Raw intensity at the given grid times (smoothed starts as a copy)."""
+    """Raw intensity at the given grid times (smoothed starts as a copy):
+    intensity() at each t, as mu + alpha * exp(-beta * (t - t_k)) * (s_k + 1)
+    with t_k the latest event before t (mu when there is none)."""
+    model.validate()
+    events = _check_sorted(events)
     grid = np.asarray(grid, dtype=np.float64)
-    raw = np.array([intensity(model, events, t) for t in grid])
+    k = np.searchsorted(events, grid, side="left") - 1
+    seen = k >= 0
+    k = k[seen]
+    raw = np.full(grid.shape, float(model.mu))
+    raw[seen] += model.alpha * np.exp(-model.beta * (grid[seen] - events[k])) * (
+        _excitation(events, model.beta)[0][k] + 1.0)
     return IntensitySeries(grid=grid, raw=raw, smoothed=raw.copy())
 
 
@@ -288,16 +297,11 @@ def detect_ranges(thread, model: HawkesModel, tau: Optional[float] = None,
     series = smooth(sample_intensity(model, times, times), tau)
     vals = series.smoothed
     threshold = float(np.quantile(vals, quantile))
-    boundaries = []
+    cuts = [0]
     for i in range(1, n):
         if vals[i] >= threshold:
             continue
         if vals[i] < vals[i - 1] and (i == n - 1 or vals[i] <= vals[i + 1]):
-            boundaries.append(i)
-    ranges = []
-    lo = 0
-    for b in boundaries:
-        ranges.append(Range(lo, b))
-        lo = b
-    ranges.append(Range(lo, n))
-    return ranges
+            cuts.append(i)
+    cuts.append(n)
+    return [Range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]

@@ -40,6 +40,12 @@ def last_json(capsys):
 
 
 class TestStats:
+    def test_invalid_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"id": "a", "ts": 1.0, "text": "caf\xe9"}\n')
+        assert run("stats", path) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_reports_counts(self, thread_file, capsys):
         assert run("stats", thread_file) == 0
         payload = last_json(capsys)
@@ -243,6 +249,27 @@ class TestSynthEval:
     def test_eval_rejects_invalid_graph(self, tmp_path, capsys, graph, message):
         (tmp_path / "g.json").write_text(json.dumps(graph))
         gold = {"parents": {}, "labels": {"0": 0, "1": 0, "2": 1}}
+        (tmp_path / "gold.json").write_text(json.dumps(gold))
+        assert run("eval", "--pred", tmp_path / "g.json",
+                   "--gold", tmp_path / "gold.json") == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gold,message", [
+        ({"parents": [], "labels": {"0": 0, "1": 0, "2": 1}}, "'parents' must be an object"),
+        ({"parents": {}, "labels": [0, 0, 1]}, "'labels' must be an object"),
+        ({"parents": {"1": 5}, "labels": {"0": 0, "1": 0, "2": 1}}, "0 <= parent < child"),
+        ({"parents": {"0": 1}, "labels": {"0": 0, "1": 0, "2": 1}}, "0 <= parent < child"),
+        ({"parents": {"5": 1}, "labels": {"0": 0, "1": 0, "2": 1}}, "beyond the graph"),
+        ({"parents": {"1": 0.0}, "labels": {"0": 0, "1": 0, "2": 1}}, "to integers"),
+        ({"parents": {"1": True}, "labels": {"0": 0, "1": 0, "2": 1}}, "to integers"),
+        ({"parents": {"x": 0}, "labels": {"0": 0, "1": 0, "2": 1}}, "post indices"),
+        ({"parents": {}, "labels": {"0": 0.5, "1": 0, "2": 1}}, "to integers"),
+        ({"parents": {}, "labels": {"0": 0, " 1": 0, "2": 1}}, "post indices"),
+        ({"parents": {}}, "labels"),
+        ([1], "JSON object"),
+    ])
+    def test_eval_rejects_invalid_gold(self, tmp_path, capsys, gold, message):
+        (tmp_path / "g.json").write_text(json.dumps({"n": 3, "edges": [], "roots": [0, 1, 2]}))
         (tmp_path / "gold.json").write_text(json.dumps(gold))
         assert run("eval", "--pred", tmp_path / "g.json",
                    "--gold", tmp_path / "gold.json") == 2

@@ -133,6 +133,7 @@ class TestPartitionAri:
 
     def test_empty(self):
         assert partition_ari({}, {}) == 1.0
+        assert partition_ari({0: 3}, {0: 7}) == 1.0
 
     def test_matches_sklearn_on_random_partitions(self):
         sklearn_metrics = pytest.importorskip("sklearn.metrics")
@@ -203,3 +204,27 @@ class TestProject3d:
     def test_needs_three_rows(self):
         with pytest.raises(ValueError):
             project_3d(np.zeros((2, 4)))
+
+    def test_largest_loading_of_each_axis_is_positive(self):
+        rng = np.random.default_rng(11)
+        emb = rng.standard_normal((30, 6)) @ rng.standard_normal((6, 6))
+        centered = emb - emb.mean(axis=0)
+        axes = np.linalg.svd(centered, full_matrices=False)[2][:3].T  # signs arbitrary
+        axes *= np.sign(axes[np.argmax(np.abs(axes), axis=0), np.arange(3)])
+        np.testing.assert_allclose(project_3d(emb), centered @ axes, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_fewer_than_three_dims_pad_with_zeros(self, d):
+        emb = np.random.default_rng(12).standard_normal((10, d))
+        coords = project_3d(emb)
+        assert coords.shape == (10, 3)
+        np.testing.assert_array_equal(coords[:, d:], 0.0)
+        centered = emb - emb.mean(axis=0)
+        np.testing.assert_allclose(np.sum(coords ** 2), np.sum(centered ** 2), rtol=1e-12)
+
+    def test_row_permutation_permutes_output(self):
+        rng = np.random.default_rng(13)
+        emb = rng.standard_normal((25, 5)) @ rng.standard_normal((5, 5))
+        order = rng.permutation(25)
+        np.testing.assert_allclose(project_3d(emb[order]), project_3d(emb)[order],
+                                   rtol=0, atol=1e-10)

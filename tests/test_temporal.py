@@ -81,6 +81,43 @@ class TestLogLikelihood:
         assert log_likelihood(HawkesModel(0.0, 1.0, 1.0),
                               np.array([1.0, 2.0]), 5.0) == -np.inf
 
+    def test_gradient_matches_central_differences(self):
+        # Compared per log-parameter, p_i * dL/dp_i, against central
+        # differences with step h = 1e-5 in log p_i.  Their rounding error
+        # (~eps * M / h) and truncation error (~h**2 * M) are both below
+        # 1e-10 * M, where M = 1 + n + mu * T + |L| bounds the terms of L;
+        # the gate is 1e-8 * M.
+        grad = temporal._log_likelihood_and_gradient
+        rng = np.random.default_rng(41)
+        h = 1e-5
+        for case in range(240):
+            n = case % 3 if case < 30 else int(rng.integers(3, 60))
+            horizon = float(rng.choice([1.0, 50.0, 1e4])) * rng.uniform(0.5, 2)
+            events = np.sort(rng.uniform(0, horizon, size=n))
+            if n >= 2 and rng.random() < 0.4:  # tied timestamps
+                i = rng.integers(1, n, size=rng.integers(1, n))
+                events[i] = events[i - 1]
+                events = np.sort(events)
+            if n and rng.random() < 0.3:
+                events[0] = 0.0
+            if n and rng.random() < 0.3:
+                events[-1] = horizon
+            p = np.array([rng.uniform(0.01, 2), rng.uniform(0.01, 2),
+                          rng.uniform(0.01, 3)]) * np.exp(rng.uniform(-3, 3, size=3))
+            near_floor = rng.random(3) < 0.2
+            p[near_floor] = 1e-8 * rng.uniform(1, 10, size=near_floor.sum())
+            value, g = grad(events, horizon, *p)
+            assert value == log_likelihood(HawkesModel(*p), events, horizon)
+            central = np.zeros(3)
+            for j in range(3):
+                up, dn = p.copy(), p.copy()
+                up[j] *= np.exp(h)
+                dn[j] *= np.exp(-h)
+                central[j] = (grad(events, horizon, *up)[0]
+                              - grad(events, horizon, *dn)[0]) / (2 * h)
+            scale = 1 + n + p[0] * horizon + abs(value)
+            np.testing.assert_allclose(p * g, central, rtol=0, atol=1e-8 * scale)
+
 
 class TestSimulate:
     def test_events_sorted_within_horizon(self):
@@ -132,6 +169,12 @@ class TestFit:
     def test_too_few_events_rejected(self):
         with pytest.raises(ValueError):
             fit(np.array([1.0]), 10.0, HawkesModel(1, 0, 1))
+
+    def test_events_outside_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon"):
+            fit(np.array([1.0, 5.0]), 4.0, HawkesModel(1, 0, 1))
+        with pytest.raises(ValueError, match="horizon"):
+            fit(np.array([-1.0, 2.0]), 4.0, HawkesModel(1, 0, 1))
 
     def test_multistart_beats_or_ties_single_start(self):
         rng = np.random.default_rng(13)
@@ -216,6 +259,28 @@ class TestSmoothing:
         series = sample_intensity(model, events, np.array([0.5, 1.5, 2.5]))
         expected = [naive_intensity(model, events, t) for t in (0.5, 1.5, 2.5)]
         np.testing.assert_allclose(series.raw, expected)
+
+    def test_sample_intensity_matches_intensity(self):
+        # the recursion multiplies at most n per-gap decays where
+        # intensity() takes one exp per event, so they agree to ~n ulp
+        rng = np.random.default_rng(43)
+        for case in range(300):
+            n = 0 if case < 20 else int(rng.integers(1, 80))
+            events = np.sort(rng.uniform(0, 100, size=n))
+            if n >= 2 and rng.random() < 0.4:  # tied timestamps
+                i = rng.integers(1, n, size=rng.integers(1, n))
+                events[i] = events[i - 1]
+                events = np.sort(events)
+            if rng.random() < 0.3:  # epoch-scale timestamps
+                events += 1.7e9
+            lo = events[0] if n else 0.0
+            hi = events[-1] if n else 100.0
+            grid = np.r_[rng.uniform(lo - 10, hi + 10, size=rng.integers(0, 50)),
+                         events[rng.integers(0, n, size=min(n, 10))]]
+            model = HawkesModel(rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(0.01, 3))
+            series = sample_intensity(model, events, grid)
+            expected = [intensity(model, events, t) for t in grid]
+            np.testing.assert_allclose(series.raw, expected, rtol=1e-12, atol=0)
 
 
 class TestMedianGap:
