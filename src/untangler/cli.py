@@ -108,8 +108,12 @@ def _hawkes_from_args(args, thread: ingest.Thread) -> temporal.HawkesModel:
     origin = times[0]
     events = times - origin
     horizon = (float(events[-1]) or 1.0) + 1.0
-    return temporal.fit_multistart(events, horizon, steps=args.fit_steps,
-                                   step_size=args.fit_step_size)
+    try:
+        return temporal.fit_multistart(events, horizon, steps=args.fit_steps,
+                                       step_size=args.fit_step_size)
+    except temporal.TimescaleError as exc:
+        raise UserError(f"cannot fit the Hawkes process: {exc}; "
+                        "give --mu/--alpha/--beta instead") from exc
 
 
 # --------------------------------------------------------------------------

@@ -9,15 +9,18 @@ using a logistic loss over cosine similarities:
 
     loss = -log sigmoid(cos(l, w_pos)) - sum_j log sigmoid(-cos(l, w_neg_j))
 
-All numerics are plain numpy with hand-written backpropagation so the
-whole loss is finite-difference checkable.
+Any set of posts is encoded as one packed batch whose matrix products
+at each timestep cover only the rows still running, and a training
+minibatch encodes each post it touches once.  All numerics are plain numpy with
+hand-written backpropagation so the whole loss is finite-difference
+checkable.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,9 +30,6 @@ from .ingest import Thread
 
 CHECKPOINT_MAGIC = b"UNTG"
 CHECKPOINT_VERSION = 1
-
-# concatenated gate order in w_x / w_h / b
-_GATE_ORDER = ("input", "forget", "output", "candidate")
 
 
 @dataclass
@@ -72,12 +72,7 @@ class EncoderParams:
                 "b": self.b, "proj": self.proj}
 
     def zeros_like(self) -> "EncoderParams":
-        return EncoderParams(*(np.zeros_like(a) for a in
-                               (self.emb, self.w_x, self.w_h, self.b, self.proj)))
-
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(*(a.copy() for a in
-                               (self.emb, self.w_x, self.w_h, self.b, self.proj)))
+        return EncoderParams(*(np.zeros_like(a) for a in self.groups().values()))
 
 
 def init_params(config: EncoderConfig) -> EncoderParams:
@@ -95,97 +90,109 @@ def init_params(config: EncoderConfig) -> EncoderParams:
     return params
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+def _sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Logistic function as 0.5 * (1 + tanh(z / 2)), stable for every z."""
+    out = np.multiply(z, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
-def _softplus(z: float) -> float:
-    # log(1 + e^z), stable
-    return float(np.logaddexp(0.0, z))
+def _gates(params: EncoderParams, ids: np.ndarray, h: np.ndarray,
+           out: np.ndarray) -> list[np.ndarray]:
+    """One step's input, forget, output and candidate gate activations
+    for tokens ``ids`` and previous hidden states ``h``, written to ``out``."""
+    hd = params.hidden_dim
+    np.matmul(params.emb[ids], params.w_x, out=out)
+    for g in range(0, 4 * hd, hd):  # gate by gate: no k x 4h temporary
+        out[:, g:g + hd] += h @ params.w_h[:, g:g + hd]
+    out += params.b
+    _sigmoid(out[:, :3 * hd], out=out[:, :3 * hd])
+    np.tanh(out[:, 3 * hd:], out=out[:, 3 * hd:])
+    return np.split(out, 4, axis=1)
 
 
-@dataclass
-class _Cache:
-    seq: Sequence[int]
-    x: np.ndarray        # (T, embed_dim)
-    hs: np.ndarray       # (T+1, hidden_dim)
-    cs: np.ndarray       # (T+1, hidden_dim)
-    gates: np.ndarray    # (T, 4, hidden_dim)
-    tanh_c: np.ndarray   # (T, hidden_dim)
+def _forward(params: EncoderParams, seqs: Sequence[Sequence[int]],
+             tape: Optional[list] = None) -> np.ndarray:
+    """Encodings (len(seqs) x embed_dim) of non-empty token sequences as
+    one packed batch: rows sorted longest first, tokens left-aligned, so
+    the rows still running at step t are a prefix [:k_t] and each step's
+    products cover that prefix only.  A ``tape`` list receives
+    each step's hidden and cell states, then the packing, for `_backward`.
+    """
+    lengths = np.array([len(s) for s in seqs], dtype=np.intp)
+    if lengths.size and lengths.min() == 0:
+        raise ValueError("cannot encode an empty token sequence")
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    steps = np.arange(lengths.max(initial=0))
+    tok = np.zeros((len(seqs), steps.size), dtype=np.intp)
+    tok[steps < lengths[:, None]] = [w for i in order for w in seqs[i]]
+    hd = params.hidden_dim
+    h, c = np.zeros((2, len(seqs), hd))  # hidden and cell states
+    buf = np.empty((len(seqs), 4 * hd))
+    for t, k in enumerate(np.count_nonzero(lengths > steps[:, None], axis=1)):
+        gi, gf, go, gg = _gates(params, tok[:k, t], h[:k], buf[:k])
+        c[:k] *= gf
+        c[:k] += gi * gg
+        np.tanh(c[:k], out=h[:k])
+        h[:k] *= go
+        if tape is not None:
+            tape.append((h[:k].copy(), c[:k].copy()))
+    if tape is not None:
+        tape.append((order, tok, h))
+    out = np.empty((len(seqs), params.proj.shape[1]))
+    out[order] = h @ params.proj
+    return out
 
 
-def _forward(params: EncoderParams, seq: Sequence[int]) -> tuple[np.ndarray, _Cache]:
-    h = params.hidden_dim
-    t_len = len(seq)
-    x = params.emb[np.asarray(seq, dtype=np.intp)]
-    a_x = x @ params.w_x
-    hs = np.zeros((t_len + 1, h))
-    cs = np.zeros((t_len + 1, h))
-    gates = np.zeros((t_len, 4, h))
-    tanh_c = np.zeros((t_len, h))
-    for t in range(t_len):
-        a = a_x[t] + hs[t] @ params.w_h + params.b
-        gi = _sigmoid(a[:h])
-        gf = _sigmoid(a[h:2 * h])
-        go = _sigmoid(a[2 * h:3 * h])
-        gg = np.tanh(a[3 * h:])
-        cs[t + 1] = gf * cs[t] + gi * gg
-        tanh_c[t] = np.tanh(cs[t + 1])
-        hs[t + 1] = go * tanh_c[t]
-        gates[t, 0], gates[t, 1], gates[t, 2], gates[t, 3] = gi, gf, go, gg
-    out = hs[t_len] @ params.proj
-    return out, _Cache(seq, x, hs, cs, gates, tanh_c)
-
-
-def _backward(params: EncoderParams, cache: _Cache, d_out: np.ndarray,
+def _backward(params: EncoderParams, tape: list, d_out: np.ndarray,
               grads: EncoderParams) -> None:
-    """Accumulate d(loss)/d(params) into grads given d(loss)/d(encoding)."""
-    h = params.hidden_dim
-    t_len = len(cache.seq)
-    grads.proj += np.outer(cache.hs[t_len], d_out)
-    dh = params.proj @ d_out
-    dc = np.zeros(h)
-    d_a = np.zeros((t_len, 4 * h))
-    for t in range(t_len - 1, -1, -1):
-        gi, gf, go, gg = cache.gates[t]
-        tc = cache.tanh_c[t]
-        do = dh * tc
-        dc = dc + dh * go * (1.0 - tc * tc)
-        di = dc * gg
-        dg = dc * gi
-        df = dc * cache.cs[t]
-        d_a[t, :h] = di * gi * (1.0 - gi)
-        d_a[t, h:2 * h] = df * gf * (1.0 - gf)
-        d_a[t, 2 * h:3 * h] = do * go * (1.0 - go)
-        d_a[t, 3 * h:] = dg * (1.0 - gg * gg)
-        dh = params.w_h @ d_a[t]
-        dc = dc * gf
-    grads.w_x += cache.x.T @ d_a
-    grads.w_h += cache.hs[:-1].T @ d_a
-    grads.b += d_a.sum(axis=0)
-    dx = d_a @ params.w_x.T
-    np.add.at(grads.emb, np.asarray(cache.seq, dtype=np.intp), dx)
+    """Accumulate d(loss)/d(params) into grads, given d(loss)/d(encodings)
+    for the rows of the `_forward` call that filled ``tape``.  Each step's
+    gates are recomputed from the states of the step before.  Consumes
+    the tape."""
+    order, tok, h = tape.pop()
+    hd = params.hidden_dim
+    d_out = d_out[order]
+    grads.proj += h.T @ d_out
+    dh = d_out @ params.proj.T
+    dc = np.zeros_like(dh)
+    buf = np.empty((len(h), 4 * hd))
+    d_a = np.empty_like(buf)
+    while tape:
+        c = tape.pop()[1]
+        t, k = len(tape), len(c)
+        h_prev, c_prev = (s[:k] for s in tape[-1]) if tape else (np.zeros((k, hd)),) * 2
+        ids = tok[:k, t]
+        gi, gf, go, gg = _gates(params, ids, h_prev, buf[:k])
+        tc = np.tanh(c)
+        dh_k, dc_k, d_ak = dh[:k], dc[:k], d_a[:k]
+        dc_k += dh_k * go * (1.0 - tc * tc)
+        d_ak[:, :hd] = dc_k * gg * gi * (1.0 - gi)
+        d_ak[:, hd:2 * hd] = dc_k * c_prev * gf * (1.0 - gf)
+        d_ak[:, 2 * hd:3 * hd] = dh_k * tc * go * (1.0 - go)
+        d_ak[:, 3 * hd:] = dc_k * gi * (1.0 - gg * gg)
+        grads.w_x += params.emb[ids].T @ d_ak
+        grads.w_h += h_prev.T @ d_ak
+        grads.b += d_ak.sum(axis=0)
+        np.add.at(grads.emb, ids, d_ak @ params.w_x.T)
+        dh_k[...] = d_ak @ params.w_h.T
+        dc_k *= gf
 
 
 def encode_post(params: EncoderParams, seq: Sequence[int]) -> np.ndarray:
     """Encoding of one post; deterministic given params."""
-    if len(seq) == 0:
-        raise ValueError("cannot encode an empty token sequence")
-    out, _ = _forward(params, seq)
-    return out
+    return _forward(params, [seq])[0]
 
 
 def encode_context(params: EncoderParams, member_seqs: Sequence[Sequence[int]]) -> np.ndarray:
     """Mean of the member posts' encodings (empty members skipped)."""
-    vecs = [encode_post(params, s) for s in member_seqs if len(s) > 0]
-    if not vecs:
+    members = [s for s in member_seqs if len(s) > 0]
+    if not members:
         raise ValueError("context has no non-empty member posts")
-    return np.mean(vecs, axis=0)
+    return _forward(params, members).mean(axis=0)
 
 
 def similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -200,28 +207,54 @@ def similarity(a: np.ndarray, b: np.ndarray) -> float:
 def training_loss(l: np.ndarray, w_pos: np.ndarray,
                   w_negs: Sequence[np.ndarray] = ()) -> float:
     """Negative-sampling logistic loss over cosine similarities; >= 0."""
-    loss = _softplus(-similarity(l, w_pos))
+    loss = float(np.logaddexp(0.0, -similarity(l, w_pos)))  # softplus, stable
     for w in w_negs:
-        loss += _softplus(similarity(l, w))
+        loss += float(np.logaddexp(0.0, similarity(l, w)))
     return loss
 
 
-def _cos_grads(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    c = float(np.dot(a, b) / (na * nb))
-    dca = b / (na * nb) - c * a / (na * na)
-    dcb = a / (na * nb) - c * b / (nb * nb)
-    return c, dca, dcb
+def _minibatch_loss(params: EncoderParams, seqs: Sequence[Sequence[int]],
+                    batch: Sequence[tuple[int, Sequence[Sequence[int]]]],
+                    grads: EncoderParams) -> float:
+    """Summed loss of a minibatch, with its gradient accumulated into grads.
+
+    ``batch`` holds (centre, contexts) samples as indices into ``seqs``, the
+    minibatch's distinct posts, so each post is encoded once.  A centre is
+    paired with the mean of each context: its window's members first
+    (label y = +1), then one-post negatives (y = -1).  A pair with cosine
+    z costs softplus(-y z).
+    """
+    centre, ctx, rows, y = [], [], [], []
+    for c, contexts in batch:
+        for j, members in enumerate(contexts):
+            ctx += [len(y)] * len(members)
+            rows += members
+            centre.append(c)
+            y.append(-1.0 if j else 1.0)
+    y = np.array(y)
+    size = np.bincount(ctx, minlength=len(y))[:, None]
+    tape: list = []
+    enc = _forward(params, seqs, tape)
+    left = enc[centre]
+    right = np.zeros_like(left)
+    np.add.at(right, ctx, enc[rows])
+    right /= size
+    nl = np.linalg.norm(left, axis=1)
+    nr = np.linalg.norm(right, axis=1)
+    z = np.einsum("ij,ij->i", left, right) / (nl * nr)
+    coef = -y * _sigmoid(-y * z)  # d loss / d z
+    d_left = (coef / (nl * nr))[:, None] * right - (coef * z / (nl * nl))[:, None] * left
+    d_right = (coef / (nl * nr))[:, None] * left - (coef * z / (nr * nr))[:, None] * right
+    d_enc = np.zeros_like(enc)
+    np.add.at(d_enc, centre, d_left)
+    np.add.at(d_enc, rows, (d_right / size)[ctx])
+    _backward(params, tape, d_enc, grads)
+    return float(np.logaddexp(0.0, -y * z).sum())
 
 
-def loss_and_grads(
-    params: EncoderParams,
-    center_seq: Sequence[int],
-    member_seqs: Sequence[Sequence[int]],
-    neg_seqs: Sequence[Sequence[int]],
-    grads: Optional[EncoderParams] = None,
-) -> tuple[float, EncoderParams]:
+def loss_and_grads(params: EncoderParams, center_seq: Sequence[int],
+                   member_seqs: Sequence[Sequence[int]], neg_seqs: Sequence[Sequence[int]],
+                   grads: Optional[EncoderParams] = None) -> tuple[float, EncoderParams]:
     """Loss for one (post, context, negatives) sample plus parameter
     gradients, accumulated into ``grads`` when given.
 
@@ -233,53 +266,21 @@ def loss_and_grads(
     members = [s for s in member_seqs if len(s) > 0]
     if not members:
         raise ValueError("sample has no non-empty context members")
-    l_vec, cache_c = _forward(params, center_seq)
-    member_out = [_forward(params, s) for s in members]
-    w_pos = np.mean([v for v, _ in member_out], axis=0)
-    neg_out = [_forward(params, s) for s in neg_seqs if len(s) > 0]
-
-    z_pos, dzl, dzw = _cos_grads(l_vec, w_pos)
-    loss = _softplus(-z_pos)
-    coef_pos = -_sigmoid(np.array([-z_pos]))[0]  # d loss / d z_pos
-    dl = coef_pos * dzl
-    dw_pos = coef_pos * dzw
-
-    neg_backs = []
-    for v, cache in neg_out:
-        z, dza, dzb = _cos_grads(l_vec, v)
-        loss += _softplus(z)
-        coef = _sigmoid(np.array([z]))[0]
-        dl = dl + coef * dza
-        neg_backs.append((cache, coef * dzb))
-
-    _backward(params, cache_c, dl, grads)
-    share = dw_pos / len(member_out)
-    for _, cache in member_out:
-        _backward(params, cache, share, grads)
-    for cache, dv in neg_backs:
-        _backward(params, cache, dv, grads)
-    return loss, grads
+    seqs = [center_seq, *members, *(s for s in neg_seqs if len(s) > 0)]
+    k = len(members) + 1
+    contexts = [range(1, k)] + [[j] for j in range(k, len(seqs))]
+    return _minibatch_loss(params, seqs, [(0, contexts)], grads), grads
 
 
-@dataclass
-class _Sample:
-    thread_idx: int
-    center: int
-    members: tuple[int, ...]
-
-
-def train(
-    threads: list[Thread],
-    vocab: Vocab,
-    windows: list[list[ContextWindow]],
-    config: EncoderConfig,
-) -> tuple[EncoderParams, list[float]]:
+def train(threads: list[Thread], vocab: Vocab, windows: list[list[ContextWindow]],
+          config: EncoderConfig) -> tuple[EncoderParams, list[float]]:
     """Minibatch gradient descent over all (post, context) samples.
 
     ``windows[t]`` must hold the windows of ``threads[t]``.  Negatives are
     drawn uniformly from the same thread's non-empty posts outside the
-    window.  Deterministic for a fixed config seed.  Returns the trained
-    parameters and the per-epoch mean loss.
+    window.  Each minibatch encodes every post it touches once, in one
+    forward and one backward pass.  Deterministic for a fixed config seed.
+    Returns the trained parameters and the per-epoch mean loss.
     """
     config.validate()
     if len(windows) != len(threads):
@@ -288,14 +289,14 @@ def train(
         [encode_text(vocab, p.text, config.max_len) for p in th.posts]
         for th in threads
     ]
-    samples: list[_Sample] = []
+    samples: list[tuple[int, int, tuple[int, ...]]] = []  # thread, centre, members
     for t, wins in enumerate(windows):
         for w in wins:
             if not seqs[t][w.center]:
                 continue
             members = tuple(m for m in w.members if seqs[t][m])
             if members:
-                samples.append(_Sample(t, w.center, members))
+                samples.append((t, w.center, members))
     if not samples:
         raise ValueError("no trainable (post, context) samples")
 
@@ -309,19 +310,18 @@ def train(
         order = rng.permutation(len(samples))
         total = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
-            grads = params.zeros_like()
-            for si in batch:
-                s = samples[si]
-                excluded = set(s.members) | {s.center}
-                pool = [i for i in nonempty[s.thread_idx] if i not in excluded]
+            rows: dict[tuple[int, int], int] = {}  # (thread, post) -> row
+            batch = []
+            for si in order[start:start + config.batch_size]:
+                t, center, members = samples[si]
+                pool = [i for i in nonempty[t] if i != center and i not in members]
                 n_neg = min(config.negatives_per_sample, len(pool))
                 negs = rng.choice(len(pool), size=n_neg, replace=False) if n_neg else []
-                neg_seqs = [seqs[s.thread_idx][pool[j]] for j in negs]
-                member_seqs = [seqs[s.thread_idx][m] for m in s.members]
-                loss, _ = loss_and_grads(params, seqs[s.thread_idx][s.center],
-                                         member_seqs, neg_seqs, grads)
-                total += loss
+                contexts = [members] + [[pool[j]] for j in negs]
+                batch.append((rows.setdefault((t, center), len(rows)),
+                              [[rows.setdefault((t, i), len(rows)) for i in c] for c in contexts]))
+            grads = params.zeros_like()
+            total += _minibatch_loss(params, [seqs[t][i] for t, i in rows], batch, grads)
             scale = config.learning_rate / len(batch)
             for name, g in grads.groups().items():
                 params.groups()[name] -= scale * g
@@ -331,14 +331,13 @@ def train(
 
 def embed_thread(params: EncoderParams, thread: Thread, vocab: Vocab,
                  max_len: int = 64) -> np.ndarray:
-    """n x d matrix of post encodings; empty posts get all-zero rows and
-    are excluded from graph edges downstream."""
-    d = params.proj.shape[1]
-    out = np.zeros((len(thread), d))
-    for i, post in enumerate(thread.posts):
-        seq = encode_text(vocab, post.text, max_len)
-        if seq:
-            out[i] = encode_post(params, seq)
+    """n x d matrix of post encodings, all posts run as one packed batch;
+    empty posts get all-zero rows and are excluded from graph edges
+    downstream."""
+    seqs = [encode_text(vocab, p.text, max_len) for p in thread.posts]
+    rows = [i for i, s in enumerate(seqs) if s]
+    out = np.zeros((len(seqs), params.proj.shape[1]))
+    out[rows] = _forward(params, [seqs[i] for i in rows])
     return out
 
 

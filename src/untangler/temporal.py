@@ -158,10 +158,11 @@ def fit(events: np.ndarray, horizon: float, init: HawkesModel,
     for _ in range(steps):
         if delta <= 0:
             break
-        norm = float(np.linalg.norm(g))
-        if not np.isfinite(norm) or norm == 0.0:
+        top = float(np.abs(g).max())
+        if not np.isfinite(top) or top == 0.0:
             break
-        direction = g / norm
+        direction = g / top  # scaled first, so the norm cannot overflow
+        direction /= np.linalg.norm(direction)
         delta = min(delta * 2.0, step_size * 8)
         improved = False
         while delta > 1e-12:
@@ -180,6 +181,10 @@ def fit(events: np.ndarray, horizon: float, init: HawkesModel,
 _FIT_SCALES = (0.01, 0.1, 1.0, 10.0)
 
 
+class TimescaleError(ValueError):
+    """The events' median gap gives no finite decay rate to fit from."""
+
+
 def fit_multistart(events: np.ndarray, horizon: float, steps: int = 200,
                    step_size: float = 0.1) -> HawkesModel:
     """Fit from several decay timescales and keep the best likelihood.
@@ -188,16 +193,20 @@ def fit_multistart(events: np.ndarray, horizon: float, steps: int = 200,
     bursts) and slow decay (across bursts); a single start from the
     median-gap timescale routinely misses the better one.  Each start
     uses beta0 = scale / median_gap with alpha0 = beta0 / 2 and a
-    baseline at half the empirical rate.
+    baseline at half the empirical rate.  Starts whose beta0 overflows
+    are skipped; TimescaleError when none is finite.
     """
     events = _check_sorted(events)
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
     rate = events.size / horizon
     gap = median_gap(events)
+    starts = [scale / gap for scale in _FIT_SCALES if np.isfinite(scale / gap)]
+    if not starts:
+        raise TimescaleError(f"median gap between events {gap:g} is too small "
+                         "for a finite decay rate to start the fit from")
     best: Optional[tuple[float, HawkesModel]] = None
-    for scale in _FIT_SCALES:
-        beta0 = scale / gap
+    for beta0 in starts:
         init = HawkesModel(mu=0.5 * rate, alpha=0.5 * beta0, beta=beta0)
         model = fit(events, horizon, init, steps=steps, step_size=step_size)
         score = log_likelihood(model, events, horizon)

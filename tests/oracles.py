@@ -1,11 +1,12 @@
 """Independent reference implementations used as test oracles.
 
 These are deliberately naive, literal transcriptions of the two pruning
-stages and of the Laplace smoothing, written against plain dict/list
-structures and dense arrays with no shared code paths into the package.
-The production implementations in ``untangler.graph`` and
-``untangler.temporal`` are vectorized or recursive rewrites; every test
-that matters checks them against these references on randomized inputs.
+stages, of the Laplace smoothing and of the LSTM post encoder, written
+against plain dict/list structures and dense arrays with no shared code
+paths into the package.  The production implementations in
+``untangler.graph``, ``untangler.temporal`` and ``untangler.embedder``
+are vectorized, recursive or batched rewrites; every test that matters
+checks them against these references on randomized inputs.
 """
 
 from __future__ import annotations
@@ -74,3 +75,21 @@ def reference_smooth(grid: np.ndarray, raw: np.ndarray, tau: float) -> np.ndarra
     sum to one."""
     w = np.exp(-np.abs(grid[:, None] - grid[None, :]) / tau)
     return (w @ raw) / w.sum(axis=1)
+
+
+def reference_encode(params, seq) -> np.ndarray:
+    """LSTM encoding of one post, one timestep at a time.  Gates (input,
+    forget, output, candidate) come from emb[token] @ w_x + h @ w_h + b;
+    then c = f * c + i * g and h = o * tanh(c), and the encoding is the
+    last h projected by proj."""
+    hd = params.w_h.shape[0]
+    h = np.zeros(hd)
+    c = np.zeros(hd)
+    for token in seq:
+        a = params.emb[token] @ params.w_x + h @ params.w_h + params.b
+        # logistic function as exp(-log(1 + e^-z)), which cannot overflow
+        i, f, o = (np.exp(-np.logaddexp(0.0, -a[j * hd:(j + 1) * hd])) for j in range(3))
+        g = np.tanh(a[3 * hd:])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+    return h @ params.proj

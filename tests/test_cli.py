@@ -1,6 +1,7 @@
 """Command-line interface: happy paths, precedence, exit codes."""
 
 import json
+import math
 import os
 import struct
 import subprocess
@@ -37,6 +38,16 @@ def train_args(thread_file, tmp_path, *extra):
 
 def last_json(capsys):
     return json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+
+def timed_log(path, times):
+    """A small chat log with the given post times."""
+    write_jsonl(path, [{"id": f"p{i}", "ts": t, "text": f"alpha beta {i}"}
+                       for i, t in enumerate(times)])
+    return path
+
+
+SUBNORMAL_TIMES = [0.0, 5e-324, 1e-323]  # median gap 5e-324: every start's beta0 is inf
 
 
 class TestStats:
@@ -171,6 +182,14 @@ class TestDisentangle:
                    "--checkpoint", tmp_path / "out" / "model.untg") == 2
         assert "the checkpoint was trained on" in capsys.readouterr().err
 
+    def test_subnormal_gaps_exit_2(self, thread_file, tmp_path, capsys):
+        assert run(*train_args(thread_file, tmp_path)) == 0
+        log = timed_log(tmp_path / "subnormal.jsonl", SUBNORMAL_TIMES)
+        assert run("--out-dir", tmp_path / "out", "disentangle", "--input", log,
+                   "--checkpoint", tmp_path / "out" / "model.untg") == 2
+        err = capsys.readouterr().err
+        assert "cannot fit the Hawkes process" in err and "--mu/--alpha/--beta" in err
+
     def test_negative_checkpoint_dim_exits_2(self, thread_file, tmp_path, capsys):
         assert run(*train_args(thread_file, tmp_path)) == 0
         ckpt = tmp_path / "out" / "model.untg"
@@ -291,6 +310,27 @@ class TestExportIntensity:
         lines = (tmp_path / "intensity.csv").read_text().strip().splitlines()
         assert lines[0] == "t,raw,smoothed"
         assert len(lines) == 13
+
+    def test_subnormal_gaps_exit_2(self, tmp_path, capsys):
+        log = timed_log(tmp_path / "subnormal.jsonl", SUBNORMAL_TIMES)
+        assert run("--out-dir", tmp_path, "export-intensity", "--input", log) == 2
+        captured = capsys.readouterr()
+        assert "cannot fit the Hawkes process" in captured.err
+        assert "--mu/--alpha/--beta" in captured.err
+        assert captured.out == ""
+
+    def test_huge_time_span_fits_silently(self, tmp_path):
+        # the gradient's squared norm overflows at this span unless scaled;
+        # the likelihood's maximum has mu = 3 / 1.5e308, below the 1e-8 floor
+        log = timed_log(tmp_path / "huge.jsonl", [0.0, 1e300, 1.5e308])
+        proc = subprocess.run(
+            [sys.executable, "-m", "untangler.cli", "--out-dir", str(tmp_path),
+             "export-intensity", "--input", str(log)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        hawkes = json.loads(proc.stdout.strip().splitlines()[-1])["hawkes"]
+        assert all(math.isfinite(v) for v in hawkes.values())
 
 
 class TestProject:

@@ -11,6 +11,7 @@ from untangler.embedder import (EncoderConfig, EncoderParams, encode_context,
                                 similarity, training_loss)
 
 from conftest import make_thread
+from oracles import reference_encode
 
 
 def small_config(vocab_size=12, **kw):
@@ -66,6 +67,71 @@ class TestForward:
         h = config.hidden_dim
         np.testing.assert_array_equal(params.b[h:2 * h], 1.0)
         assert np.abs(params.emb).max() <= 0.08
+
+
+def random_params(rng, **kw):
+    """Small random model; weights scaled up so the gates leave their
+    near-linear range."""
+    params = init_params(small_config(**kw))
+    for arr in params.groups().values():
+        arr *= rng.uniform(1.0, 30.0)
+    return params
+
+
+def random_batch(rng, vocab_size, max_len):
+    """Token sequences with length-1 rows, max_len rows, repeats, or all
+    one length, chosen at random."""
+    n = int(rng.integers(1, 12))
+    kind = rng.integers(4)
+    if kind == 0:    # one length for every row
+        lengths = np.full(n, rng.integers(1, max_len + 1))
+    elif kind == 1:  # only the extremes
+        lengths = rng.choice([1, max_len], size=n)
+    else:
+        lengths = rng.integers(1, max_len + 1, size=n)
+    seqs = [list(rng.integers(0, vocab_size, size=k)) for k in lengths]
+    if kind == 3:    # repeated sequences
+        seqs += [seqs[j] for j in rng.integers(0, n, size=n)]
+    return seqs
+
+
+class TestPackedBatch:
+    """The packed forward pass against the one-sequence reference; rows
+    differ only in the last bits (a GEMM sums in another order than a
+    GEMV), so the bar is an absolute 1e-12 with rtol 1e-12."""
+
+    def test_rows_match_reference(self):
+        rng = np.random.default_rng(11)
+        for trial in range(200):
+            max_len = int(rng.integers(1, 12))
+            params = random_params(rng, vocab_size=15, max_len=max_len, seed=trial,
+                                   embed_dim=int(rng.integers(1, 7)),
+                                   hidden_dim=int(rng.integers(1, 7)))
+            seqs = random_batch(rng, 15, max_len) if trial else [[3]]
+            expected = np.array([reference_encode(params, s) for s in seqs])
+            np.testing.assert_allclose(embedder._forward(params, seqs), expected,
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_empty_batch_and_empty_row(self):
+        params = init_params(small_config())
+        assert embedder._forward(params, []).shape == (0, 4)
+        with pytest.raises(ValueError):
+            embedder._forward(params, [[2], []])
+
+    def test_embed_thread_matches_reference(self):
+        rng = np.random.default_rng(12)
+        words = "a b c d e f g h".split()
+        texts = [" ".join(rng.choice(words, size=rng.integers(0, 12))) for _ in range(40)]
+        texts[5] = "..."  # no tokens
+        thread = make_thread(range(40), texts)
+        vocab = corpus.build_vocab([thread])
+        params = random_params(rng, vocab_size=len(vocab))
+        emb = embedder.embed_thread(params, thread, vocab, max_len=8)
+        for i, post in enumerate(thread.posts):
+            seq = corpus.encode_text(vocab, post.text, 8)
+            expected = reference_encode(params, seq) if seq else np.zeros(4)
+            np.testing.assert_allclose(emb[i], expected, rtol=1e-12, atol=1e-12)
+        assert not emb[5].any()
 
 
 class TestLoss:
@@ -127,13 +193,88 @@ class TestLoss:
         loss_and_grads(params, [2], [[3]], [[4]], grads=acc)
         np.testing.assert_allclose(acc.b, 2 * first)
 
+    def test_minibatch_equals_sum_of_samples(self):
+        # samples sharing centres, members and negatives: each post is
+        # encoded once, and the loss and every gradient group must equal
+        # the per-sample sums (rtol 1e-10)
+        rng = np.random.default_rng(13)
+        for trial in range(60):
+            params = random_params(rng, seed=trial)
+            posts = [list(rng.integers(1, 12, size=rng.integers(1, 7)))
+                     for _ in range(int(rng.integers(2, 9)))]
+            batch = []
+            for _ in range(int(rng.integers(1, 7))):
+                centre = int(rng.integers(len(posts)))
+                members = list(rng.integers(len(posts), size=rng.integers(1, 4)))
+                negs = rng.integers(len(posts), size=rng.integers(0, 4))
+                batch.append((centre, [members] + [[int(j)] for j in negs]))
+            grads = params.zeros_like()
+            loss = embedder._minibatch_loss(params, posts, batch, grads)
+            expected, acc = 0.0, params.zeros_like()
+            for centre, (members, *negs) in batch:
+                expected += loss_and_grads(params, posts[centre], [posts[m] for m in members],
+                                           [posts[j] for (j,) in negs], acc)[0]
+            assert loss == pytest.approx(expected, rel=1e-10)
+            for name, g in grads.groups().items():
+                np.testing.assert_allclose(g, acc.groups()[name], rtol=1e-10,
+                                           atol=1e-10 * np.abs(acc.groups()[name]).max(),
+                                           err_msg=name)
+
     def test_no_members_rejected(self):
         params = init_params(small_config())
         with pytest.raises(ValueError):
             loss_and_grads(params, [2], [[]], [])
 
 
+def reference_train(threads, vocab, windows, config):
+    """Training as a per-sample loop: every sample's loss_and_grads is
+    summed into its minibatch's gradient, with the same random draws."""
+    seqs = [[corpus.encode_text(vocab, p.text, config.max_len) for p in th.posts]
+            for th in threads]
+    samples = [(t, w.center, [m for m in w.members if seqs[t][m]])
+               for t, wins in enumerate(windows) for w in wins if seqs[t][w.center]]
+    samples = [s for s in samples if s[2]]
+    rng = np.random.default_rng(config.seed)
+    params = init_params(config)
+    curve = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(samples))
+        total = 0.0
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start:start + config.batch_size]
+            grads = params.zeros_like()
+            for t, centre, members in (samples[si] for si in batch):
+                pool = [i for i, s in enumerate(seqs[t])
+                        if s and i != centre and i not in members]
+                n_neg = min(config.negatives_per_sample, len(pool))
+                negs = rng.choice(len(pool), size=n_neg, replace=False) if n_neg else []
+                total += loss_and_grads(params, seqs[t][centre], [seqs[t][m] for m in members],
+                                        [seqs[t][pool[j]] for j in negs], grads)[0]
+            for name, g in grads.groups().items():
+                params.groups()[name] -= config.learning_rate / len(batch) * g
+        curve.append(total / len(samples))
+    return params, curve
+
+
 class TestTrain:
+    def test_matches_per_sample_training(self):
+        # two threads, so equal post indices in different threads must stay
+        # different posts; a batch of 8 shares posts between its samples
+        words = "cat dog sun moon tree rock".split()
+        rng = np.random.default_rng(14)
+        threads = [make_thread(range(n), [" ".join(rng.choice(words, size=rng.integers(0, 5)))
+                                          for _ in range(n)]) for n in (14, 9)]
+        vocab = corpus.build_vocab(threads)
+        windows = [corpus.build_windows(th, corpus.SYMMETRIC, 2) for th in threads]
+        config = small_config(vocab_size=len(vocab), epochs=3, batch_size=8,
+                              negatives_per_sample=3, learning_rate=0.5)
+        params, curve = embedder.train(threads, vocab, windows, config)
+        ref_params, ref_curve = reference_train(threads, vocab, windows, config)
+        np.testing.assert_allclose(curve, ref_curve, rtol=1e-10)
+        for name, arr in params.groups().items():
+            np.testing.assert_allclose(arr, ref_params.groups()[name], rtol=1e-10,
+                                       atol=1e-12, err_msg=name)
+
     def test_loss_curve_decreases_on_toy_corpus(self):
         thread = make_thread(range(8), ["cat dog"] * 4 + ["sun moon"] * 4)
         vocab = corpus.build_vocab([thread])

@@ -192,6 +192,11 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_multistart(np.array([0.0, 1.0]), 0.0)
 
+    def test_multistart_rejects_subnormal_timescale(self):
+        # median gap 5e-324: scale / gap overflows to inf at every scale
+        with pytest.raises(temporal.TimescaleError, match="median gap"):
+            fit_multistart(np.array([0.0, 5e-324, 1e-323]), 1.0)
+
 
 class TestSmoothing:
     def test_constant_series_preserved(self):
