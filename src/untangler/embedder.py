@@ -9,11 +9,13 @@ using a logistic loss over cosine similarities:
 
     loss = -log sigmoid(cos(l, w_pos)) - sum_j log sigmoid(-cos(l, w_neg_j))
 
-Any set of posts is encoded as one packed batch whose matrix products
-at each timestep cover only the rows still running, and a training
-minibatch encodes each post it touches once.  All numerics are plain numpy with
-hand-written backpropagation so the whole loss is finite-difference
-checkable.
+Any set of posts is encoded as one packed batch: the input-to-gate
+products come from one table over the batch's distinct tokens, and the
+recurrent products at each timestep cover only the rows still running.
+A training minibatch encodes each post it touches once and keeps every
+step's gates on a tape for its backward pass.  All numerics are plain
+numpy with hand-written backpropagation so the whole loss is
+finite-difference checkable.
 """
 
 from __future__ import annotations
@@ -99,87 +101,142 @@ def _sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
-def _gates(params: EncoderParams, ids: np.ndarray, h: np.ndarray,
-           out: np.ndarray) -> list[np.ndarray]:
-    """One step's input, forget, output and candidate gate activations
-    for tokens ``ids`` and previous hidden states ``h``, written to ``out``."""
-    hd = params.hidden_dim
-    np.matmul(params.emb[ids], params.w_x, out=out)
-    for g in range(0, 4 * hd, hd):  # gate by gate: no k x 4h temporary
-        out[:, g:g + hd] += h @ params.w_h[:, g:g + hd]
-    out += params.b
-    _sigmoid(out[:, :3 * hd], out=out[:, :3 * hd])
-    np.tanh(out[:, 3 * hd:], out=out[:, 3 * hd:])
-    return np.split(out, 4, axis=1)
-
-
-def _forward(params: EncoderParams, seqs: Sequence[Sequence[int]],
-             tape: Optional[list] = None) -> np.ndarray:
-    """Encodings (len(seqs) x embed_dim) of non-empty token sequences as
-    one packed batch: rows sorted longest first, tokens left-aligned, so
-    the rows still running at step t are a prefix [:k_t] and each step's
-    products cover that prefix only.  A ``tape`` list receives
-    each step's hidden and cell states, then the packing, for `_backward`.
-    """
+def _pack(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, ...]:
+    """The packed layout of non-empty token sequences: the row order
+    (longest first, so the rows still running at step t are a prefix
+    [:k_t]), the distinct tokens uniq, every token as an index into uniq,
+    step after step, and each step's k_t."""
     lengths = np.array([len(s) for s in seqs], dtype=np.intp)
     if lengths.size and lengths.min() == 0:
         raise ValueError("cannot encode an empty token sequence")
     order = np.argsort(-lengths, kind="stable")
     lengths = lengths[order]
-    steps = np.arange(lengths.max(initial=0))
-    tok = np.zeros((len(seqs), steps.size), dtype=np.intp)
-    tok[steps < lengths[:, None]] = [w for i in order for w in seqs[i]]
-    hd = params.hidden_dim
-    h, c = np.zeros((2, len(seqs), hd))  # hidden and cell states
-    buf = np.empty((len(seqs), 4 * hd))
-    for t, k in enumerate(np.count_nonzero(lengths > steps[:, None], axis=1)):
-        gi, gf, go, gg = _gates(params, tok[:k, t], h[:k], buf[:k])
-        c[:k] *= gf
-        c[:k] += gi * gg
-        np.tanh(c[:k], out=h[:k])
-        h[:k] *= go
-        if tape is not None:
-            tape.append((h[:k].copy(), c[:k].copy()))
+    uniq, inv = np.unique(np.array([w for i in order for w in seqs[i]], dtype=np.intp),
+                          return_inverse=True)
+    step, row = np.nonzero(np.arange(lengths.max(initial=0))[:, None] < lengths)
+    return order, uniq, inv[(np.cumsum(lengths) - lengths)[row] + step], np.bincount(step)
+
+
+def _forward(params: EncoderParams, seqs: Sequence[Sequence[int]],
+             tape: Optional[list] = None) -> np.ndarray:
+    """Encodings (len(seqs) x embed_dim) of non-empty token sequences as
+    one packed batch (`_pack`).  The input side of the gates does not
+    depend on the recurrence, so it is one table x = emb[uniq] @ w_x + b
+    over the batch's distinct tokens.  A ``tape`` list receives every
+    step's gate activations and cell states plus the packing, for
+    `_backward`.
+    """
+    order, uniq, ids, ks = _pack(seqs)
+    x = params.emb[uniq] @ params.w_x
+    x += params.b
+    h, gates, cells = _steps(params, x, ids, ks, len(seqs), keep=tape is not None)
     if tape is not None:
-        tape.append((order, tok, h))
+        tape.append((order, uniq, ids, ks, gates, cells, h))
     out = np.empty((len(seqs), params.proj.shape[1]))
     out[order] = h @ params.proj
     return out
 
 
+def _steps(params: EncoderParams, x: np.ndarray, ids: np.ndarray, ks: np.ndarray,
+           n: int, keep: bool) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """Final hidden states (n x hidden_dim) of the packed rows, step t
+    gathering its inputs from rows ids of the table x and taking its
+    recurrent products over the rows still running only.  With ``keep``,
+    also every step's gate activations and cell states, packed step after
+    step; else one step's gate buffer is reused, and freed on return,
+    before the caller's projection allocates its n x embed_dim arrays."""
+    hd = params.hidden_dim
+    h, c = np.zeros((2, n, hd))  # hidden and cell states
+    gates = np.empty((ids.size if keep else n, 4 * hd))
+    cells = np.empty((ids.size, hd)) if keep else None
+    o = 0
+    for k in ks:
+        a = gates[o:o + k] if keep else gates[:k]
+        np.take(x, ids[o:o + k], axis=0, out=a, mode="clip")  # in range: no checked copy
+        for g in range(0, 4 * hd, hd):  # gate by gate: no k x 4h temporary
+            a[:, g:g + hd] += h[:k] @ params.w_h[:, g:g + hd]
+        _sigmoid(a[:, :3 * hd], out=a[:, :3 * hd])
+        np.tanh(a[:, 3 * hd:], out=a[:, 3 * hd:])
+        gi, gf, go, gg = (a[:, g:g + hd] for g in range(0, 4 * hd, hd))
+        c[:k] *= gf
+        c[:k] += gi * gg
+        np.tanh(c[:k], out=h[:k])
+        h[:k] *= go
+        if keep:
+            cells[o:o + k] = c[:k]
+        o += k
+    return h, (gates if keep else None), cells
+
+
 def _backward(params: EncoderParams, tape: list, d_out: np.ndarray,
               grads: EncoderParams) -> None:
     """Accumulate d(loss)/d(params) into grads, given d(loss)/d(encodings)
-    for the rows of the `_forward` call that filled ``tape``.  Each step's
-    gates are recomputed from the states of the step before.  Consumes
-    the tape."""
-    order, tok, h = tape.pop()
+    for the rows of the `_forward` call that filled ``tape``.  Gates come
+    from the tape, a step's previous hidden state as o * tanh(c) of the
+    step before, and each step's gate slot is overwritten with
+    d(loss)/d(pre-activation).  Those are summed per distinct token, so
+    w_x, emb and b take one product each after the loop.  Consumes the
+    tape."""
+    order, uniq, ids, ks, gates, cells, h = tape.pop()
     hd = params.hidden_dim
     d_out = d_out[order]
     grads.proj += h.T @ d_out
     dh = d_out @ params.proj.T
-    dc = np.zeros_like(dh)
-    buf = np.empty((len(h), 4 * hd))
-    d_a = np.empty_like(buf)
-    while tape:
-        c = tape.pop()[1]
-        t, k = len(tape), len(c)
-        h_prev, c_prev = (s[:k] for s in tape[-1]) if tape else (np.zeros((k, hd)),) * 2
-        ids = tok[:k, t]
-        gi, gf, go, gg = _gates(params, ids, h_prev, buf[:k])
-        tc = np.tanh(c)
-        dh_k, dc_k, d_ak = dh[:k], dc[:k], d_a[:k]
-        dc_k += dh_k * go * (1.0 - tc * tc)
-        d_ak[:, :hd] = dc_k * gg * gi * (1.0 - gi)
-        d_ak[:, hd:2 * hd] = dc_k * c_prev * gf * (1.0 - gf)
-        d_ak[:, 2 * hd:3 * hd] = dh_k * tc * go * (1.0 - go)
-        d_ak[:, 3 * hd:] = dc_k * gi * (1.0 - gg * gg)
-        grads.w_x += params.emb[ids].T @ d_ak
-        grads.w_h += h_prev.T @ d_ak
-        grads.b += d_ak.sum(axis=0)
-        np.add.at(grads.emb, ids, d_ak @ params.w_x.T)
-        dh_k[...] = d_ak @ params.w_h.T
+    dc, tc, tc_prev, h_prev, tmp = np.zeros((5,) + dh.shape)
+    d_x = np.zeros((uniq.size, 4 * hd))
+    starts = np.cumsum(ks) - ks
+    if ks.size:
+        np.tanh(cells[starts[-1]:], out=tc_prev[:ks[-1]])
+    for t in range(ks.size - 1, -1, -1):
+        k, o = ks[t], starts[t]
+        tc, tc_prev = tc_prev, tc
+        tc_k, dh_k, dc_k, tmp_k = tc[:k], dh[:k], dc[:k], tmp[:k]
+        d_a = gates[o:o + k]
+        gi, gf, go, gg = (d_a[:, g:g + hd] for g in range(0, 4 * hd, hd))
+        if t:
+            p = starts[t - 1]
+            np.tanh(cells[p:p + ks[t - 1]], out=tc_prev[:ks[t - 1]])
+            np.multiply(gates[p:p + k, 2 * hd:3 * hd], tc_prev[:k], out=h_prev[:k])
+            c_prev = cells[p:p + k]
+        else:
+            h_prev[:k] = 0.0
+            c_prev = h_prev[:k]
+        # dc += dh * o * (1 - tanh(c)^2)
+        np.multiply(tc_k, tc_k, out=tmp_k)
+        np.subtract(1.0, tmp_k, out=tmp_k)
+        tmp_k *= go
+        tmp_k *= dh_k
+        dc_k += tmp_k
+        # output gate: dh * tanh(c) * o * (1 - o)
+        np.subtract(1.0, go, out=tmp_k)
+        go *= tmp_k
+        go *= tc_k
+        go *= dh_k
+        # input gate dc * g * i * (1 - i) and candidate dc * i * (1 - g^2)
+        np.subtract(1.0, gi, out=tmp_k)
+        tmp_k *= gi
+        tmp_k *= gg
+        tmp_k *= dc_k
+        np.multiply(gg, gg, out=gg)
+        np.subtract(1.0, gg, out=gg)
+        gg *= gi
+        gg *= dc_k
+        gi[...] = tmp_k
+        # forget gate dc * c_prev * f * (1 - f), then dc * f for the step before
         dc_k *= gf
+        np.subtract(1.0, gf, out=gf)
+        gf *= dc_k
+        gf *= c_prev
+        grads.w_h += h_prev[:k].T @ d_a
+        np.matmul(d_a, params.w_h.T, out=dh_k)
+        # per-token sums of d_a: a segment sum over the step's ids sorted
+        perm = np.argsort(ids[o:o + k], kind="stable")
+        tok = ids[o:o + k][perm]
+        first = np.flatnonzero(np.concatenate(([True], tok[1:] != tok[:-1])))
+        d_x[tok[first]] += np.add.reduceat(d_a[perm], first, axis=0)
+    grads.w_x += params.emb[uniq].T @ d_x
+    grads.b += d_x.sum(axis=0)
+    grads.emb[uniq] += d_x @ params.w_x.T
 
 
 def encode_post(params: EncoderParams, seq: Sequence[int]) -> np.ndarray:
@@ -305,6 +362,7 @@ def train(threads: list[Thread], vocab: Vocab, windows: list[list[ContextWindow]
     ]
     rng = np.random.default_rng(config.seed)
     params = init_params(config)
+    grads = params.zeros_like()
     curve: list[float] = []
     for _ in range(config.epochs):
         order = rng.permutation(len(samples))
@@ -314,17 +372,21 @@ def train(threads: list[Thread], vocab: Vocab, windows: list[list[ContextWindow]
             batch = []
             for si in order[start:start + config.batch_size]:
                 t, center, members = samples[si]
-                pool = [i for i in nonempty[t] if i != center and i not in members]
-                n_neg = min(config.negatives_per_sample, len(pool))
-                negs = rng.choice(len(pool), size=n_neg, replace=False) if n_neg else []
-                contexts = [members] + [[pool[j]] for j in negs]
+                keep = np.ones(nonempty[t].size, dtype=bool)  # pool in post order
+                keep[np.searchsorted(nonempty[t], (center, *members))] = False
+                pool = nonempty[t][keep]
+                n_neg = min(config.negatives_per_sample, pool.size)
+                negs = rng.choice(pool.size, size=n_neg, replace=False) if n_neg else []
+                contexts = [members] + [[i] for i in pool[negs].tolist()]
                 batch.append((rows.setdefault((t, center), len(rows)),
                               [[rows.setdefault((t, i), len(rows)) for i in c] for c in contexts]))
-            grads = params.zeros_like()
+            for g in grads.groups().values():
+                g.fill(0.0)
             total += _minibatch_loss(params, [seqs[t][i] for t, i in rows], batch, grads)
             scale = config.learning_rate / len(batch)
-            for name, g in grads.groups().items():
-                params.groups()[name] -= scale * g
+            for p, g in zip(params.groups().values(), grads.groups().values()):
+                g *= scale
+                p -= g
         curve.append(total / len(samples))
     return params, curve
 
@@ -336,8 +398,9 @@ def embed_thread(params: EncoderParams, thread: Thread, vocab: Vocab,
     downstream."""
     seqs = [encode_text(vocab, p.text, max_len) for p in thread.posts]
     rows = [i for i, s in enumerate(seqs) if s]
-    out = np.zeros((len(seqs), params.proj.shape[1]))
-    out[rows] = _forward(params, [seqs[i] for i in rows])
+    enc = _forward(params, [seqs[i] for i in rows])  # before out: a lower peak
+    out = np.zeros((len(seqs), enc.shape[1]))
+    out[rows] = enc
     return out
 
 

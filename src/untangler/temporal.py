@@ -90,7 +90,7 @@ def _log_likelihood_and_gradient(events: np.ndarray, horizon: float, mu: float,
     spent = -np.expm1(-beta * tail).sum()  # sum of 1 - exp(-beta * tail), accurate for small beta
     inv = 1.0 / lam
     grad = np.array([inv.sum() - horizon, (s * inv).sum() - spent / beta,
-                     alpha * (spent / beta ** 2 - (r * inv).sum()
+                     alpha * (spent / beta / beta - (r * inv).sum()
                               - (tail * np.exp(-beta * tail)).sum() / beta)])
     return float(np.log(lam).sum() - mu * horizon - (alpha / beta) * spent), grad
 

@@ -1,9 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 These are deliberately naive, literal transcriptions of the two pruning
-stages, of the Laplace smoothing and of the LSTM post encoder, written
-against plain dict/list structures and dense arrays with no shared code
-paths into the package.  The production implementations in
+stages, of the Laplace smoothing and of the LSTM post encoder and its
+gradients, written against plain dict/list structures and dense arrays
+with no shared code paths into the package.  The production implementations in
 ``untangler.graph``, ``untangler.temporal`` and ``untangler.embedder``
 are vectorized, recursive or batched rewrites; every test that matters
 checks them against these references on randomized inputs.
@@ -93,3 +93,37 @@ def reference_encode(params, seq) -> np.ndarray:
         c = f * c + i * g
         h = o * np.tanh(c)
     return h @ params.proj
+
+
+def reference_grads(params, seq, d_out) -> dict[str, np.ndarray]:
+    """Gradients of d_out . reference_encode(params, seq) for every
+    parameter group, by backpropagation through time one timestep at a
+    time: the forward pass of `reference_encode` keeps each step's token,
+    previous states and gates, then the steps are walked in reverse."""
+    hd = params.w_h.shape[0]
+    h = np.zeros(hd)
+    c = np.zeros(hd)
+    steps = []
+    for token in seq:
+        a = params.emb[token] @ params.w_x + h @ params.w_h + params.b
+        i, f, o = (np.exp(-np.logaddexp(0.0, -a[j * hd:(j + 1) * hd])) for j in range(3))
+        g = np.tanh(a[3 * hd:])
+        steps.append((token, h, c, i, f, o, g))
+        c = f * c + i * g
+        h = o * np.tanh(c)
+    grads = {name: np.zeros_like(arr) for name, arr in params.groups().items()}
+    grads["proj"] += np.outer(h, d_out)
+    dh = params.proj @ d_out
+    dc = np.zeros(hd)
+    for token, h_prev, c_prev, i, f, o, g in reversed(steps):
+        tc = np.tanh(f * c_prev + i * g)
+        dc = dc + dh * o * (1.0 - tc * tc)
+        da = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                             dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)])
+        grads["w_x"] += np.outer(params.emb[token], da)
+        grads["w_h"] += np.outer(h_prev, da)
+        grads["b"] += da
+        grads["emb"][token] += params.w_x @ da
+        dh = params.w_h @ da
+        dc = dc * f
+    return grads

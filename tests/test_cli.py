@@ -333,6 +333,34 @@ class TestExportIntensity:
         assert all(math.isfinite(v) for v in hawkes.values())
 
 
+class TestTinyGaps:
+    # normal but tiny gaps: the first start's beta is 0.01 / gap, finite,
+    # while beta ** 2 overflows
+    @pytest.mark.parametrize("gap", [1e-160, 1e-300])
+    @pytest.mark.parametrize("command", ["export-intensity", "disentangle"])
+    def test_fits_silently(self, thread_file, tmp_path, command, gap):
+        log = timed_log(tmp_path / "tiny.jsonl", [0.0, gap, 2 * gap])
+        argv = ["--out-dir", str(tmp_path / "res"), command, "--input", str(log)]
+        if command == "disentangle":
+            assert run(*train_args(thread_file, tmp_path)) == 0
+            argv += ["--checkpoint", str(tmp_path / "out" / "model.untg")]
+        proc = subprocess.run([sys.executable, "-m", "untangler.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        if command == "export-intensity":
+            hawkes = json.loads(proc.stdout.strip().splitlines()[-1])["hawkes"]
+            rows = (tmp_path / "res" / "intensity.csv").read_text().strip().splitlines()[1:]
+            values = [float(v) for row in rows for v in row.split(",")]
+            assert len(values) == 9
+        else:
+            hawkes = json.loads((tmp_path / "res" / "conversations.json").read_text())["hawkes"]
+            graph = json.loads((tmp_path / "res" / "graph.json").read_text())
+            values = [e["w"] for e in graph["edges"]]
+            assert graph["n"] == 3
+        assert all(math.isfinite(v) for v in [*hawkes.values(), *values])
+
+
 class TestProject:
     def test_csv_written(self, thread_file, tmp_path):
         assert run(*train_args(thread_file, tmp_path)) == 0

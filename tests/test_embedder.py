@@ -1,6 +1,7 @@
 """Encoder numerics: forward pass, gradients, training, checkpoints."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from untangler.embedder import (EncoderConfig, EncoderParams, encode_context,
                                 similarity, training_loss)
 
 from conftest import make_thread
-from oracles import reference_encode
+from oracles import reference_encode, reference_grads
 
 
 def small_config(vocab_size=12, **kw):
@@ -111,6 +112,63 @@ class TestPackedBatch:
             expected = np.array([reference_encode(params, s) for s in seqs])
             np.testing.assert_allclose(embedder._forward(params, seqs), expected,
                                        rtol=1e-12, atol=1e-12)
+
+    def test_backward_matches_reference(self):
+        # _forward's tape plus _backward against the one-sequence BPTT
+        # summed over rows, for random d(loss)/d(encodings); each group
+        # within rtol 1e-10 of its largest entry
+        rng = np.random.default_rng(15)
+        seen = set()
+        for trial in range(200):
+            max_len = int(rng.integers(1, 12))
+            params = random_params(rng, vocab_size=15, max_len=max_len, seed=trial,
+                                   embed_dim=int(rng.integers(1, 7)),
+                                   hidden_dim=int(rng.integers(1, 7)))
+            seqs = random_batch(rng, 15, max_len) if trial else [[3]]
+            if trial % 10 == 1:  # one distinct token
+                seqs = [[int(rng.integers(15))] * len(s) for s in seqs]
+            d_out = rng.standard_normal((len(seqs), params.proj.shape[1]))
+            tape: list = []
+            embedder._forward(params, seqs, tape)
+            grads = params.zeros_like()
+            embedder._backward(params, tape, d_out, grads)
+            expected = {name: np.zeros_like(arr) for name, arr in params.groups().items()}
+            for seq, d in zip(seqs, d_out):
+                for name, g in reference_grads(params, seq, d).items():
+                    expected[name] += g
+            for name, g in grads.groups().items():
+                np.testing.assert_allclose(g, expected[name], rtol=1e-10,
+                                           atol=1e-10 * np.abs(expected[name]).max(),
+                                           err_msg=name)
+            counts = np.bincount([w for s in seqs for w in s])
+            seen.add("single" if np.count_nonzero(counts) == 1 else "several")
+            seen.update({"once"} if (counts == 1).any() else ())
+            seen.update({"length 1"} if min(map(len, seqs)) == 1 else ())
+            steps = [[s[t] for s in seqs if len(s) > t] for t in range(max_len)]
+            if any(len(set(step)) < len(step) for step in steps):
+                seen.add("repeated in a step")
+        assert seen == {"single", "several", "once", "length 1", "repeated in a step"}
+
+    def test_minibatch_memory_bound(self):
+        # one 100-row, 8-step, d = h = 64 minibatch: the tape holds
+        # sum(k_t) x 5h floats (gates and cells), the gradient per distinct
+        # token u x 4h, the rest is a few n x 4h work buffers; a
+        # whole-minibatch copy of the gates breaks the bound
+        rng = np.random.default_rng(16)
+        params = init_params(EncoderConfig(vocab_size=300, embed_dim=64, hidden_dim=64))
+        posts = [list(rng.integers(0, 300, size=8)) for _ in range(100)]
+        batch = [(i, [list(rng.integers(100, size=2))] + [[int(j)] for j in rng.integers(100, size=5)])
+                 for i in rng.choice(100, size=16, replace=False)]
+        grads = params.zeros_like()
+        tracemalloc.start()
+        try:
+            embedder._minibatch_loss(params, posts, batch, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, tokens, hd = len(posts), sum(map(len, posts)), 64
+        u = len({w for p in posts for w in p})
+        assert peak <= 8 * (tokens * 5 * hd + u * 4 * hd + 4 * n * 4 * hd) + 2**20, peak
 
     def test_empty_batch_and_empty_row(self):
         params = init_params(small_config())
