@@ -79,7 +79,10 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
             elif default is None:
                 setattr(args, key, _coerce(file_values[key]))
             else:
-                setattr(args, key, type(default)(file_values[key]))
+                try:
+                    setattr(args, key, type(default)(file_values[key]))
+                except ValueError as exc:
+                    raise UserError(f"{args.config}: {key}: {exc}") from exc
         else:
             setattr(args, key, default)
     return args
@@ -92,7 +95,24 @@ def _out_path(args: argparse.Namespace, name: str) -> Path:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True, allow_nan=False))
+
+
+def _check_schism_args(args) -> None:
+    """Schism and Hawkes values from flags or the config file: tau finite
+    and > 0, quantile in (0, 1), and an explicit (mu, alpha, beta) valid."""
+    if args.tau is not None and not (graphmod._is_finite(args.tau) and args.tau > 0):
+        raise UserError(f"--tau must be a finite number > 0, got {args.tau!r}")
+    if not 0 < args.quantile < 1:
+        raise UserError(f"--quantile must lie in (0, 1), got {args.quantile!r}")
+    given = [args.mu, args.alpha, args.beta]
+    if all(v is not None for v in given):
+        if not all(graphmod._is_finite(v) for v in given):
+            raise UserError("--mu/--alpha/--beta must be finite numbers")
+        try:
+            temporal.HawkesModel(*given).validate()
+        except ValueError as exc:
+            raise UserError(f"--mu/--alpha/--beta: {exc}") from exc
 
 
 def _hawkes_from_args(args, thread: ingest.Thread) -> temporal.HawkesModel:
@@ -208,6 +228,7 @@ def run_pipeline(thread: ingest.Thread, config: embedder.EncoderConfig,
 
 def cmd_disentangle(args) -> int:
     args = _resolve(args, _DISENTANGLE_DEFAULTS)
+    _check_schism_args(args)
     thread = _read_thread(args.input, keep_empty=args.keep_empty)
     if len(thread) == 0:
         raise UserError("empty thread")
@@ -312,6 +333,7 @@ def cmd_eval(args) -> int:
 
 def cmd_export_intensity(args) -> int:
     args = _resolve(args, _DISENTANGLE_DEFAULTS)
+    _check_schism_args(args)
     thread = _read_thread(args.input, keep_empty=args.keep_empty)
     if len(thread) == 0:
         raise UserError("empty thread")

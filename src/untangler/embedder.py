@@ -50,8 +50,8 @@ class EncoderConfig:
         for name in ("vocab_size", "embed_dim", "hidden_dim", "max_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be finite and >= 0")
 
 
 @dataclass
@@ -363,6 +363,7 @@ def train(threads: list[Thread], vocab: Vocab, windows: list[list[ContextWindow]
     rng = np.random.default_rng(config.seed)
     params = init_params(config)
     grads = params.zeros_like()
+    dense = [(params.groups()[name], g) for name, g in grads.groups().items() if name != "emb"]
     curve: list[float] = []
     for _ in range(config.epochs):
         order = rng.permutation(len(samples))
@@ -380,14 +381,27 @@ def train(threads: list[Thread], vocab: Vocab, windows: list[list[ContextWindow]
                 contexts = [members] + [[i] for i in pool[negs].tolist()]
                 batch.append((rows.setdefault((t, center), len(rows)),
                               [[rows.setdefault((t, i), len(rows)) for i in c] for c in contexts]))
-            for g in grads.groups().values():
+            posts = [seqs[t][i] for t, i in rows]
+            for _, g in dense:
                 g.fill(0.0)
-            total += _minibatch_loss(params, [seqs[t][i] for t, i in rows], batch, grads)
+            total += _minibatch_loss(params, posts, batch, grads)
             scale = config.learning_rate / len(batch)
-            for p, g in zip(params.groups().values(), grads.groups().values()):
+            for p, g in dense:
                 g *= scale
                 p -= g
+            # only the rows of the minibatch's tokens are nonzero in
+            # grads.emb; zero them again for the next minibatch.  The
+            # sorting np.unique, as in _pack: its hash-based path would
+            # fault in about 1 MB more of the process's peak RSS
+            tokens = np.unique(np.concatenate(posts), return_inverse=True)[0]
+            g = grads.emb[tokens]
+            g *= scale
+            params.emb[tokens] -= g
+            grads.emb[tokens] = 0.0
         curve.append(total / len(samples))
+        if not np.isfinite(curve[-1]):
+            raise ValueError(f"epoch {len(curve) - 1} mean loss is {curve[-1]}; "
+                             "lower the learning rate")
     return params, curve
 
 
@@ -454,4 +468,6 @@ def load_checkpoint(path: str) -> tuple[EncoderConfig, EncoderParams]:
         for shape in shapes:
             buf = fp.read(4 * int(np.prod(shape)))
             arrays.append(np.frombuffer(buf, dtype="<f4").astype(np.float64).reshape(shape))
+            if not np.isfinite(arrays[-1]).all():
+                raise ValueError("non-finite value in checkpoint parameter block")
     return config, EncoderParams(*arrays)

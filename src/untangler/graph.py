@@ -11,7 +11,9 @@ latest surviving candidate.
 ``similarity_matrix``, ``prune_average``, ``orient`` and ``thin`` do this
 literally on dense n x n matrices and serve as the reference.
 ``reply_forest`` computes the same forest in closed form with memory
-linear in the number of posts.
+linear in the number of posts, searching each post's nearest
+predecessors first: about 2 n _BAND cosines plus one range length per
+post that has no parent among them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ import numpy as np
 
 from .temporal import Range
 
-# float64 elements in one similarity tile of reply_forest (8 MB)
+# posts per block of reply_forest's band pass, each block scored against
+# the _BAND posts before it
+_BAND = 64
+# float64 elements in one similarity tile of reply_forest's band pass
+# (512 KB: its GEMMs all have one shape, and small tiles stay in cache)
+# and of its full-range scan (8 MB: skinny GEMMs over few columns)
+_BAND_TILE_ELEMENTS = 1 << 16
 _TILE_ELEMENTS = 1 << 20
 
 
@@ -164,6 +172,75 @@ def thin(graph: ReplyGraph) -> ReplyGraph:
                       child=graph.child[keep].copy(), weight=graph.weight[keep].copy())
 
 
+def _cosines(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Cosines of unit rows against unit cols, clipped to [-1, 1]; stacks
+    of matrices give a stack of tiles."""
+    tile = rows @ np.swapaxes(cols, -1, -2)
+    return np.clip(tile, -1.0, 1.0, out=tile)
+
+
+def _band_parents(work: np.ndarray, first: np.ndarray,
+                  avg: float) -> tuple[np.ndarray, np.ndarray]:
+    """Band pass of reply_forest: each block of B = _BAND consecutive
+    posts against the B posts before it, one (2B - 1) x B tile per block,
+    as many blocks per GEMM as _BAND_TILE_ELEMENTS allows.
+
+    Post p is row work[B + p], and first[p] is the first post of its
+    range.  Returns each post's latest qualifying candidate among posts
+    max(first[p], kB - B) .. p - 1, k = p // B (-1 if none), and its
+    cosine.
+    """
+    band = _BAND
+    span = 2 * band - 1
+    m = first.size
+    blocks = work.shape[0] // band - 1
+    s0, s1 = work.strides
+    # rows[k, r] is post kB - B + r; cols[k, c] is post kB + c
+    rows = np.lib.stride_tricks.as_strided(
+        work, (blocks, span, work.shape[1]), (band * s0, s0, s1), writeable=False)
+    cols = work[band:].reshape(blocks, band, work.shape[1])
+    firsts = np.pad(first, (0, blocks * band - m), constant_values=m).reshape(blocks, band)
+    earlier = np.arange(span)[:, None] < np.arange(band) + band
+    parent = np.empty((blocks, band), dtype=np.int64)
+    weight = np.empty((blocks, band))
+    step = max(1, _BAND_TILE_ELEMENTS // (span * band))
+    for k0 in range(0, blocks, step):
+        k1 = min(blocks, k0 + step)
+        tile = _cosines(rows[k0:k1], cols[k0:k1])
+        cand = (np.arange(k0, k1) * band - band)[:, None] + np.arange(span)
+        ok = (tile >= avg) & (tile != 0.0) & earlier
+        ok &= cand[:, :, None] >= firsts[k0:k1, None, :]
+        last = span - 1 - np.argmax(ok[:, ::-1], axis=1)
+        parent[k0:k1] = np.where(ok.any(axis=1), np.take_along_axis(cand, last, axis=1), -1)
+        weight[k0:k1] = np.take_along_axis(tile, last[:, None], axis=1)[:, 0]
+    return parent.ravel()[:m], weight.ravel()[:m]
+
+
+def _far_parents(unit: np.ndarray, first: np.ndarray, start: np.ndarray,
+                 left: np.ndarray, avg: float) -> tuple[np.ndarray, ...]:
+    """Fallback pass of reply_forest: for the ascending posts ``left``,
+    the latest qualifying candidate among posts first[p] .. start[p] - 1,
+    scanned over column tiles of at most _TILE_ELEMENTS cosines.  Post p
+    is row unit[p].  Returns the posts that found one, their parents and
+    the cosines."""
+    found = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
+    # ranges are contiguous, so a range's leftovers are a run of ``left``
+    runs = np.split(left, np.flatnonzero(np.diff(first[left])) + 1) if left.size else []
+    for run in runs:
+        f = first[run[0]]
+        width = max(1, _TILE_ELEMENTS // (start[run[-1]] - f))
+        for c0 in range(0, run.size, width):
+            cols = run[c0:c0 + width]
+            stop = start[cols[-1]]
+            tile = _cosines(unit[f:stop], unit[cols])
+            ok = ((tile >= avg) & (tile != 0.0)
+                  & (np.arange(f, stop)[:, None] < start[cols]))
+            hit = np.flatnonzero(ok.any(axis=0))
+            last = ok.shape[0] - 1 - np.argmax(ok[::-1, hit], axis=0)
+            found.append((cols[hit], last + f, tile[last, hit]))
+    return tuple(np.concatenate(a) for a in zip(*found))
+
+
 def reply_forest(embeddings: np.ndarray, ranges: list[Range]) -> ReplyGraph:
     """``thin(orient(prune_average(similarity_matrix(embeddings), ranges)))``
     without any n x n array.
@@ -173,8 +250,16 @@ def reply_forest(embeddings: np.ndarray, ranges: list[Range]) -> ReplyGraph:
     cosine as weight.  The average over the strict upper triangle is
     (||sum u_i||^2 - sum ||u_i||^2) / (n (n - 1)) over unit rows u, which
     rounds differently from a mean over the matrix, so a cosine within a
-    few ulps of it may fall the other way.  Cosines are computed over
-    column tiles of each range holding at most _TILE_ELEMENTS values.
+    few ulps of it may fall the other way.
+
+    Empty posts (zero rows) can be neither parent nor child and are set
+    aside.  The search runs nearest first: a band pass scores each block
+    of _BAND posts against the _BAND posts before it, which settles every
+    post whose parent is that close.  Only the posts it leaves without a
+    parent, roots and far replies, are scanned against the rest of their
+    range, over column tiles of at most _TILE_ELEMENTS cosines.  The cost
+    is about 2 n _BAND cosines plus one range length per leftover post,
+    instead of the sum of squared range lengths.
     """
     unit = _unit_rows(embeddings)
     n = unit.shape[0]
@@ -183,27 +268,25 @@ def reply_forest(embeddings: np.ndarray, ranges: list[Range]) -> ReplyGraph:
         return ReplyGraph(n=n)
     total = unit.sum(axis=0)
     avg = (float(total @ total) - float(np.einsum("ij,ij->", unit, unit))) / (n * (n - 1))
-    parents, children, weights = [], [], []
-    for r in ranges:
-        width = max(1, _TILE_ELEMENTS // (r.hi - r.lo))
-        for c0 in range(r.lo + 1, r.hi, width):
-            c1 = min(r.hi, c0 + width)
-            # rows lo..c1-1 hold every candidate parent of columns c0..c1-1
-            tile = np.clip(unit[r.lo:c1] @ unit[c0:c1].T, -1.0, 1.0)
-            rows = np.arange(r.lo, c1)[:, None]
-            ok = (tile >= avg) & (tile != 0.0) & (rows < np.arange(c0, c1)[None, :])
-            cols = np.flatnonzero(ok.any(axis=0))
-            last = ok.shape[0] - 1 - np.argmax(ok[::-1, cols], axis=0)
-            parents.append(last + r.lo)
-            children.append(cols + c0)
-            weights.append(tile[last, cols])
-    if not parents:
-        return ReplyGraph(n=n)
-    parent = np.concatenate(parents).astype(np.int64)
-    child = np.concatenate(children).astype(np.int64)
-    order = np.lexsort((child, parent))
-    return ReplyGraph(n=n, parent=parent[order], child=child[order],
-                      weight=np.concatenate(weights)[order])
+    posts = np.flatnonzero(unit.any(axis=1))
+    band, m = _BAND, posts.size
+    # work[band + p] is post posts[p], after band zero rows and before
+    # zero rows up to whole blocks
+    work = np.zeros(((-(-m // band) + 1) * band, unit.shape[1]))
+    work[band:band + m] = unit[posts]
+    del unit
+    los = np.array([r.lo for r in ranges])
+    first = np.searchsorted(posts, los[np.searchsorted(los, posts, side="right") - 1])
+    parent, weight = _band_parents(work, first, avg)
+    start = np.arange(m) // band * band - band  # first post of each band
+    left = np.flatnonzero((parent < 0) & (first < start))
+    child, far, far_weight = _far_parents(work[band:], first, start, left, avg)
+    parent[child] = far
+    weight[child] = far_weight
+    kept = np.flatnonzero(parent >= 0)
+    kept = kept[np.lexsort((kept, parent[kept]))]  # by parent, then child
+    return ReplyGraph(n=n, parent=posts[parent[kept]], child=posts[kept],
+                      weight=weight[kept])
 
 
 @dataclass

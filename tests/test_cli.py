@@ -111,6 +111,31 @@ class TestTrain:
         config.write_text("no equals sign here\n")
         assert run("--config", config, "train", "--input", thread_file) == 2
 
+    @pytest.mark.parametrize("line", ["epochs=abc", "dim=64.5"])
+    def test_unparsable_config_value_exits_2(self, thread_file, tmp_path, capsys, line):
+        config = tmp_path / "cfg"
+        config.write_text(line + "\n")
+        assert run("--config", config, "--out-dir", tmp_path / "out", "train",
+                   "--input", thread_file) == 2
+        assert line.split("=")[0] in capsys.readouterr().err
+
+    def test_nan_learning_rate_exits_2(self, thread_file, tmp_path, capsys):
+        assert run(*train_args(thread_file, tmp_path, "--lr", "nan")) == 2
+        assert "learning_rate must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.untg").exists()
+
+    # the diverging run overflows on purpose
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_epoch_loss_exits_2(self, thread_file, tmp_path, capsys):
+        assert run(*train_args(thread_file, tmp_path, "--lr", "1e300")) == 2
+        captured = capsys.readouterr()
+        assert "mean loss is nan" in captured.err and captured.out == ""
+        assert not (tmp_path / "out" / "model.untg").exists()
+
+    def test_emit_rejects_non_finite_numbers(self):
+        with pytest.raises(ValueError):
+            cli._emit({"final_epoch_loss": float("nan")})
+
 
 class TestDisentangle:
     def test_full_run(self, thread_file, tmp_path, capsys):
@@ -197,6 +222,46 @@ class TestDisentangle:
         ckpt.write_bytes(data[:16] + struct.pack("<i", -4) + data[20:])  # hidden_dim
         assert run("disentangle", "--input", thread_file, "--checkpoint", ckpt) == 2
         assert "hidden_dim must be >= 1" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--tau", "0"], "--tau must be a finite number > 0"),
+        (["--tau", "-1"], "--tau must be a finite number > 0"),
+        (["--tau", "nan"], "--tau must be a finite number > 0"),
+        (["--quantile", "2"], "--quantile must lie in (0, 1)"),
+        (["--mu", "nan", "--alpha", "0.1", "--beta", "0.01"], "must be finite"),
+        (["--mu", "0.1", "--alpha", "-1", "--beta", "0.01"], "alpha >= 0"),
+    ])
+    def test_bad_schism_or_hawkes_values_exit_2(self, thread_file, tmp_path, capsys,
+                                                flags, message):
+        assert run(*train_args(thread_file, tmp_path)) == 0
+        assert run("--out-dir", tmp_path / "dis", "disentangle", "--input", thread_file,
+                   "--checkpoint", tmp_path / "out" / "model.untg", *flags) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out.count("\n") == 1  # train's line
+        assert not (tmp_path / "dis").exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("tau=0", "--tau must be a finite number > 0"),
+        ("quantile=1", "--quantile must lie in (0, 1)"),
+        ("quantile=abc", "quantile"),
+        ("beta=0\nmu=1\nalpha=0", "beta > 0"),
+    ])
+    def test_bad_config_values_exit_2(self, thread_file, tmp_path, capsys, line, message):
+        assert run(*train_args(thread_file, tmp_path)) == 0
+        config = tmp_path / "cfg"
+        config.write_text(line + "\n")
+        assert run("--config", config, "--out-dir", tmp_path / "dis", "disentangle",
+                   "--input", thread_file, "--checkpoint", tmp_path / "out" / "model.untg") == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_exits_2(self, thread_file, tmp_path, capsys):
+        assert run(*train_args(thread_file, tmp_path)) == 0
+        ckpt = tmp_path / "out" / "model.untg"
+        ckpt.write_bytes(ckpt.read_bytes()[:-4] + struct.pack("<f", float("nan")))
+        assert run("--out-dir", tmp_path / "dis", "disentangle", "--input", thread_file,
+                   "--checkpoint", ckpt) == 2
+        assert "non-finite value" in capsys.readouterr().err
 
 
 class TestScale:
@@ -310,6 +375,18 @@ class TestExportIntensity:
         lines = (tmp_path / "intensity.csv").read_text().strip().splitlines()
         assert lines[0] == "t,raw,smoothed"
         assert len(lines) == 13
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--tau", "0"], "--tau must be a finite number > 0"),
+        (["--tau", "nan"], "--tau must be a finite number > 0"),
+        (["--mu", "0.1", "--alpha", "0.1", "--beta", "-1"], "beta > 0"),
+    ])
+    def test_bad_schism_or_hawkes_values_exit_2(self, thread_file, tmp_path, capsys,
+                                                flags, message):
+        assert run("--out-dir", tmp_path / "out", "export-intensity",
+                   "--input", thread_file, *flags) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_subnormal_gaps_exit_2(self, tmp_path, capsys):
         log = timed_log(tmp_path / "subnormal.jsonl", SUBNORMAL_TIMES)

@@ -354,6 +354,44 @@ class TestTrain:
         for name in p1.groups():
             np.testing.assert_array_equal(p1.groups()[name], p2.groups()[name])
 
+    def test_rows_outside_a_minibatch_stay_unchanged(self, monkeypatch):
+        # the vocabulary also holds tokens no post of the training thread
+        # uses, so some rows are never touched at all
+        rng = np.random.default_rng(15)
+        words = "cat dog sun moon tree rock".split()
+        thread = make_thread(range(12), [" ".join(rng.choice(words, size=rng.integers(1, 4)))
+                                         for _ in range(12)])
+        vocab = corpus.build_vocab([thread, make_thread([0], ["unused words here"])])
+        windows = corpus.build_windows(thread, corpus.SYMMETRIC, 2)
+        config = small_config(vocab_size=len(vocab), epochs=2, batch_size=3)
+        snapshots = []  # (emb before the minibatch, its tokens)
+        minibatch_loss = embedder._minibatch_loss
+
+        def recording_minibatch_loss(params, seqs, batch, grads):
+            snapshots.append((params.emb.copy(), np.unique(np.concatenate(seqs))))
+            return minibatch_loss(params, seqs, batch, grads)
+
+        monkeypatch.setattr(embedder, "_minibatch_loss", recording_minibatch_loss)
+        params, _ = embedder.train([thread], vocab, [windows], config)
+        afters = [emb for emb, _ in snapshots[1:]] + [params.emb]
+        for (before, tokens), after in zip(snapshots, afters):
+            untouched = np.setdiff1d(np.arange(len(vocab)), tokens)
+            assert untouched.size > 0
+            np.testing.assert_array_equal(after[untouched], before[untouched])
+            assert not np.array_equal(after[tokens], before[tokens])
+        np.testing.assert_array_equal(params.emb[vocab.index("unused")],
+                                      init_params(config).emb[vocab.index("unused")])
+
+    # the diverging run overflows on purpose
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_epoch_loss_rejected(self):
+        thread = make_thread(range(8), ["cat dog"] * 4 + ["sun moon"] * 4)
+        vocab = corpus.build_vocab([thread])
+        windows = corpus.build_windows(thread, corpus.BEFORE_ONLY, 2)
+        config = small_config(vocab_size=len(vocab), batch_size=4, learning_rate=1e300)
+        with pytest.raises(ValueError, match="epoch 0 mean loss is nan"):
+            embedder.train([thread], vocab, [windows], config)
+
     def test_mismatched_windows_rejected(self):
         thread = make_thread(range(3))
         vocab = corpus.build_vocab([thread])
@@ -400,6 +438,9 @@ class TestCheckpoint:
         (lambda b: b + b"\x00", "trailing"),
         (lambda b: b[:12] + struct.pack("<i", -5) + b[16:], "embed_dim must be >= 1"),
         (lambda b: b[:8] + struct.pack("<i", 2**31 - 1) + b[12:], "truncated"),
+        (lambda b: b[:-4] + struct.pack("<f", float("nan")), "non-finite"),
+        (lambda b: b[:struct.calcsize("<4sI7iqdi")] + struct.pack("<f", float("inf"))
+         + b[struct.calcsize("<4sI7iqdi") + 4:], "non-finite"),
     ])
     def test_corrupt_files_rejected(self, tmp_path, mutate, match):
         path = tmp_path / "model.untg"
@@ -413,3 +454,5 @@ class TestCheckpoint:
             EncoderConfig(vocab_size=0).validate()
         with pytest.raises(ValueError):
             EncoderConfig(vocab_size=4, learning_rate=-1.0).validate()
+        with pytest.raises(ValueError, match="finite"):
+            EncoderConfig(vocab_size=4, learning_rate=float("nan")).validate()

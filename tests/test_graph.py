@@ -161,18 +161,35 @@ TIE_BAND = 1e-12
 WEIGHT_ATOL = 1e-15
 
 
+def dense_forest(emb, ranges):
+    return thin(orient(prune_average(similarity_matrix(emb), ranges)))
+
+
 class TestReplyForest:
     def test_matches_dense_reference_on_fuzzed_inputs(self, monkeypatch):
         rng = np.random.default_rng(29)
         tie_pairs = tie_children = compared = 0
+        resolved_far = []
+        far_parents = graph._far_parents
+
+        def counting_far_parents(*args):
+            found = far_parents(*args)
+            resolved_far.append(found[0].size)
+            return found
+
+        monkeypatch.setattr(graph, "_far_parents", counting_far_parents)
         for trial in range(1500):
-            n = [1, 2][trial] if trial < 2 else int(rng.integers(1, 40))
+            n = [1, 2][trial] if trial < 2 else int(rng.integers(1, 150))
             emb = random_embeddings(rng, n)
             ranges = [Range(a, b) for a, b in random_partition(rng, n)]
-            # small tiles so a range spans several of them
-            monkeypatch.setattr(graph, "_TILE_ELEMENTS", int(rng.choice([1, 5, 64, 1 << 20])))
+            # small tiles so a range spans several of them, and narrow
+            # bands so that many posts fall through to the full-range scan
+            tile = int(rng.choice([1, 5, 64, 1 << 20]))
+            monkeypatch.setattr(graph, "_TILE_ELEMENTS", tile)
+            monkeypatch.setattr(graph, "_BAND_TILE_ELEMENTS", tile)
+            monkeypatch.setattr(graph, "_BAND", int(rng.choice([1, 2, 3, 64])))
             sim = similarity_matrix(emb)
-            ref = thin(orient(prune_average(sim, ranges)))
+            ref = dense_forest(emb, ranges)
             fast = reply_forest(emb, ranges)
             assert fast.n == n
             assert np.unique(fast.child).size == fast.child.size
@@ -194,8 +211,69 @@ class TestReplyForest:
             compared += n - int(tied.sum())
         print(f"reply_forest fuzz: 1500 instances, {compared} posts compared, "
               f"{tie_children} posts with {tie_pairs} candidate pairs within "
-              f"{TIE_BAND} of the threshold excluded")
+              f"{TIE_BAND} of the threshold excluded, {sum(resolved_far)} parents "
+              "found by the full-range scan")
         assert tie_pairs > 0  # the fuzz does reach threshold ties
+        assert sum(resolved_far) > 0  # and parents beyond the band
+
+    @pytest.mark.parametrize("band", [1, 3, 64])
+    def test_parent_at_and_beyond_the_band(self, monkeypatch, band):
+        # post j matches only post j - gap; the posts between match each
+        # other but are orthogonal to it.  Every offset within a block.
+        monkeypatch.setattr(graph, "_BAND", band)
+        for gap in (band, band + 1):
+            for j in range(gap, gap + 2 * band):
+                emb = np.tile([0.0, 1.0], (j + 3, 1))
+                emb[[j - gap, j]] = [1.0, 0.0]
+                ranges = [Range(0, j + 3)]
+                forest = reply_forest(emb, ranges)
+                assert forest.edge_dict() == dense_forest(emb, ranges).edge_dict()
+                assert forest.edge_dict()[(j - gap, j)] == 1.0
+
+    def test_orthogonal_rows_are_all_roots(self, monkeypatch):
+        monkeypatch.setattr(graph, "_BAND", 4)
+        forest = reply_forest(np.eye(50), [Range(0, 30), Range(30, 50)])
+        assert forest.n_edges == 0
+        assert forest.roots() == list(range(50))
+
+    @pytest.mark.parametrize("band", [1, 2, 64])
+    def test_zero_rows_interleaved(self, monkeypatch, band):
+        monkeypatch.setattr(graph, "_BAND", band)
+        rng = np.random.default_rng(31)
+        emb = rng.standard_normal((90, 4))
+        emb[::2] = 0.0
+        emb[45:60] = 0.0
+        ranges = [Range(0, 7), Range(7, 50), Range(50, 90)]
+        forest = reply_forest(emb, ranges)
+        ref = dense_forest(emb, ranges).edge_dict()
+        assert forest.edge_dict().keys() == ref.keys()
+        for edge, w in forest.edge_dict().items():
+            assert abs(w - ref[edge]) <= WEIGHT_ATOL
+        empty = set(np.flatnonzero(~emb.any(axis=1)).tolist())
+        assert not empty & (set(forest.parent.tolist()) | set(forest.child.tolist()))
+
+    def test_cosines_computed_stay_linear(self, monkeypatch):
+        # 10 topics interleaved at random over two long ranges: nearly every
+        # post has a same-topic predecessor within the band, so the work is
+        # about 2 n _BAND cosines, far below the sum of squared range lengths
+        rng = np.random.default_rng(37)
+        n, band = 3000, graph._BAND
+        topics = rng.standard_normal((10, 16))
+        emb = topics[rng.integers(0, 10, size=n)] + 0.3 * rng.standard_normal((n, 16))
+        ranges = [Range(0, 1400), Range(1400, n)]
+        computed = []
+        cosines = graph._cosines
+
+        def counting_cosines(rows, cols):
+            tile = cosines(rows, cols)
+            computed.append(tile.size)
+            return tile
+
+        monkeypatch.setattr(graph, "_cosines", counting_cosines)
+        forest = reply_forest(emb, ranges)
+        assert forest.n_edges > n - 100
+        assert sum(computed) <= 3 * n * band
+        assert sum(computed) < sum((r.hi - r.lo) ** 2 for r in ranges) / 4
 
     def test_known_forest(self):
         emb = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0], [0.0, 0.0], [0.1, 1.0]])
