@@ -3,7 +3,8 @@
 Commands: stats, train, disentangle, synth, eval, export-intensity,
 project.  Option precedence is flags > config file > defaults; the
 config file is flat ``key=value`` text using the long flag names with
-underscores.  Exit codes: 0 success, 1 internal error, 2 bad input.
+underscores, and OPTIONS checks its values and the flags' alike.  Exit
+codes: 0 success, 1 internal error, 2 bad input.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -53,41 +55,6 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _coerce(value: str):
-    lowered = value.lower()
-    if lowered in ("true", "yes"):
-        return True
-    if lowered in ("false", "no"):
-        return False
-    for caster in (int, float):
-        try:
-            return caster(value)
-        except ValueError:
-            pass
-    return value
-
-
-def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Apply flags > config file > defaults."""
-    file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, default in defaults.items():
-        if getattr(args, key, None) is not None:
-            continue
-        if key in file_values:
-            if isinstance(default, bool):
-                setattr(args, key, file_values[key].lower() in ("1", "true", "yes"))
-            elif default is None:
-                setattr(args, key, _coerce(file_values[key]))
-            else:
-                try:
-                    setattr(args, key, type(default)(file_values[key]))
-                except ValueError as exc:
-                    raise UserError(f"{args.config}: {key}: {exc}") from exc
-        else:
-            setattr(args, key, default)
-    return args
-
-
 def _out_path(args: argparse.Namespace, name: str) -> Path:
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -98,28 +65,16 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, allow_nan=False))
 
 
-def _check_schism_args(args) -> None:
-    """Schism and Hawkes values from flags or the config file: tau finite
-    and > 0, quantile in (0, 1), and an explicit (mu, alpha, beta) valid."""
-    if args.tau is not None and not (graphmod._is_finite(args.tau) and args.tau > 0):
-        raise UserError(f"--tau must be a finite number > 0, got {args.tau!r}")
-    if not 0 < args.quantile < 1:
-        raise UserError(f"--quantile must lie in (0, 1), got {args.quantile!r}")
-    given = [args.mu, args.alpha, args.beta]
-    if all(v is not None for v in given):
-        if not all(graphmod._is_finite(v) for v in given):
-            raise UserError("--mu/--alpha/--beta must be finite numbers")
-        try:
-            temporal.HawkesModel(*given).validate()
-        except ValueError as exc:
-            raise UserError(f"--mu/--alpha/--beta: {exc}") from exc
-
-
 def _hawkes_from_args(args, thread: ingest.Thread) -> temporal.HawkesModel:
     """Explicit (mu, alpha, beta) when all three are given, else fit."""
     given = [args.mu, args.alpha, args.beta]
     if all(v is not None for v in given):
-        return temporal.HawkesModel(args.mu, args.alpha, args.beta)
+        model = temporal.HawkesModel(*given)
+        try:
+            model.validate()
+        except ValueError as exc:
+            raise UserError(f"--mu/--alpha/--beta: {exc}") from exc
+        return model
     if any(v is not None for v in given):
         raise UserError("give all of --mu/--alpha/--beta or none (fit)")
     times = np.asarray(thread.timestamps)
@@ -146,15 +101,7 @@ def cmd_stats(args) -> int:
     return 0
 
 
-_TRAIN_DEFAULTS = dict(
-    paradigm=corpus.BEFORE_ONLY, k=3, min_count=1, max_len=64,
-    dim=64, hidden=64, lr=0.05, epochs=30, negatives=5, batch_size=16,
-    keep_empty=False,
-)
-
-
 def cmd_train(args) -> int:
-    args = _resolve(args, _TRAIN_DEFAULTS)
     thread = _read_thread(args.input, keep_empty=args.keep_empty)
     if len(thread) == 0:
         raise UserError("empty corpus: nothing to train on")
@@ -185,12 +132,6 @@ def cmd_train(args) -> int:
            "loss_csv": str(csv_path),
            "first_epoch_loss": curve[0], "final_epoch_loss": curve[-1]})
     return 0
-
-
-_DISENTANGLE_DEFAULTS = dict(
-    tau=None, quantile=0.25, fit_steps=200, fit_step_size=0.1,
-    mu=None, alpha=None, beta=None, keep_empty=False, dot=False,
-)
 
 
 def _load_model(args) -> tuple[embedder.EncoderConfig, embedder.EncoderParams, corpus.Vocab]:
@@ -227,8 +168,6 @@ def run_pipeline(thread: ingest.Thread, config: embedder.EncoderConfig,
 
 
 def cmd_disentangle(args) -> int:
-    args = _resolve(args, _DISENTANGLE_DEFAULTS)
-    _check_schism_args(args)
     thread = _read_thread(args.input, keep_empty=args.keep_empty)
     if len(thread) == 0:
         raise UserError("empty thread")
@@ -260,12 +199,6 @@ def cmd_disentangle(args) -> int:
     return 0
 
 
-_SYNTH_DEFAULTS = dict(
-    conversations=3, posts_lo=40, posts_hi=60, gap=3600.0, pool_size=10,
-    tokens_lo=3, tokens_hi=8, temperature=200.0, mu=0.1, alpha=0.1, beta=0.01,
-)
-
-
 def default_synth_config(n_conversations: int = 3, posts_lo: int = 40,
                          posts_hi: int = 60, gap: float = 3600.0,
                          pool_size: int = 10, tokens_lo: int = 3,
@@ -283,12 +216,20 @@ def default_synth_config(n_conversations: int = 3, posts_lo: int = 40,
 
 
 def cmd_synth(args) -> int:
-    args = _resolve(args, _SYNTH_DEFAULTS)
+    if args.posts_lo > args.posts_hi:
+        raise UserError("--posts-lo must be <= --posts-hi")
+    if args.tokens_lo > args.tokens_hi:
+        raise UserError("--tokens-lo must be <= --tokens-hi")
+    if not math.isfinite(args.gap * (args.conversations - 1)):  # the last start time
+        raise UserError("--gap times --conversations must be a finite number")
     config = default_synth_config(
         args.conversations, args.posts_lo, args.posts_hi, args.gap,
         args.pool_size, args.tokens_lo, args.tokens_hi, args.temperature,
         args.mu, args.alpha, args.beta)
-    thread, gold = harness.generate(config, seed=args.seed)
+    try:
+        thread, gold = harness.generate(config, seed=args.seed)
+    except harness.StarvedProcessError as exc:
+        raise UserError(f"cannot generate the thread: {exc}; raise --mu") from exc
     thread_path = _out_path(args, "thread.jsonl")
     thread_path.write_text(ingest.serialize_thread(thread), encoding="utf-8")
     gold_path = _out_path(args, "gold.json")
@@ -332,8 +273,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_intensity(args) -> int:
-    args = _resolve(args, _DISENTANGLE_DEFAULTS)
-    _check_schism_args(args)
     thread = _read_thread(args.input, keep_empty=args.keep_empty)
     if len(thread) == 0:
         raise UserError("empty thread")
@@ -374,96 +313,142 @@ def cmd_project(args) -> int:
 # argument parsing
 # --------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="untangler",
+def _checked(rule: str, convert, ok=lambda value: True):
+    """An argparse type: ``convert(text)`` when that succeeds and passes
+    ``ok``, else an error that reads "<flag> <rule>, got <text>"."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+    return parse
+
+
+COUNT = _checked("must be an integer >= 0", int, lambda v: v >= 0)
+POSITIVE_INT = _checked("must be an integer >= 1", int, lambda v: v >= 1)
+NON_NEGATIVE = _checked("must be a finite number >= 0", float,
+                        lambda v: math.isfinite(v) and v >= 0)
+POSITIVE = _checked("must be a finite number > 0", float, lambda v: math.isfinite(v) and v > 0)
+FRACTION = _checked("must lie in (0, 1)", float, lambda v: 0 < v < 1)
+PARADIGM = _checked(f"must be one of {', '.join(corpus.PARADIGMS)}", str,
+                    lambda v: v in corpus.PARADIGMS)
+BOOL_WORD = _checked("must be one of 1/true/yes/0/false/no", lambda text: {
+    "1": True, "true": True, "yes": True, "0": False, "false": False, "no": False,
+}.get(text.lower()))
+
+
+class _Flag(argparse.Action):
+    """A flag (nargs=0) that sets True.  Its default may be a config-file
+    word, which argparse converts with ``type``, BOOL_WORD."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, True)
+
+
+_HAWKES = ("disentangle", "export-intensity")
+_SYNTH = ("synth",)
+
+# Every tunable as (commands, flag, checked type, default).  Its config
+# key is the flag's name with underscores; a config value becomes the
+# option's string default, which argparse converts with the same type.
+OPTIONS = [
+    (("train",), "--paradigm", PARADIGM, corpus.BEFORE_ONLY),
+    (("train",), "--k", POSITIVE_INT, 3),
+    (("train",), "--min-count", POSITIVE_INT, 1),
+    (("train",), "--max-len", POSITIVE_INT, 64),
+    (("train",), "--dim", POSITIVE_INT, 64),
+    (("train",), "--hidden", POSITIVE_INT, 64),
+    (("train",), "--lr", float, 0.05),  # EncoderConfig.validate checks it
+    (("train",), "--epochs", POSITIVE_INT, 30),
+    (("train",), "--negatives", COUNT, 5),
+    (("train",), "--batch-size", POSITIVE_INT, 16),
+    (("train", *_HAWKES), "--keep-empty", BOOL_WORD, False),
+    # explicit Hawkes parameters; _hawkes_from_args checks them together
+    (_HAWKES, "--mu", float, None),
+    (_HAWKES, "--alpha", float, None),
+    (_HAWKES, "--beta", float, None),
+    (_HAWKES, "--tau", POSITIVE, None),  # None: the median inter-post gap
+    (("disentangle",), "--quantile", FRACTION, 0.25),
+    (_HAWKES, "--fit-steps", COUNT, 200),
+    (_HAWKES, "--fit-step-size", POSITIVE, 0.1),
+    (("disentangle",), "--dot", BOOL_WORD, False),
+    (_SYNTH, "--conversations", POSITIVE_INT, 3),
+    (_SYNTH, "--posts-lo", POSITIVE_INT, 40),
+    (_SYNTH, "--posts-hi", POSITIVE_INT, 60),
+    (_SYNTH, "--gap", NON_NEGATIVE, 3600.0),
+    (_SYNTH, "--pool-size", POSITIVE_INT, 10),
+    (_SYNTH, "--tokens-lo", POSITIVE_INT, 3),
+    (_SYNTH, "--tokens-hi", POSITIVE_INT, 8),
+    (_SYNTH, "--temperature", NON_NEGATIVE, 200.0),
+    (_SYNTH, "--mu", POSITIVE, 0.1),
+    (_SYNTH, "--alpha", NON_NEGATIVE, 0.1),
+    (_SYNTH, "--beta", POSITIVE, 0.01),
+]
+
+
+def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with the values of a config file as defaults."""
+    parser = argparse.ArgumentParser(prog="untangler", exit_on_error=False,
                                      description="Reply-structure recovery for flat chat threads")
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, default=0, help="global RNG seed")
+    parser.add_argument("--seed", type=COUNT, default=0, help="global RNG seed")
     parser.add_argument("--out-dir", default=None, help="directory for output files")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("stats", help="summarize a chat log")
+    def command(name, func, help):
+        commands[name] = p = sub.add_parser(name, help=help, exit_on_error=False)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("stats", cmd_stats, "summarize a chat log")
     p.add_argument("input")
     p.add_argument("--keep-empty", action="store_true")
-    p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("train", help="train the post encoder")
+    p = command("train", cmd_train, "train the post encoder")
     p.add_argument("--input", required=True)
     p.add_argument("--checkpoint")
     p.add_argument("--loss-csv")
-    p.add_argument("--paradigm", choices=corpus.PARADIGMS)
-    p.add_argument("--k", type=int)
-    p.add_argument("--min-count", type=int)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--keep-empty", action="store_const", const=True, default=None)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("disentangle", help="recover the reply forest of a thread")
+    p = command("disentangle", cmd_disentangle, "recover the reply forest of a thread")
     p.add_argument("--input", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--quantile", type=float)
-    p.add_argument("--fit-steps", type=int)
-    p.add_argument("--fit-step-size", type=float)
-    p.add_argument("--dot", action="store_const", const=True, default=None,
-                   help="also write a Graphviz DOT file")
-    p.add_argument("--keep-empty", action="store_const", const=True, default=None)
-    p.set_defaults(func=cmd_disentangle)
 
-    p = sub.add_parser("synth", help="generate a synthetic thread with gold structure")
-    p.add_argument("--conversations", type=int)
-    p.add_argument("--posts-lo", type=int)
-    p.add_argument("--posts-hi", type=int)
-    p.add_argument("--gap", type=float)
-    p.add_argument("--pool-size", type=int)
-    p.add_argument("--tokens-lo", type=int)
-    p.add_argument("--tokens-hi", type=int)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.set_defaults(func=cmd_synth)
+    command("synth", cmd_synth, "generate a synthetic thread with gold structure")
 
-    p = sub.add_parser("eval", help="score a predicted graph against gold")
+    p = command("eval", cmd_eval, "score a predicted graph against gold")
     p.add_argument("--pred", required=True, help="graph.json from disentangle")
     p.add_argument("--gold", required=True, help="gold.json from synth")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("export-intensity", help="CSV of raw and smoothed intensity")
+    p = command("export-intensity", cmd_export_intensity, "CSV of raw and smoothed intensity")
     p.add_argument("--input", required=True)
     p.add_argument("--csv")
-    p.add_argument("--mu", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--fit-steps", type=int)
-    p.add_argument("--fit-step-size", type=float)
-    p.add_argument("--keep-empty", action="store_const", const=True, default=None)
-    p.set_defaults(func=cmd_export_intensity)
 
-    p = sub.add_parser("project", help="3-d PCA projection of post embeddings")
+    p = command("project", cmd_project, "3-d PCA projection of post embeddings")
     p.add_argument("--input", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--csv")
-    p.set_defaults(func=cmd_project)
 
+    for names, flag, kind, default in OPTIONS:
+        default = (config or {}).get(flag[2:].replace("-", "_"), default)
+        flag_only = dict(action=_Flag, nargs=0) if kind is BOOL_WORD else {}
+        for name in names:
+            commands[name].add_argument(flag, type=kind, default=default, **flag_only)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if args.config:  # parse again with the file's values as defaults
+            args = build_parser(_load_config_file(args.config)).parse_args(argv)
         return args.func(args)
+    except argparse.ArgumentError as exc:  # a bad flag or config value
+        print(f"error: {exc.argument_name} {exc.message}", file=sys.stderr)
+        return 2
     except UserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -239,37 +239,6 @@ def _backward(params: EncoderParams, tape: list, d_out: np.ndarray,
     grads.emb[uniq] += d_x @ params.w_x.T
 
 
-def encode_post(params: EncoderParams, seq: Sequence[int]) -> np.ndarray:
-    """Encoding of one post; deterministic given params."""
-    return _forward(params, [seq])[0]
-
-
-def encode_context(params: EncoderParams, member_seqs: Sequence[Sequence[int]]) -> np.ndarray:
-    """Mean of the member posts' encodings (empty members skipped)."""
-    members = [s for s in member_seqs if len(s) > 0]
-    if not members:
-        raise ValueError("context has no non-empty member posts")
-    return _forward(params, members).mean(axis=0)
-
-
-def similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity, in [-1, 1]."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity undefined for a zero vector")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
-def training_loss(l: np.ndarray, w_pos: np.ndarray,
-                  w_negs: Sequence[np.ndarray] = ()) -> float:
-    """Negative-sampling logistic loss over cosine similarities; >= 0."""
-    loss = float(np.logaddexp(0.0, -similarity(l, w_pos)))  # softplus, stable
-    for w in w_negs:
-        loss += float(np.logaddexp(0.0, similarity(l, w)))
-    return loss
-
-
 def _minibatch_loss(params: EncoderParams, seqs: Sequence[Sequence[int]],
                     batch: Sequence[tuple[int, Sequence[Sequence[int]]]],
                     grads: EncoderParams) -> float:

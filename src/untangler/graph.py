@@ -41,6 +41,8 @@ def _unit_rows(embeddings: np.ndarray) -> np.ndarray:
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.ndim != 2:
         raise ValueError("embeddings must be an n x d matrix")
+    if not np.isfinite(emb).all():
+        raise ValueError("embeddings must be finite")
     norms = np.linalg.norm(emb, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
     unit = emb / safe[:, None]

@@ -103,6 +103,10 @@ class EvalReport:
         }
 
 
+class StarvedProcessError(ValueError):
+    """A Hawkes baseline too low to draw a conversation's posts."""
+
+
 def _sample_times(model: HawkesModel, count: int, rng: np.random.Generator) -> np.ndarray:
     """First `count` events of the process, extending the horizon as needed."""
     horizon = max(10.0, 2.0 * count / max(model.mu, 1e-3))
@@ -111,7 +115,8 @@ def _sample_times(model: HawkesModel, count: int, rng: np.random.Generator) -> n
         if times.size >= count:
             return times
         horizon *= 2.0
-    raise RuntimeError("could not draw enough events; check Hawkes parameters")
+    raise StarvedProcessError(f"could not draw {count} events; the baseline rate "
+                              f"mu={model.mu:g} is too low")
 
 
 def generate(config: SynthConfig, seed: int = 0) -> tuple[Thread, GoldStandard]:

@@ -7,11 +7,17 @@ with no shared code paths into the package.  The production implementations in
 ``untangler.graph``, ``untangler.temporal`` and ``untangler.embedder``
 are vectorized, recursive or batched rewrites; every test that matters
 checks them against these references on randomized inputs.
+
+The last four helpers are different: per-post views of the production
+encoder (one post, the mean of a context, a cosine and the sample loss
+they define), which the encoder's own tests read its outputs through.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from untangler.embedder import _forward
 
 
 def reference_prune(embeddings_sim: np.ndarray, ranges: list[tuple[int, int]]) -> np.ndarray:
@@ -127,3 +133,33 @@ def reference_grads(params, seq, d_out) -> dict[str, np.ndarray]:
         dh = params.w_h @ da
         dc = dc * f
     return grads
+
+
+def encode_post(params, seq) -> np.ndarray:
+    """Encoding of one post; deterministic given params."""
+    return _forward(params, [seq])[0]
+
+
+def encode_context(params, member_seqs) -> np.ndarray:
+    """Mean of the member posts' encodings (empty members skipped)."""
+    members = [s for s in member_seqs if len(s) > 0]
+    if not members:
+        raise ValueError("context has no non-empty member posts")
+    return _forward(params, members).mean(axis=0)
+
+
+def similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity, in [-1, 1]."""
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("cosine similarity undefined for a zero vector")
+    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+
+
+def training_loss(l: np.ndarray, w_pos: np.ndarray, w_negs=()) -> float:
+    """Negative-sampling logistic loss over cosine similarities; >= 0."""
+    loss = float(np.logaddexp(0.0, -similarity(l, w_pos)))  # softplus, stable
+    for w in w_negs:
+        loss += float(np.logaddexp(0.0, similarity(l, w)))
+    return loss

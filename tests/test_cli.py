@@ -447,3 +447,114 @@ class TestProject:
         lines = (tmp_path / "projection.csv").read_text().strip().splitlines()
         assert lines[0] == "post,x,y,z"
         assert len(lines) == 13
+
+
+@pytest.fixture(scope="module")
+def tiny_model(tmp_path_factory):
+    """A synthetic thread and a tiny model trained on it."""
+    root = tmp_path_factory.mktemp("tiny")
+    assert run("--out-dir", root, "synth", "--conversations", 2, "--posts-lo", 6,
+               "--posts-hi", 6, "--pool-size", 4) == 0
+    assert run("--out-dir", root, "train", "--input", root / "thread.jsonl",
+               "--dim", 4, "--hidden", 4, "--epochs", 1, "--k", 2) == 0
+    return root
+
+
+# (command, {flag: value}) pairs that exit 2 whether given as flags or as
+# config lines
+BAD_VALUES = [
+    ("train", {"--epochs": "0"}),
+    ("train", {"--k": "0"}),
+    ("train", {"--min-count": "0"}),
+    ("train", {"--batch-size": "0"}),
+    ("train", {"--negatives": "-1"}),
+    ("train", {"--paradigm": "weird"}),
+    ("synth", {"--conversations": "0"}),
+    ("synth", {"--pool-size": "0"}),
+    ("synth", {"--posts-lo": "0"}),
+    ("synth", {"--posts-lo": "5", "--posts-hi": "2"}),
+    ("synth", {"--tokens-lo": "3", "--tokens-hi": "1"}),
+    ("synth", {"--gap": "nan"}),
+    ("synth", {"--gap": "-3600"}),
+    ("synth", {"--gap": "1e308", "--conversations": "3"}),
+    ("synth", {"--temperature": "nan"}),
+    ("synth", {"--mu": "-1"}),
+    ("synth", {"--mu": "0"}),
+    *[(command, {flag: value}) for command in ("disentangle", "export-intensity")
+      for flag, value in [("--fit-steps", "-1"), ("--fit-step-size", "nan"),
+                          ("--fit-step-size", "0"), ("--fit-step-size", "-1")]],
+]
+
+
+def command_argv(command, model_dir):
+    """The required flags of `command`."""
+    thread = model_dir / "thread.jsonl"
+    return {"train": ["--input", thread],
+            "disentangle": ["--input", thread, "--checkpoint", model_dir / "model.untg"],
+            "export-intensity": ["--input", thread],
+            "synth": []}[command]
+
+
+class TestOptionValues:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command,values", BAD_VALUES)
+    def test_bad_value_exits_2(self, tiny_model, tmp_path, capsys, command, values, source):
+        argv = command_argv(command, tiny_model)
+        config = tmp_path / "cfg"
+        if source == "flag":
+            config.write_text("")
+            argv += [x for pair in values.items() for x in pair]
+        else:
+            config.write_text("".join(f"{flag[2:].replace('-', '_')}={value}\n"
+                                      for flag, value in values.items()))
+        assert run("--config", config, "--out-dir", tmp_path / "out", command, *argv) == 2
+        captured = capsys.readouterr()
+        assert all(flag in captured.err for flag in values), captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_synth_defaults_match_default_synth_config(self):
+        args = cli.build_parser().parse_args(["synth"])
+        assert cli.default_synth_config() == cli.default_synth_config(
+            args.conversations, args.posts_lo, args.posts_hi, args.gap, args.pool_size,
+            args.tokens_lo, args.tokens_hi, args.temperature, args.mu, args.alpha, args.beta)
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        assert run("--seed", -1, "--out-dir", tmp_path / "out", "synth") == 2
+        captured = capsys.readouterr()
+        assert "--seed must be an integer >= 0" in captured.err and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_starved_hawkes_process_exits_2(self, tmp_path, capsys):
+        # a valid but tiny baseline: no horizon draws enough events
+        assert run("--out-dir", tmp_path / "out", "synth", "--mu", "1e-300") == 2
+        captured = capsys.readouterr()
+        assert "could not draw" in captured.err and "--mu" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line,flags,n_posts", [
+        ("keep_empty=false", [], 2),
+        ("keep_empty=false", ["--keep-empty"], 3),
+        ("keep_empty=Yes", [], 3),
+        ("keep_empty=0", [], 2),
+    ])
+    def test_bool_config_word_and_flag_precedence(self, tmp_path, capsys, line, flags, n_posts):
+        log = tmp_path / "log.jsonl"
+        write_jsonl(log, [{"id": "a", "ts": 0.0, "text": "x"},
+                          {"id": "b", "ts": 1.0, "text": " "},
+                          {"id": "c", "ts": 2.0, "text": "y"}])
+        config = tmp_path / "cfg"
+        config.write_text(line + "\n")
+        assert run("--config", config, "--out-dir", tmp_path, "export-intensity",
+                   "--input", log, "--mu", 0.5, "--alpha", 0.1, "--beta", 1.0, *flags) == 0
+        assert last_json(capsys)["n_posts"] == n_posts
+
+    def test_unknown_bool_config_word_exits_2(self, tiny_model, tmp_path, capsys):
+        config = tmp_path / "cfg"
+        config.write_text("keep_empty=maybe\n")
+        assert run("--config", config, "--out-dir", tmp_path / "out", "train",
+                   *command_argv("train", tiny_model)) == 2
+        captured = capsys.readouterr()
+        assert "--keep-empty must be one of 1/true/yes/0/false/no" in captured.err
+        assert captured.out == "" and not (tmp_path / "out").exists()

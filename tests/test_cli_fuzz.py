@@ -1,15 +1,18 @@
-"""Fuzz gate for the CLI's readers: corrupted input exits 0 or 2, never 1.
+"""Fuzz gate for the CLI's readers and options: bad input exits 0 or 2, never 1.
 
 Valid graph.json, gold.json and chat logs get fields replaced by other
-JSON values or deleted, and their bytes truncated, flipped or spliced
-with JSON fragments or copies of their own bytes.  Whatever the CLI
-makes of them, it must not fail with an internal error (exit 1), and
-whatever it prints on stdout must be JSON with no NaN or Infinity.
+JSON values or deleted, and their bytes (and a checkpoint's) truncated,
+flipped or spliced with JSON fragments or copies of their own bytes.
+Options of train, disentangle, export-intensity and synth get odd
+values, as flags or as config lines.  Whatever the CLI makes of them,
+it must not fail with an internal error (exit 1), and whatever it
+prints on stdout must be JSON with no NaN or Infinity.
 """
 
 import contextlib
 import io
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -46,10 +49,10 @@ def _slots(node):
 
 
 @st.composite
-def corrupted(draw, data: bytes, jsonl: bool = False) -> bytes:
-    """`data` with fields replaced or deleted, then (or only) bytes
-    truncated, flipped or spliced in."""
-    if draw(st.booleans()):
+def corrupted(draw, data: bytes, jsonl: bool = False, fields: bool = True) -> bytes:
+    """`data` with fields replaced or deleted (if `fields`: JSON data only),
+    then (or only) bytes truncated, flipped or spliced in."""
+    if fields and draw(st.booleans()):
         doc = [json.loads(line) for line in data.splitlines()] if jsonl else json.loads(data)
         for _ in range(draw(st.integers(1, 3))):
             slots = list(_slots(doc))
@@ -146,3 +149,50 @@ def test_corrupted_chat_log(valid, data):
         run_cli("--out-dir", scratch, "disentangle", "--input", log,
                 "--checkpoint", valid / "model.untg",
                 "--mu", 0.1, "--alpha", 0.1, "--beta", 0.5)
+
+
+@FUZZ
+@given(data=st.data())
+def test_corrupted_checkpoint(valid, data):
+    bad = data.draw(corrupted((valid / "model.untg").read_bytes(), fields=False))
+    with tempfile.TemporaryDirectory() as scratch:
+        ckpt = _write(scratch, "model.untg", bad)
+        shutil.copy(valid / "model.vocab", ckpt.with_suffix(".vocab"))
+        run_cli("--out-dir", scratch, "disentangle", "--input", valid / "thread.jsonl",
+                "--checkpoint", ckpt, "--mu", 0.1, "--alpha", 0.1, "--beta", 0.5)
+
+
+OPTION_VALUES = ["nan", "inf", "-inf", "1e999", "-1", "0", "1", "2", "0.5", "1e-300",
+                 "abc", ""]
+FUZZED_COMMANDS = ("train", "disentangle", "export-intensity", "synth")
+COMMAND_OPTIONS = {command: [(flag, kind is cli.BOOL_WORD)
+                             for commands, flag, kind, _ in cli.OPTIONS if command in commands]
+                   for command in FUZZED_COMMANDS}
+# config lines that keep each command small; fuzzed lines come after them
+BASE_CONFIG = {"train": "dim=4\nhidden=4\nepochs=1\n",
+               "disentangle": "fit_steps=20\n", "export-intensity": "fit_steps=20\n",
+               "synth": "conversations=2\nposts_lo=6\nposts_hi=6\npool_size=4\n"}
+
+
+@pytest.mark.parametrize("command", FUZZED_COMMANDS)
+@FUZZ
+@given(data=st.data())
+def test_option_values(valid, command, data):
+    config, argv = BASE_CONFIG[command], []
+    if command in ("disentangle", "export-intensity") and data.draw(st.booleans()):
+        config += "mu=0.1\nalpha=0.1\nbeta=0.5\n"  # explicit Hawkes parameters, no fit
+    for flag, no_value in data.draw(st.lists(st.sampled_from(COMMAND_OPTIONS[command]),
+                                             min_size=1, max_size=2, unique=True)):
+        value = data.draw(st.sampled_from(OPTION_VALUES))
+        if data.draw(st.booleans()):
+            argv += [flag] if no_value else [flag, value]
+        else:
+            config += f"{flag[2:].replace('-', '_')}={value}\n"
+    required = {"train": ["--input", valid / "thread.jsonl"],
+                "disentangle": ["--input", valid / "thread.jsonl",
+                                "--checkpoint", valid / "model.untg"],
+                "export-intensity": ["--input", valid / "thread.jsonl"],
+                "synth": []}[command]
+    with tempfile.TemporaryDirectory() as scratch:
+        run_cli("--config", _write(scratch, "cfg", config.encode()), "--out-dir", scratch,
+                command, *required, *argv)

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from untangler import corpus, embedder
-from untangler.embedder import (EncoderConfig, EncoderParams, encode_context,
-                                encode_post, init_params, loss_and_grads,
-                                similarity, training_loss)
+from untangler.embedder import EncoderConfig, EncoderParams, init_params, loss_and_grads
 
 from conftest import make_thread
-from oracles import reference_encode, reference_grads
+from oracles import (encode_context, encode_post, reference_encode, reference_grads,
+                     similarity, training_loss)
 
 
 def small_config(vocab_size=12, **kw):

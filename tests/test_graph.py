@@ -290,6 +290,16 @@ class TestReplyForest:
         with pytest.raises(ValueError):
             reply_forest(np.ones(3), [Range(0, 3)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        emb = np.random.default_rng(0).standard_normal((300, 4))
+        assert reply_forest(emb, [Range(0, 300)]).n_edges == 298
+        emb[150, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            reply_forest(emb, [Range(0, 300)])
+        with pytest.raises(ValueError, match="finite"):
+            similarity_matrix(emb)
+
 
 class TestExtractConversations:
     def test_two_trees(self):
