@@ -2,9 +2,9 @@
 
 Commands: stats, train, disentangle, synth, eval, export-intensity,
 project.  Option precedence is flags > config file > defaults; the
-config file is flat ``key=value`` text using the long flag names with
-underscores, and OPTIONS checks its values and the flags' alike.  Exit
-codes: 0 success, 1 internal error, 2 bad input.
+config file is flat ``key=value`` text whose keys are the long flag
+names of OPTIONS with underscores, and OPTIONS checks its values and
+the flags' alike.  Exit codes: 0 success, 1 internal error, 2 bad input.
 """
 
 from __future__ import annotations
@@ -49,7 +49,10 @@ def _load_config_file(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise UserError(f"{path}: line {lineno}: expected key=value")
                 key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+                key = key.strip()
+                if key not in CONFIG_KEYS:
+                    raise UserError(f"{path}: line {lineno}: unknown key {key!r}")
+                values[key] = value.strip()
     except FileNotFoundError as exc:
         raise UserError(f"no such config file: {path}") from exc
     return values
@@ -387,6 +390,8 @@ OPTIONS = [
     (_SYNTH, "--alpha", NON_NEGATIVE, 0.1),
     (_SYNTH, "--beta", POSITIVE, 0.01),
 ]
+# any command's keys, so that one config file can serve every command
+CONFIG_KEYS = {flag[2:].replace("-", "_") for _, flag, _, _ in OPTIONS}
 
 
 def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
@@ -449,6 +454,8 @@ def main(argv=None) -> int:
     except argparse.ArgumentError as exc:  # a bad flag or config value
         print(f"error: {exc.argument_name} {exc.message}", file=sys.stderr)
         return 2
+    except SystemExit as exc:  # --help, or a usage error argparse has printed
+        return exc.code
     except UserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,9 +11,7 @@ latest surviving candidate.
 ``similarity_matrix``, ``prune_average``, ``orient`` and ``thin`` do this
 literally on dense n x n matrices and serve as the reference.
 ``reply_forest`` computes the same forest in closed form with memory
-linear in the number of posts, searching each post's nearest
-predecessors first: about 2 n _BAND cosines plus one range length per
-post that has no parent among them.
+linear in the number of posts, in one nearest-first scan.
 """
 
 from __future__ import annotations
@@ -26,13 +24,11 @@ import numpy as np
 
 from .temporal import Range
 
-# posts per block of reply_forest's band pass, each block scored against
-# the _BAND posts before it
+# posts per block of reply_forest, and the width of each block's first
+# window; every further window is twice as wide as the one before
 _BAND = 64
-# float64 elements in one similarity tile of reply_forest's band pass
-# (512 KB: its GEMMs all have one shape, and small tiles stay in cache)
-# and of its full-range scan (8 MB: skinny GEMMs over few columns)
-_BAND_TILE_ELEMENTS = 1 << 16
+# float64 elements in one cosine tile of reply_forest (8 MB), which caps
+# a window's width by the number of posts still searching
 _TILE_ELEMENTS = 1 << 20
 
 
@@ -181,68 +177,6 @@ def _cosines(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.clip(tile, -1.0, 1.0, out=tile)
 
 
-def _band_parents(work: np.ndarray, first: np.ndarray,
-                  avg: float) -> tuple[np.ndarray, np.ndarray]:
-    """Band pass of reply_forest: each block of B = _BAND consecutive
-    posts against the B posts before it, one (2B - 1) x B tile per block,
-    as many blocks per GEMM as _BAND_TILE_ELEMENTS allows.
-
-    Post p is row work[B + p], and first[p] is the first post of its
-    range.  Returns each post's latest qualifying candidate among posts
-    max(first[p], kB - B) .. p - 1, k = p // B (-1 if none), and its
-    cosine.
-    """
-    band = _BAND
-    span = 2 * band - 1
-    m = first.size
-    blocks = work.shape[0] // band - 1
-    s0, s1 = work.strides
-    # rows[k, r] is post kB - B + r; cols[k, c] is post kB + c
-    rows = np.lib.stride_tricks.as_strided(
-        work, (blocks, span, work.shape[1]), (band * s0, s0, s1), writeable=False)
-    cols = work[band:].reshape(blocks, band, work.shape[1])
-    firsts = np.pad(first, (0, blocks * band - m), constant_values=m).reshape(blocks, band)
-    earlier = np.arange(span)[:, None] < np.arange(band) + band
-    parent = np.empty((blocks, band), dtype=np.int64)
-    weight = np.empty((blocks, band))
-    step = max(1, _BAND_TILE_ELEMENTS // (span * band))
-    for k0 in range(0, blocks, step):
-        k1 = min(blocks, k0 + step)
-        tile = _cosines(rows[k0:k1], cols[k0:k1])
-        cand = (np.arange(k0, k1) * band - band)[:, None] + np.arange(span)
-        ok = (tile >= avg) & (tile != 0.0) & earlier
-        ok &= cand[:, :, None] >= firsts[k0:k1, None, :]
-        last = span - 1 - np.argmax(ok[:, ::-1], axis=1)
-        parent[k0:k1] = np.where(ok.any(axis=1), np.take_along_axis(cand, last, axis=1), -1)
-        weight[k0:k1] = np.take_along_axis(tile, last[:, None], axis=1)[:, 0]
-    return parent.ravel()[:m], weight.ravel()[:m]
-
-
-def _far_parents(unit: np.ndarray, first: np.ndarray, start: np.ndarray,
-                 left: np.ndarray, avg: float) -> tuple[np.ndarray, ...]:
-    """Fallback pass of reply_forest: for the ascending posts ``left``,
-    the latest qualifying candidate among posts first[p] .. start[p] - 1,
-    scanned over column tiles of at most _TILE_ELEMENTS cosines.  Post p
-    is row unit[p].  Returns the posts that found one, their parents and
-    the cosines."""
-    found = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
-    # ranges are contiguous, so a range's leftovers are a run of ``left``
-    runs = np.split(left, np.flatnonzero(np.diff(first[left])) + 1) if left.size else []
-    for run in runs:
-        f = first[run[0]]
-        width = max(1, _TILE_ELEMENTS // (start[run[-1]] - f))
-        for c0 in range(0, run.size, width):
-            cols = run[c0:c0 + width]
-            stop = start[cols[-1]]
-            tile = _cosines(unit[f:stop], unit[cols])
-            ok = ((tile >= avg) & (tile != 0.0)
-                  & (np.arange(f, stop)[:, None] < start[cols]))
-            hit = np.flatnonzero(ok.any(axis=0))
-            last = ok.shape[0] - 1 - np.argmax(ok[::-1, hit], axis=0)
-            found.append((cols[hit], last + f, tile[last, hit]))
-    return tuple(np.concatenate(a) for a in zip(*found))
-
-
 def reply_forest(embeddings: np.ndarray, ranges: list[Range]) -> ReplyGraph:
     """``thin(orient(prune_average(similarity_matrix(embeddings), ranges)))``
     without any n x n array.
@@ -255,13 +189,14 @@ def reply_forest(embeddings: np.ndarray, ranges: list[Range]) -> ReplyGraph:
     few ulps of it may fall the other way.
 
     Empty posts (zero rows) can be neither parent nor child and are set
-    aside.  The search runs nearest first: a band pass scores each block
-    of _BAND posts against the _BAND posts before it, which settles every
-    post whose parent is that close.  Only the posts it leaves without a
-    parent, roots and far replies, are scanned against the rest of their
-    range, over column tiles of at most _TILE_ELEMENTS cosines.  The cost
-    is about 2 n _BAND cosines plus one range length per leftover post,
-    instead of the sum of squared range lengths.
+    aside.  The rest are searched nearest first in blocks of _BAND
+    consecutive posts.  A block is scored against the _BAND posts just
+    before its last post; a post that finds no parent there and whose
+    range starts earlier moves on to the window just before, twice as
+    wide (at most _TILE_ELEMENTS cosines a tile), until it has a parent
+    or has reached its range's start.  That costs _BAND cosines a post,
+    plus about twice the parent distance for each post found further
+    back, or its range length for a root.
     """
     unit = _unit_rows(embeddings)
     n = unit.shape[0]
@@ -271,20 +206,27 @@ def reply_forest(embeddings: np.ndarray, ranges: list[Range]) -> ReplyGraph:
     total = unit.sum(axis=0)
     avg = (float(total @ total) - float(np.einsum("ij,ij->", unit, unit))) / (n * (n - 1))
     posts = np.flatnonzero(unit.any(axis=1))
-    band, m = _BAND, posts.size
-    # work[band + p] is post posts[p], after band zero rows and before
-    # zero rows up to whole blocks
-    work = np.zeros(((-(-m // band) + 1) * band, unit.shape[1]))
-    work[band:band + m] = unit[posts]
-    del unit
+    unit, m = unit[posts], posts.size
     los = np.array([r.lo for r in ranges])
+    # first[p]: the first post of p's range, both counted among non-empty posts
     first = np.searchsorted(posts, los[np.searchsorted(los, posts, side="right") - 1])
-    parent, weight = _band_parents(work, first, avg)
-    start = np.arange(m) // band * band - band  # first post of each band
-    left = np.flatnonzero((parent < 0) & (first < start))
-    child, far, far_weight = _far_parents(work[band:], first, start, left, avg)
-    parent[child] = far
-    weight[child] = far_weight
+    parent, weight = np.full(m, -1), np.empty(m)
+    for b0 in range(0, m, _BAND):
+        cols = np.arange(b0, min(m, b0 + _BAND))
+        hi, width = cols[-1], _BAND  # the window is posts lo .. hi - 1
+        cols = cols[first[cols] < cols]  # the first post of a range has no candidate
+        while cols.size:
+            width = min(width, max(1, _TILE_ELEMENTS // cols.size))
+            lo = max(hi - width, first[cols[0]])
+            tile = _cosines(unit[lo:hi], unit[cols])
+            cand = np.arange(lo, hi)[:, None]
+            ok = (tile >= avg) & (tile != 0.0) & (cand < cols) & (cand >= first[cols])
+            hit = ok.any(axis=0)
+            last = hi - lo - 1 - np.argmax(ok[::-1], axis=0)
+            parent[cols] = np.where(hit, lo + last, -1)
+            weight[cols] = tile[last, np.arange(cols.size)]
+            cols = cols[~hit & (first[cols] < lo)]
+            hi, width = lo, 2 * width
     kept = np.flatnonzero(parent >= 0)
     kept = kept[np.lexsort((kept, parent[kept]))]  # by parent, then child
     return ReplyGraph(n=n, parent=posts[parent[kept]], child=posts[kept],

@@ -558,3 +558,37 @@ class TestOptionValues:
         captured = capsys.readouterr()
         assert "--keep-empty must be one of 1/true/yes/0/false/no" in captured.err
         assert captured.out == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["epoch=0", "seed=3"])
+    def test_unknown_config_key_exits_2(self, tiny_model, tmp_path, capsys, line):
+        # `seed` and `out_dir` are flags only; `epoch` is a misspelt `epochs`
+        config = tmp_path / "cfg"
+        config.write_text("dim=4\n" + line + "\n")
+        assert run("--config", config, "--out-dir", tmp_path / "out", "train",
+                   *command_argv("train", tiny_model)) == 2
+        captured = capsys.readouterr()
+        key = line.split("=")[0]
+        assert f"error: {config}: line 2: unknown key '{key}'" in captured.err
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+    def test_config_key_of_another_command_is_allowed(self, tiny_model, tmp_path, capsys):
+        # one config file serves every command: train has no --quantile
+        config = tmp_path / "cfg"
+        config.write_text("quantile=0.3\ndim=4\nhidden=4\nepochs=1\n")
+        assert run("--config", config, "--out-dir", tmp_path / "out", "train",
+                   *command_argv("train", tiny_model)) == 0
+        assert (tmp_path / "out" / "model.untg").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["train"], "the following arguments are required: --input"),
+        (["stats", "x", "--keep-empty", "maybe"], "unrecognized arguments: maybe"),
+    ])
+    def test_usage_error_returns_2(self, capsys, argv, message):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "usage: untangler" in captured.err
+        assert captured.out == ""
+
+    def test_help_returns_0(self, capsys):
+        assert cli.main(["--help"]) == 0
+        assert "usage: untangler" in capsys.readouterr().out

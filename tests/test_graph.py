@@ -170,29 +170,25 @@ class TestReplyForest:
         rng = np.random.default_rng(29)
         tie_pairs = tie_children = compared = 0
         resolved_far = []
-        far_parents = graph._far_parents
-
-        def counting_far_parents(*args):
-            found = far_parents(*args)
-            resolved_far.append(found[0].size)
-            return found
-
-        monkeypatch.setattr(graph, "_far_parents", counting_far_parents)
         for trial in range(1500):
             n = [1, 2][trial] if trial < 2 else int(rng.integers(1, 150))
             emb = random_embeddings(rng, n)
             ranges = [Range(a, b) for a, b in random_partition(rng, n)]
-            # small tiles so a range spans several of them, and narrow
-            # bands so that many posts fall through to the full-range scan
+            # small tiles so that they cap the windows, and narrow bands so
+            # that many posts search several windows
             tile = int(rng.choice([1, 5, 64, 1 << 20]))
+            band = int(rng.choice([1, 2, 3, 64]))
             monkeypatch.setattr(graph, "_TILE_ELEMENTS", tile)
-            monkeypatch.setattr(graph, "_BAND_TILE_ELEMENTS", tile)
-            monkeypatch.setattr(graph, "_BAND", int(rng.choice([1, 2, 3, 64])))
+            monkeypatch.setattr(graph, "_BAND", band)
             sim = similarity_matrix(emb)
             ref = dense_forest(emb, ranges)
             fast = reply_forest(emb, ranges)
             assert fast.n == n
             assert np.unique(fast.child).size == fast.child.size
+            # parents more than two bands back, counted among non-empty posts
+            posts = np.flatnonzero(emb.any(axis=1))
+            distance = np.searchsorted(posts, fast.child) - np.searchsorted(posts, fast.parent)
+            resolved_far.append(int(np.sum(distance > 2 * band)))
 
             in_range = np.zeros((n, n), dtype=bool)
             for r in ranges:
@@ -212,23 +208,30 @@ class TestReplyForest:
         print(f"reply_forest fuzz: 1500 instances, {compared} posts compared, "
               f"{tie_children} posts with {tie_pairs} candidate pairs within "
               f"{TIE_BAND} of the threshold excluded, {sum(resolved_far)} parents "
-              "found by the full-range scan")
+              "more than two bands back")
         assert tie_pairs > 0  # the fuzz does reach threshold ties
         assert sum(resolved_far) > 0  # and parents beyond the band
 
     @pytest.mark.parametrize("band", [1, 3, 64])
     def test_parent_at_and_beyond_the_band(self, monkeypatch, band):
-        # post j matches only post j - gap; the posts between match each
-        # other but are orthogonal to it.  Every offset within a block.
+        # post j matches only post j - gap; the other posts of its range
+        # match each other but are orthogonal to it.  Every offset within a
+        # block, gaps at the ends of the windows (band, 3 band and 7 band
+        # before a block's last post), and the parent first of its range
+        # with posts of another range before it.
         monkeypatch.setattr(graph, "_BAND", band)
-        for gap in (band, band + 1):
+        for gap in (band, band + 1, 3 * band - 1, 3 * band + 1, 7 * band - 1, 7 * band + 1):
             for j in range(gap, gap + 2 * band):
-                emb = np.tile([0.0, 1.0], (j + 3, 1))
-                emb[[j - gap, j]] = [1.0, 0.0]
-                ranges = [Range(0, j + 3)]
-                forest = reply_forest(emb, ranges)
-                assert forest.edge_dict() == dense_forest(emb, ranges).edge_dict()
-                assert forest.edge_dict()[(j - gap, j)] == 1.0
+                for lo in {0, j - gap}:
+                    emb = np.tile([0.0, 1.0], (j + 3, 1))
+                    emb[[j - gap, j]] = [1.0, 0.0]
+                    ranges = [Range(0, lo), Range(lo, j + 3)] if lo else [Range(0, j + 3)]
+                    # dense_forest spelt out, as it takes about 30 ms at n = 7 * 64
+                    expected = {(j - gap, j): 1.0}
+                    for r in ranges:
+                        rest = [k for k in range(r.lo, r.hi) if k not in (j - gap, j)]
+                        expected.update({(a, b): 1.0 for a, b in zip(rest, rest[1:])})
+                    assert reply_forest(emb, ranges).edge_dict() == expected
 
     def test_orthogonal_rows_are_all_roots(self, monkeypatch):
         monkeypatch.setattr(graph, "_BAND", 4)
