@@ -4,7 +4,8 @@ Commands: stats, train, disentangle, synth, eval, export-intensity,
 project.  Option precedence is flags > config file > defaults; the
 config file is flat ``key=value`` text whose keys are the long flag
 names of OPTIONS with underscores, and OPTIONS checks its values and
-the flags' alike.  Exit codes: 0 success, 1 internal error, 2 bad input.
+the flags' alike.  Exit codes: 0 success, 1 internal error, 2 bad input,
+such as a path that _reading or _out_path cannot use.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -25,43 +27,57 @@ class UserError(Exception):
     """Input or usage problem; maps to exit code 2."""
 
 
-def _read_thread(path: str, keep_empty: bool = False) -> ingest.Thread:
+@contextmanager
+def _reading(path: str | Path):
+    """A UserError naming `path` for an OSError or a ValueError (bad content)."""
     try:
-        with open(path, "r", encoding="utf-8") as fp:
-            return ingest.parse_chat_log(
-                fp, ingest.ParseOptions(keep_empty=keep_empty), name=Path(path).stem)
+        yield
     except FileNotFoundError as exc:
         raise UserError(f"no such file: {path}") from exc
-    except ingest.ChatLogError as exc:
-        raise UserError(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise UserError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except OSError as exc:
+        raise UserError(f"{path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise UserError(f"{path}: {exc}") from exc
+
+
+def _read_thread(path: str, keep_empty: bool = False) -> ingest.Thread:
+    with _reading(path), open(path, "r", encoding="utf-8") as fp:
+        return ingest.parse_chat_log(
+            fp, ingest.ParseOptions(keep_empty=keep_empty), name=Path(path).stem)
 
 
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            for lineno, line in enumerate(fp, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UserError(f"{path}: line {lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in CONFIG_KEYS:
-                    raise UserError(f"{path}: line {lineno}: unknown key {key!r}")
-                values[key] = value.strip()
-    except FileNotFoundError as exc:
-        raise UserError(f"no such config file: {path}") from exc
+    with _reading(path), open(path, "r", encoding="utf-8") as fp:
+        for lineno, line in enumerate(fp, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"line {lineno}: expected key=value")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"line {lineno}: unknown key {key!r}")
+            values[key] = value.strip()
     return values
 
 
-def _out_path(args: argparse.Namespace, name: str) -> Path:
-    out_dir = Path(args.out_dir or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / name
+def _out_path(args: argparse.Namespace, name: str, given: str | None = None) -> Path:
+    """`given`, else `name` in --out-dir, after making its parent directory."""
+    path = Path(given) if given else Path(args.out_dir or ".") / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Rows of ints and Python floats; a float is written as its repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fp:
+        writer = csv.writer(fp)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _emit(payload: dict) -> None:
@@ -108,6 +124,13 @@ def cmd_train(args) -> int:
     thread = _read_thread(args.input, keep_empty=args.keep_empty)
     if len(thread) == 0:
         raise UserError("empty corpus: nothing to train on")
+    ckpt = _out_path(args, "model.untg", args.checkpoint)
+    if not ckpt.name:  # "." or "/": no file name for the vocabulary's suffix
+        raise UserError(f"{ckpt}: Is a directory")
+    vocab_path = ckpt.with_suffix(".vocab")
+    csv_path = _out_path(args, "loss.csv", args.loss_csv)
+    if len({path.resolve() for path in (ckpt, vocab_path, csv_path)}) < 3:
+        raise UserError(f"{ckpt}, {vocab_path} and {csv_path} must be three different files")
     vocab = corpus.build_vocab([thread], min_count=args.min_count)
     windows = corpus.build_windows(thread, args.paradigm, args.k)
     config = embedder.EncoderConfig(
@@ -119,18 +142,10 @@ def cmd_train(args) -> int:
         params, curve = embedder.train([thread], vocab, [windows], config)
     except ValueError as exc:
         raise UserError(str(exc)) from exc
-    ckpt = Path(args.checkpoint) if args.checkpoint else _out_path(args, "model.untg")
-    ckpt.parent.mkdir(parents=True, exist_ok=True)
     embedder.save_checkpoint(str(ckpt), config, params)
-    vocab_path = ckpt.with_suffix(".vocab")
     with open(vocab_path, "w", encoding="utf-8") as fp:
         corpus.save_vocab(vocab, fp)
-    csv_path = Path(args.loss_csv) if args.loss_csv else _out_path(args, "loss.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["epoch", "mean_loss"])
-        for epoch, loss in enumerate(curve):
-            writer.writerow([epoch, repr(loss)])
+    _write_csv(csv_path, ["epoch", "mean_loss"], enumerate(curve))
     _emit({"checkpoint": str(ckpt), "vocab": str(vocab_path),
            "loss_csv": str(csv_path),
            "first_epoch_loss": curve[0], "final_epoch_loss": curve[-1]})
@@ -138,21 +153,11 @@ def cmd_train(args) -> int:
 
 
 def _load_model(args) -> tuple[embedder.EncoderConfig, embedder.EncoderParams, corpus.Vocab]:
-    ckpt = Path(args.checkpoint)
-    if not ckpt.exists():
-        raise UserError(f"no such checkpoint: {ckpt}")
-    try:
-        config, params = embedder.load_checkpoint(str(ckpt))
-    except ValueError as exc:
-        raise UserError(f"{ckpt}: {exc}") from exc
-    vocab_path = ckpt.with_suffix(".vocab")
-    if not vocab_path.exists():
-        raise UserError(f"missing vocabulary file: {vocab_path}")
-    try:
-        with open(vocab_path, "r", encoding="utf-8") as fp:
-            vocab = corpus.load_vocab(fp)
-    except ValueError as exc:
-        raise UserError(f"{vocab_path}: {exc}") from exc
+    with _reading(args.checkpoint):
+        config, params = embedder.load_checkpoint(args.checkpoint)
+    vocab_path = Path(args.checkpoint).with_suffix(".vocab")
+    with _reading(vocab_path), open(vocab_path, "r", encoding="utf-8") as fp:
+        vocab = corpus.load_vocab(fp)
     if len(vocab) != config.vocab_size:
         raise UserError(f"{vocab_path}: {len(vocab)} tokens, but the checkpoint "
                         f"was trained on {config.vocab_size}")
@@ -243,14 +248,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
+    with _reading(args.pred):
         pred_graph = graphmod.parse_graph_json(Path(args.pred).read_bytes())
-    except (OSError, ValueError, KeyError, OverflowError) as exc:
-        raise UserError(f"cannot read predicted graph {args.pred}: {exc}") from exc
-    try:
+    with _reading(args.gold):
         gold = harness.GoldStandard.from_json(Path(args.gold).read_text(encoding="utf-8"))
-    except (OSError, ValueError, KeyError) as exc:
-        raise UserError(f"cannot read gold standard {args.gold}: {exc}") from exc
     n = pred_graph.n
     if len(gold.labels) != n or set(gold.labels) != set(range(n)):
         raise UserError("predicted graph and gold standard cover different posts")
@@ -283,12 +284,9 @@ def cmd_export_intensity(args) -> int:
     times = np.asarray(thread.timestamps)
     tau = args.tau if args.tau is not None else temporal.median_gap(times)
     series = temporal.smooth(temporal.sample_intensity(model, times, times), tau)
-    csv_path = Path(args.csv) if args.csv else _out_path(args, "intensity.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["t", "raw", "smoothed"])
-        for t, raw, sm in zip(series.grid, series.raw, series.smoothed):
-            writer.writerow([repr(float(t)), repr(float(raw)), repr(float(sm))])
+    csv_path = _out_path(args, "intensity.csv", args.csv)
+    _write_csv(csv_path, ["t", "raw", "smoothed"],
+               zip(series.grid.tolist(), series.raw.tolist(), series.smoothed.tolist()))
     _emit({"csv": str(csv_path), "n_posts": len(thread),
            "hawkes": {"mu": model.mu, "alpha": model.alpha, "beta": model.beta}})
     return 0
@@ -302,12 +300,9 @@ def cmd_project(args) -> int:
         coords = harness.project_3d(embeddings)
     except ValueError as exc:
         raise UserError(str(exc)) from exc
-    csv_path = Path(args.csv) if args.csv else _out_path(args, "projection.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["post", "x", "y", "z"])
-        for i, row in enumerate(coords):
-            writer.writerow([i] + [repr(float(v)) for v in row])
+    csv_path = _out_path(args, "projection.csv", args.csv)
+    _write_csv(csv_path, ["post", "x", "y", "z"],
+               ([i, *row] for i, row in enumerate(coords.tolist())))
     _emit({"csv": str(csv_path), "n_posts": len(thread)})
     return 0
 
@@ -461,6 +456,9 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         return 1
+    except OSError as exc:  # an output that cannot be written
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     except Exception as exc:  # pragma: no cover - internal failure path
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

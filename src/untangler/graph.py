@@ -295,7 +295,7 @@ def _is_finite(value) -> bool:
 def parse_graph_json(data) -> ReplyGraph:
     """Inverse of export_graph(..., 'json').
 
-    Raises ValueError unless n >= 0, every edge has
+    Raises ValueError unless 0 <= n < 2**63, every edge has
     0 <= parent < child < n and every weight is a finite number.
     """
     if isinstance(data, bytes):
@@ -303,14 +303,14 @@ def parse_graph_json(data) -> ReplyGraph:
     payload = json.loads(data)
     if not isinstance(payload, dict):
         raise ValueError("graph must be a JSON object")
-    n = payload["n"]
-    if not _is_int(n) or n < 0:
-        raise ValueError("'n' must be an integer >= 0")
+    n = payload.get("n")
+    if not _is_int(n) or not 0 <= n < 2 ** 63:
+        raise ValueError("'n' must be an integer >= 0, not too large for int64")
     edges = payload.get("edges", [])
     if not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
         raise ValueError("'edges' must be a list of objects")
     for e in edges:
-        u, v, w = e["parent"], e["child"], e["w"]
+        u, v, w = e.get("parent"), e.get("child"), e.get("w")  # None if missing
         if not (_is_int(u) and _is_int(v) and 0 <= u < v < n):
             raise ValueError(f"edge {u!r} -> {v!r} breaks 0 <= parent < child < n")
         if not _is_finite(w):

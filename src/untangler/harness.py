@@ -72,7 +72,7 @@ class GoldStandard:
         if not isinstance(payload, dict):
             raise ValueError("gold standard must be a JSON object")
         for key in ("parents", "labels"):
-            table = payload[key]
+            table = payload.get(key)
             if not (isinstance(table, dict) and all(
                     k.isascii() and k.isdigit() and _is_int(v) for k, v in table.items())):
                 raise ValueError(f"{key!r} must be an object mapping post indices to integers")

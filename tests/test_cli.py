@@ -592,3 +592,77 @@ class TestOptionValues:
     def test_help_returns_0(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "usage: untangler" in capsys.readouterr().out
+
+
+TRAIN_SMALL = ["--dim", 4, "--hidden", 4, "--epochs", 1, "--k", 2]
+
+# case -> (argv given the tiny model's directory, the path its error must
+# name); each runs in a directory holding D (a directory), F (a file) and
+# cfg (a config file that is not UTF-8)
+UNUSABLE_PATHS = {
+    "config-not-utf8": (lambda m: ["--config", "cfg", "stats", m / "thread.jsonl"], "cfg"),
+    "config-dir": (lambda m: ["--config", "D", "stats", m / "thread.jsonl"], "D"),
+    "out-dir-file-synth": (lambda m: ["--out-dir", "F", "synth"], "F"),
+    "out-dir-file-disentangle": (
+        lambda m: ["--out-dir", "F", "disentangle", *command_argv("disentangle", m)], "F"),
+    "stats-dir": (lambda m: ["stats", "D"], "D"),
+    "checkpoint-dir": (
+        lambda m: ["disentangle", "--input", m / "thread.jsonl", "--checkpoint", "D"], "D"),
+    "intensity-csv-dir": (
+        lambda m: ["export-intensity", "--input", m / "thread.jsonl", "--csv", "D"], "D"),
+    "projection-csv-dir": (
+        lambda m: ["project", *command_argv("disentangle", m), "--csv", "D"], "D"),
+    "train-checkpoint-dir": (
+        lambda m: ["train", "--input", m / "thread.jsonl", *TRAIN_SMALL, "--checkpoint", "D"],
+        "D"),
+    "train-checkpoint-under-file": (
+        lambda m: ["train", "--input", m / "thread.jsonl", *TRAIN_SMALL,
+                   "--checkpoint", "F/m.untg"], "F"),
+    # no file name to put the vocabulary's suffix on
+    "train-checkpoint-dot": (
+        lambda m: ["train", "--input", m / "thread.jsonl", *TRAIN_SMALL, "--checkpoint", "."],
+        "."),
+}
+
+
+class TestPaths:
+    @pytest.mark.parametrize("case", UNUSABLE_PATHS)
+    def test_unusable_path_exits_2_naming_it(self, tiny_model, tmp_path, monkeypatch, capsys,
+                                             case):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "D").mkdir()
+        (tmp_path / "F").write_text("x\n")
+        (tmp_path / "cfg").write_bytes(b"\xff=2\n")
+        argv, path = UNUSABLE_PATHS[case]
+        assert run(*argv(tiny_model)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: "), captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["train", "export-intensity"])
+    def test_missing_parent_of_a_csv_is_created(self, tiny_model, tmp_path, capsys, command):
+        csv_path = tmp_path / "missing" / "out.csv"
+        flag = "--loss-csv" if command == "train" else "--csv"
+        argv = ["--out-dir", tmp_path / "out", command, *command_argv(command, tiny_model),
+                flag, csv_path]
+        if command == "train":
+            argv += TRAIN_SMALL
+        assert run(*argv) == 0
+        assert last_json(capsys)[flag[2:].replace("-", "_")] == str(csv_path)
+        assert csv_path.read_text().count("\n") > 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--checkpoint", "{out}/m.vocab"],
+        ["--checkpoint", "{out}/m.untg", "--loss-csv", "{out}/m.untg"],
+        ["--loss-csv", "{out}/model.vocab"],
+    ])
+    def test_colliding_train_outputs_exit_2_writing_nothing(self, tiny_model, tmp_path,
+                                                            capsys, flags):
+        out = tmp_path / "out"
+        out.mkdir()
+        flags = [flag.format(out=out) for flag in flags]
+        assert run("--out-dir", out, "train", *command_argv("train", tiny_model),
+                   *TRAIN_SMALL, *flags) == 2
+        captured = capsys.readouterr()
+        assert "must be three different files" in captured.err and captured.out == ""
+        assert list(out.iterdir()) == []

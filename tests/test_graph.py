@@ -340,6 +340,18 @@ class TestExport:
         assert payload == {"n": 2, "edges": [{"parent": 0, "child": 1, "w": 0.5}],
                            "roots": [0]}
 
+    @pytest.mark.parametrize("payload", [
+        {"edges": []},
+        {"n": 3, "edges": [{"parent": 0, "w": 0.5}]},
+        {"n": 3, "edges": [{"child": 1, "w": 0.5}]},
+        {"n": 3, "edges": [{"parent": 0, "child": 1}]},
+        {"n": 2 ** 63, "edges": []},
+        {"n": 10 ** 30, "edges": [{"parent": 10 ** 20, "child": 10 ** 21, "w": 0.5}]},
+    ])
+    def test_missing_key_or_huge_n_raises_value_error(self, payload):
+        with pytest.raises(ValueError):
+            parse_graph_json(json.dumps(payload))
+
     def test_dot_output(self):
         g = ReplyGraph(n=2, parent=np.array([0]), child=np.array([1]),
                        weight=np.array([0.51239]))

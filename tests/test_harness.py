@@ -92,6 +92,11 @@ class TestGenerate:
         _, gold = generate(small_config(), seed=8)
         assert GoldStandard.from_json(gold.to_json()) == gold
 
+    @pytest.mark.parametrize("data", ['{"labels": {"0": 0}}', '{"parents": {}}', "{}"])
+    def test_gold_missing_table_raises_value_error(self, data):
+        with pytest.raises(ValueError):
+            GoldStandard.from_json(data)
+
 
 class TestEdgePrf:
     def test_perfect(self):
