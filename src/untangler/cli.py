@@ -103,8 +103,7 @@ def _hawkes_from_args(args, thread: ingest.Thread) -> temporal.HawkesModel:
     events = times - origin
     horizon = (float(events[-1]) or 1.0) + 1.0
     try:
-        return temporal.fit_multistart(events, horizon, steps=args.fit_steps,
-                                       step_size=args.fit_step_size)
+        return temporal.fit_multistart(events, horizon)
     except temporal.TimescaleError as exc:
         raise UserError(f"cannot fit the Hawkes process: {exc}; "
                         "give --mu/--alpha/--beta instead") from exc
@@ -125,12 +124,9 @@ def cmd_train(args) -> int:
     if len(thread) == 0:
         raise UserError("empty corpus: nothing to train on")
     ckpt = _out_path(args, "model.untg", args.checkpoint)
-    if not ckpt.name:  # "." or "/": no file name for the vocabulary's suffix
-        raise UserError(f"{ckpt}: Is a directory")
-    vocab_path = ckpt.with_suffix(".vocab")
     csv_path = _out_path(args, "loss.csv", args.loss_csv)
-    if len({path.resolve() for path in (ckpt, vocab_path, csv_path)}) < 3:
-        raise UserError(f"{ckpt}, {vocab_path} and {csv_path} must be three different files")
+    if ckpt.resolve() == csv_path.resolve():
+        raise UserError(f"{ckpt} and {csv_path} must be two different files")
     vocab = corpus.build_vocab([thread], min_count=args.min_count)
     windows = corpus.build_windows(thread, args.paradigm, args.k)
     config = embedder.EncoderConfig(
@@ -142,26 +138,16 @@ def cmd_train(args) -> int:
         params, curve = embedder.train([thread], vocab, [windows], config)
     except ValueError as exc:
         raise UserError(str(exc)) from exc
-    embedder.save_checkpoint(str(ckpt), config, params)
-    with open(vocab_path, "w", encoding="utf-8") as fp:
-        corpus.save_vocab(vocab, fp)
+    embedder.save_checkpoint(str(ckpt), config, params, vocab)
     _write_csv(csv_path, ["epoch", "mean_loss"], enumerate(curve))
-    _emit({"checkpoint": str(ckpt), "vocab": str(vocab_path),
-           "loss_csv": str(csv_path),
+    _emit({"checkpoint": str(ckpt), "loss_csv": str(csv_path),
            "first_epoch_loss": curve[0], "final_epoch_loss": curve[-1]})
     return 0
 
 
 def _load_model(args) -> tuple[embedder.EncoderConfig, embedder.EncoderParams, corpus.Vocab]:
     with _reading(args.checkpoint):
-        config, params = embedder.load_checkpoint(args.checkpoint)
-    vocab_path = Path(args.checkpoint).with_suffix(".vocab")
-    with _reading(vocab_path), open(vocab_path, "r", encoding="utf-8") as fp:
-        vocab = corpus.load_vocab(fp)
-    if len(vocab) != config.vocab_size:
-        raise UserError(f"{vocab_path}: {len(vocab)} tokens, but the checkpoint "
-                        f"was trained on {config.vocab_size}")
-    return config, params, vocab
+        return embedder.load_checkpoint(args.checkpoint)
 
 
 def run_pipeline(thread: ingest.Thread, config: embedder.EncoderConfig,
@@ -370,8 +356,6 @@ OPTIONS = [
     (_HAWKES, "--beta", float, None),
     (_HAWKES, "--tau", POSITIVE, None),  # None: the median inter-post gap
     (("disentangle",), "--quantile", FRACTION, 0.25),
-    (_HAWKES, "--fit-steps", COUNT, 200),
-    (_HAWKES, "--fit-step-size", POSITIVE, 0.1),
     (("disentangle",), "--dot", BOOL_WORD, False),
     (_SYNTH, "--conversations", POSITIVE_INT, 3),
     (_SYNTH, "--posts-lo", POSITIVE_INT, 40),

@@ -20,6 +20,7 @@ finite-difference checkable.
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 from dataclasses import dataclass
@@ -27,11 +28,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import corpus
 from .corpus import ContextWindow, Vocab, encode_text
 from .ingest import Thread
 
 CHECKPOINT_MAGIC = b"UNTG"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -389,34 +391,40 @@ def embed_thread(params: EncoderParams, thread: Thread, vocab: Vocab,
 
 # ---------------------------------------------------------------------------
 # Checkpoint format: magic "UNTG", u32 version, config block
-# (<7i q d i> = vocab_size, embed_dim, hidden_dim, max_len, epochs,
-# negatives_per_sample, batch_size, seed, learning_rate, reserved),
-# then row-major little-endian float32 blocks: emb, w_x, w_h, b, proj.
+# (<7i q d> = vocab_size, embed_dim, hidden_dim, max_len, epochs,
+# negatives_per_sample, batch_size, seed, learning_rate), then
+# row-major little-endian float32 blocks: emb, w_x, w_h, b, proj, then
+# to the end of the file the vocabulary as the UTF-8 text of
+# corpus.save_vocab, whose token count must equal vocab_size: the rows
+# of emb mean nothing without the tokens that index them.
 # ---------------------------------------------------------------------------
 
-_HEADER = struct.Struct("<4sI7iqdi")
+_HEADER = struct.Struct("<4sI7iqd")
 
 
-def save_checkpoint(path: str, config: EncoderConfig, params: EncoderParams) -> None:
+def save_checkpoint(path: str, config: EncoderConfig, params: EncoderParams,
+                    vocab: Vocab) -> None:
+    text = io.StringIO()
+    corpus.save_vocab(vocab, text)
     with open(path, "wb") as fp:
         fp.write(_HEADER.pack(
             CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
             config.vocab_size, config.embed_dim, config.hidden_dim,
             config.max_len, config.epochs, config.negatives_per_sample,
-            config.batch_size, config.seed, config.learning_rate, 0))
+            config.batch_size, config.seed, config.learning_rate))
         for arr in (params.emb, params.w_x, params.w_h, params.b, params.proj):
             fp.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        fp.write(text.getvalue().encode("utf-8"))
 
 
-def load_checkpoint(path: str) -> tuple[EncoderConfig, EncoderParams]:
+def load_checkpoint(path: str) -> tuple[EncoderConfig, EncoderParams, Vocab]:
     """Inverse of save_checkpoint.  Raises ValueError on a malformed file;
     the header dims are checked against the file size before any read."""
     with open(path, "rb") as fp:
         header = fp.read(_HEADER.size)
         if len(header) < _HEADER.size:
             raise ValueError("truncated checkpoint header")
-        (magic, version, v, d, h, max_len, epochs, negs, batch,
-         seed, lr, _reserved) = _HEADER.unpack(header)
+        magic, version, v, d, h, max_len, epochs, negs, batch, seed, lr = _HEADER.unpack(header)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError("not an untangler checkpoint (bad magic)")
         if version != CHECKPOINT_VERSION:
@@ -428,15 +436,16 @@ def load_checkpoint(path: str) -> tuple[EncoderConfig, EncoderParams]:
         config.validate()
         shapes = [(v, d), (d, 4 * h), (h, 4 * h), (4 * h,), (h, d)]
         payload = 4 * sum(int(np.prod(shape)) for shape in shapes)
-        size = os.fstat(fp.fileno()).st_size - _HEADER.size
-        if size < payload:
+        if os.fstat(fp.fileno()).st_size - _HEADER.size < payload:
             raise ValueError("truncated checkpoint parameter block")
-        if size > payload:
-            raise ValueError("trailing bytes after checkpoint payload")
         arrays = []
-        for shape in shapes:
-            buf = fp.read(4 * int(np.prod(shape)))
-            arrays.append(np.frombuffer(buf, dtype="<f4").astype(np.float64).reshape(shape))
-            if not np.isfinite(arrays[-1]).all():
+        for shape in shapes:  # checked before the cast, which warns on a signalling NaN
+            block = np.frombuffer(fp.read(4 * int(np.prod(shape))), dtype="<f4")
+            if not np.isfinite(block).all():
                 raise ValueError("non-finite value in checkpoint parameter block")
-    return config, EncoderParams(*arrays)
+            arrays.append(block.astype(np.float64).reshape(shape))
+        vocab = corpus.load_vocab(io.StringIO(fp.read().decode("utf-8")))
+    if len(vocab) != v:
+        raise ValueError(f"vocabulary block has {len(vocab)} tokens, "
+                         f"but the header says vocab_size={v}")
+    return config, EncoderParams(*arrays), vocab

@@ -300,7 +300,10 @@ def parse_graph_json(data) -> ReplyGraph:
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    payload = json.loads(data)
+    try:
+        payload = json.loads(data)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
     if not isinstance(payload, dict):
         raise ValueError("graph must be a JSON object")
     n = payload.get("n")

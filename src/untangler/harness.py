@@ -68,7 +68,10 @@ class GoldStandard:
         """Inverse of to_json.  Raises ValueError unless 'parents' and
         'labels' are objects mapping decimal post indices to integers and
         every gold edge has 0 <= parent < child."""
-        payload = json.loads(data)
+        try:
+            payload = json.loads(data)
+        except RecursionError as exc:
+            raise ValueError("JSON nested too deeply") from exc
         if not isinstance(payload, dict):
             raise ValueError("gold standard must be a JSON object")
         for key in ("parents", "labels"):

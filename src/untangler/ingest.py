@@ -79,6 +79,8 @@ def _parse_line(raw: str, lineno: int) -> Optional[Post]:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ChatLogError(f"invalid JSON ({exc.msg})", lineno) from exc
+    except RecursionError as exc:
+        raise ChatLogError("invalid JSON (nested too deeply)", lineno) from exc
     if not isinstance(obj, dict):
         raise ChatLogError("expected a JSON object", lineno)
     for key in ("id", "ts", "text"):

@@ -304,13 +304,8 @@ def detect_ranges(thread, model: HawkesModel, tau: Optional[float] = None,
     if tau is None:
         tau = median_gap(times)
     series = smooth(sample_intensity(model, times, times), tau)
-    vals = series.smoothed
-    threshold = float(np.quantile(vals, quantile))
-    cuts = [0]
-    for i in range(1, n):
-        if vals[i] >= threshold:
-            continue
-        if vals[i] < vals[i - 1] and (i == n - 1 or vals[i] <= vals[i + 1]):
-            cuts.append(i)
-    cuts.append(n)
+    v = series.smoothed
+    threshold = float(np.quantile(v, quantile))
+    cut = (v[1:] < threshold) & (v[1:] < v[:-1]) & np.r_[v[1:-1] <= v[2:], True]
+    cuts = [0, *(np.flatnonzero(cut) + 1).tolist(), n]
     return [Range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]

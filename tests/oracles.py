@@ -1,12 +1,13 @@
 """Independent reference implementations used as test oracles.
 
 These are deliberately naive, literal transcriptions of the two pruning
-stages, of the Laplace smoothing and of the LSTM post encoder and its
-gradients, written against plain dict/list structures and dense arrays
-with no shared code paths into the package.  The production implementations in
-``untangler.graph``, ``untangler.temporal`` and ``untangler.embedder``
-are vectorized, recursive or batched rewrites; every test that matters
-checks them against these references on randomized inputs.
+stages, of the Laplace smoothing, of the schism cut rule and of the LSTM
+post encoder and its gradients, written against plain dict/list
+structures and dense arrays with no shared code paths into the package.
+The production implementations in ``untangler.graph``,
+``untangler.temporal`` and ``untangler.embedder`` are vectorized,
+recursive or batched rewrites; every test that matters checks them
+against these references on randomized inputs.
 
 The last four helpers are different: per-post views of the production
 encoder (one post, the mean of a context, a cosine and the sample loss
@@ -81,6 +82,21 @@ def reference_smooth(grid: np.ndarray, raw: np.ndarray, tau: float) -> np.ndarra
     sum to one."""
     w = np.exp(-np.abs(grid[:, None] - grid[None, :]) / tau)
     return (w @ raw) / w.sum(axis=1)
+
+
+def reference_ranges(vals: np.ndarray, quantile: float) -> list[tuple[int, int]]:
+    """Schism ranges as the literal loop over posts: a cut before post i
+    when its value is below the quantile of all values, strictly below
+    post i - 1's and no higher than post i + 1's (if there is one)."""
+    n = len(vals)
+    threshold = float(np.quantile(vals, quantile))
+    cuts = [0]
+    for i in range(1, n):
+        if vals[i] < threshold and vals[i] < vals[i - 1] and (
+                i == n - 1 or vals[i] <= vals[i + 1]):
+            cuts.append(i)
+    cuts.append(n)
+    return list(zip(cuts, cuts[1:]))
 
 
 def reference_encode(params, seq) -> np.ndarray:

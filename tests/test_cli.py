@@ -84,7 +84,7 @@ class TestTrain:
         payload = last_json(capsys)
         out = tmp_path / "out"
         assert (out / "model.untg").exists()
-        assert (out / "model.vocab").exists()
+        assert not list(out.glob("*.vocab"))
         loss_lines = (out / "loss.csv").read_text().strip().splitlines()
         assert loss_lines[0] == "epoch,mean_loss"
         assert len(loss_lines) == 3
@@ -189,23 +189,13 @@ class TestDisentangle:
     ])
     def test_malformed_vocab_exits_2(self, thread_file, tmp_path, capsys, corrupt, message):
         assert run(*train_args(thread_file, tmp_path)) == 0
-        vocab = tmp_path / "out" / "model.vocab"
-        vocab.write_text(corrupt(vocab.read_text()))
-        assert run("disentangle", "--input", thread_file,
-                   "--checkpoint", tmp_path / "out" / "model.untg") == 2
-        assert message in capsys.readouterr().err
-
-    def test_vocab_of_another_model_exits_2(self, thread_file, tmp_path, capsys):
-        assert run(*train_args(thread_file, tmp_path)) == 0
-        small = tmp_path / "small.jsonl"
-        write_jsonl(small, [{"id": "a", "ts": 0.0, "text": "one"},
-                            {"id": "b", "ts": 1.0, "text": "two"}])
-        assert run("--out-dir", tmp_path / "small", "train", "--input", small,
-                   "--dim", 4, "--hidden", 4, "--epochs", 1, "--k", 1) == 0
-        os.replace(tmp_path / "small" / "model.vocab", tmp_path / "out" / "model.vocab")
-        assert run("disentangle", "--input", thread_file,
-                   "--checkpoint", tmp_path / "out" / "model.untg") == 2
-        assert "the checkpoint was trained on" in capsys.readouterr().err
+        ckpt = tmp_path / "out" / "model.untg"
+        data = ckpt.read_bytes()
+        at = data.rindex(b"#vocab\t")  # the vocabulary block after the parameters
+        ckpt.write_bytes(data[:at] + corrupt(data[at:].decode()).encode())
+        assert run("disentangle", "--input", thread_file, "--checkpoint", ckpt) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: ") and message in err
 
     def test_subnormal_gaps_exit_2(self, thread_file, tmp_path, capsys):
         assert run(*train_args(thread_file, tmp_path)) == 0
@@ -258,7 +248,9 @@ class TestDisentangle:
     def test_non_finite_checkpoint_exits_2(self, thread_file, tmp_path, capsys):
         assert run(*train_args(thread_file, tmp_path)) == 0
         ckpt = tmp_path / "out" / "model.untg"
-        ckpt.write_bytes(ckpt.read_bytes()[:-4] + struct.pack("<f", float("nan")))
+        data = ckpt.read_bytes()
+        at = data.rindex(b"#vocab\t") - 4  # the last float of the parameter blocks
+        ckpt.write_bytes(data[:at] + struct.pack("<f", float("nan")) + data[at + 4:])
         assert run("--out-dir", tmp_path / "dis", "disentangle", "--input", thread_file,
                    "--checkpoint", ckpt) == 2
         assert "non-finite value" in capsys.readouterr().err
@@ -480,9 +472,6 @@ BAD_VALUES = [
     ("synth", {"--temperature": "nan"}),
     ("synth", {"--mu": "-1"}),
     ("synth", {"--mu": "0"}),
-    *[(command, {flag: value}) for command in ("disentangle", "export-intensity")
-      for flag, value in [("--fit-steps", "-1"), ("--fit-step-size", "nan"),
-                          ("--fit-step-size", "0"), ("--fit-step-size", "-1")]],
 ]
 
 
@@ -618,7 +607,6 @@ UNUSABLE_PATHS = {
     "train-checkpoint-under-file": (
         lambda m: ["train", "--input", m / "thread.jsonl", *TRAIN_SMALL,
                    "--checkpoint", "F/m.untg"], "F"),
-    # no file name to put the vocabulary's suffix on
     "train-checkpoint-dot": (
         lambda m: ["train", "--input", m / "thread.jsonl", *TRAIN_SMALL, "--checkpoint", "."],
         "."),
@@ -639,6 +627,20 @@ class TestPaths:
         assert captured.err.startswith(f"error: {path}: "), captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["stats", "eval-pred", "eval-gold"])
+    def test_deeply_nested_json_exits_2_naming_it(self, tmp_path, capsys, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "\n")
+        graph = tmp_path / "graph.json"
+        graph.write_text('{"n": 0, "edges": []}\n')
+        argv = {"stats": ["stats", deep],
+                "eval-pred": ["eval", "--pred", deep, "--gold", graph],
+                "eval-gold": ["eval", "--pred", graph, "--gold", deep]}[command]
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {deep}: "), captured.err
+        assert "nested too deeply" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("command", ["train", "export-intensity"])
     def test_missing_parent_of_a_csv_is_created(self, tiny_model, tmp_path, capsys, command):
         csv_path = tmp_path / "missing" / "out.csv"
@@ -652,9 +654,9 @@ class TestPaths:
         assert csv_path.read_text().count("\n") > 1
 
     @pytest.mark.parametrize("flags", [
-        ["--checkpoint", "{out}/m.vocab"],
+        ["--checkpoint", "{out}/loss.csv"],
         ["--checkpoint", "{out}/m.untg", "--loss-csv", "{out}/m.untg"],
-        ["--loss-csv", "{out}/model.vocab"],
+        ["--loss-csv", "{out}/model.untg"],
     ])
     def test_colliding_train_outputs_exit_2_writing_nothing(self, tiny_model, tmp_path,
                                                             capsys, flags):
@@ -664,5 +666,5 @@ class TestPaths:
         assert run("--out-dir", out, "train", *command_argv("train", tiny_model),
                    *TRAIN_SMALL, *flags) == 2
         captured = capsys.readouterr()
-        assert "must be three different files" in captured.err and captured.out == ""
+        assert "must be two different files" in captured.err and captured.out == ""
         assert list(out.iterdir()) == []

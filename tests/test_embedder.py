@@ -1,5 +1,6 @@
 """Encoder numerics: forward pass, gradients, training, checkpoints."""
 
+import io
 import struct
 import tracemalloc
 
@@ -413,37 +414,61 @@ class TestTrain:
         assert np.linalg.norm(emb[0]) > 0
 
 
+def small_vocab(size=12):
+    """PAD, UNK and size - 2 tokens."""
+    return corpus.build_vocab([make_thread([0.0], [" ".join(f"w{i}" for i in range(size - 2))])])
+
+
+def vocab_block(size):
+    text = io.StringIO()
+    corpus.save_vocab(small_vocab(size), text)
+    return text.getvalue().encode("utf-8")
+
+
+HEADER = struct.calcsize("<4sI7iqd")
+
+
+def vocab_start(b):
+    return b.rindex(b"#vocab\t")
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         config = small_config()
         params = init_params(config)
         path = tmp_path / "model.untg"
-        embedder.save_checkpoint(str(path), config, params)
-        config2, params2 = embedder.load_checkpoint(str(path))
+        embedder.save_checkpoint(str(path), config, params, small_vocab())
+        config2, params2, vocab2 = embedder.load_checkpoint(str(path))
         assert config2 == config
+        assert vocab2 == small_vocab()
         for name in params.groups():
             np.testing.assert_allclose(params2.groups()[name],
                                        params.groups()[name], atol=1e-7)
 
     def test_magic_bytes(self, tmp_path):
         path = tmp_path / "model.untg"
-        embedder.save_checkpoint(str(path), small_config(), init_params(small_config()))
+        embedder.save_checkpoint(str(path), small_config(), init_params(small_config()),
+                                 small_vocab())
         assert path.read_bytes()[:4] == b"UNTG"
 
     @pytest.mark.parametrize("mutate,match", [
         (lambda b: b"WRNG" + b[4:], "bad magic"),
+        (lambda b: b[:4] + struct.pack("<I", 1) + b[8:], "unsupported checkpoint version 1"),
         (lambda b: b[:10], "truncated"),
-        (lambda b: b[:-3], "truncated"),
-        (lambda b: b + b"\x00", "trailing"),
+        (lambda b: b[:HEADER + 5], "truncated"),
+        (lambda b: b + b"\x00", "expected token, index and count"),  # after the vocabulary
+        (lambda b: b[:vocab_start(b)] + vocab_block(11), "11 tokens"),
         (lambda b: b[:12] + struct.pack("<i", -5) + b[16:], "embed_dim must be >= 1"),
         (lambda b: b[:8] + struct.pack("<i", 2**31 - 1) + b[12:], "truncated"),
-        (lambda b: b[:-4] + struct.pack("<f", float("nan")), "non-finite"),
-        (lambda b: b[:struct.calcsize("<4sI7iqdi")] + struct.pack("<f", float("inf"))
-         + b[struct.calcsize("<4sI7iqdi") + 4:], "non-finite"),
+        (lambda b: b[:vocab_start(b) - 4] + struct.pack("<f", float("nan")) + b[vocab_start(b):],
+         "non-finite"),
+        (lambda b: b[:HEADER] + struct.pack("<f", float("inf")) + b[HEADER + 4:], "non-finite"),
+        (lambda b: b[:HEADER] + b"\x01\x00\x80\x7f" + b[HEADER + 4:], "non-finite"),  # sNaN
     ])
     def test_corrupt_files_rejected(self, tmp_path, mutate, match):
         path = tmp_path / "model.untg"
-        embedder.save_checkpoint(str(path), small_config(), init_params(small_config()))
+        embedder.save_checkpoint(str(path), small_config(), init_params(small_config()),
+                                 small_vocab())
         path.write_bytes(mutate(path.read_bytes()))
         with pytest.raises(ValueError, match=match):
             embedder.load_checkpoint(str(path))

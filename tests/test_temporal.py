@@ -9,7 +9,7 @@ from untangler.temporal import (HawkesModel, Range, detect_ranges, fit,
                                 median_gap, sample_intensity, simulate, smooth)
 
 from conftest import make_thread
-from oracles import reference_smooth
+from oracles import reference_ranges, reference_smooth
 
 
 def naive_intensity(model, events, t):
@@ -323,3 +323,24 @@ class TestDetectRanges:
     def test_quantile_validation(self):
         with pytest.raises(ValueError):
             detect_ranges(make_thread([1.0, 2.0]), HawkesModel(1, 0, 1), quantile=1.0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_cuts_match_the_loop(self, monkeypatch, seed):
+        # integer times tie, and smooth pools ties into plateaus; on odd
+        # seeds the smoothed values become small integers, with plateaus anywhere
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        times = np.sort(rng.integers(0, n, size=n)).astype(float)
+        seen = []
+
+        def spy(series, tau):
+            out = smooth(series, tau)
+            if seed % 2:
+                out.smoothed = rng.integers(0, 4, size=n).astype(float)
+            seen.append(out.smoothed)
+            return out
+
+        monkeypatch.setattr(temporal, "smooth", spy)
+        quantile = float(rng.uniform(0.05, 0.95))
+        ranges = detect_ranges(make_thread(times), HawkesModel(0.5, 0.3, 0.6), quantile=quantile)
+        assert [(r.lo, r.hi) for r in ranges] == reference_ranges(seen[0], quantile)
