@@ -72,6 +72,19 @@ def _out_path(args: argparse.Namespace, name: str, given: str | None = None) -> 
     return path
 
 
+def _check_writable(path: Path) -> None:
+    """A UserError naming `path` unless it opens for writing.  The probe
+    appends nothing, so an existing file is kept, and a new one is removed."""
+    existed = path.is_symlink() or path.exists()
+    try:
+        with open(path, "ab"):
+            pass
+    except OSError as exc:
+        raise UserError(f"{path}: {exc.strerror}") from exc
+    if not existed:
+        path.unlink()
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """Rows of ints and Python floats; a float is written as its repr."""
     with open(path, "w", newline="", encoding="utf-8") as fp:
@@ -127,6 +140,8 @@ def cmd_train(args) -> int:
     csv_path = _out_path(args, "loss.csv", args.loss_csv)
     if ckpt.resolve() == csv_path.resolve():
         raise UserError(f"{ckpt} and {csv_path} must be two different files")
+    for path in (ckpt, csv_path):  # before training, which can take minutes
+        _check_writable(path)
     vocab = corpus.build_vocab([thread], min_count=args.min_count)
     windows = corpus.build_windows(thread, args.paradigm, args.k)
     config = embedder.EncoderConfig(

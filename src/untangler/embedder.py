@@ -444,7 +444,13 @@ def load_checkpoint(path: str) -> tuple[EncoderConfig, EncoderParams, Vocab]:
             if not np.isfinite(block).all():
                 raise ValueError("non-finite value in checkpoint parameter block")
             arrays.append(block.astype(np.float64).reshape(shape))
-        vocab = corpus.load_vocab(io.StringIO(fp.read().decode("utf-8")))
+        offset = fp.tell()
+        try:
+            text = fp.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"vocabulary block is not UTF-8 ({exc.reason} "
+                             f"at byte {offset + exc.start})") from exc
+        vocab = corpus.load_vocab(io.StringIO(text))
     if len(vocab) != v:
         raise ValueError(f"vocabulary block has {len(vocab)} tokens, "
                          f"but the header says vocab_size={v}")

@@ -242,7 +242,7 @@ class Conversation:
 
 def extract_conversations(graph: ReplyGraph) -> list[Conversation]:
     """One conversation per tree of the forest, ordered by root index."""
-    if graph.child.size != np.unique(graph.child).size:
+    if np.any(np.bincount(graph.child, minlength=graph.n) > 1):
         raise ValueError("graph is not a forest: a node has in-degree > 1")
     parent_of = {int(v): int(u) for u, v in zip(graph.parent, graph.child)}
     root_of = np.arange(graph.n, dtype=np.int64)

@@ -4,8 +4,9 @@ The conversation rate is modeled with the exponential-kernel intensity
 
     lambda(t) = mu + sum_{t_j < t} alpha * exp(-beta * (t - t_j))
 
-Fitting is projected gradient ascent on the log-likelihood, whose exact
-gradient and the sampled intensity come from one O(n) recursion.  The
+Fitting is projected gradient ascent on the log-likelihood.  The
+likelihood and the sampled intensity come from one O(n) recursion, and
+the exact gradient from a second one over the first one's output.  The
 intensity is smoothed with a two-sided Laplace kernel and low local minima
 mark conversation schisms, yielding the ranges the graph stage consumes.
 """
@@ -65,34 +66,51 @@ def intensity(model: HawkesModel, events: np.ndarray, t: float) -> float:
     return float(model.mu + model.alpha * np.exp(-model.beta * (t - past)).sum())
 
 
-def _excitation(events: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """s[i] = sum_{j<i} exp(-beta * (t_i - t_j)) and r[i] = -ds[i]/dbeta in
-    one pass over the gaps g, with e = exp(-beta * g): s[i] = e * (s[i-1] + 1)
-    and r[i] = e * (r[i-1] + g * (s[i-1] + 1)).  Equal times count (g = 0)."""
-    gaps = np.diff(events)
-    s = [0.0] * events.size
-    r = [0.0] * events.size
-    for i, (g, e) in enumerate(zip(gaps.tolist(), np.exp(-beta * gaps).tolist()), start=1):
-        s[i] = e * (s[i - 1] + 1.0)
-        r[i] = e * (r[i - 1] + g * (s[i - 1] + 1.0))
-    return np.array(s), np.array(r)
+def _excitation(decay: np.ndarray, n: int) -> np.ndarray:
+    """s[i] = sum_{j<i} exp(-beta * (t_i - t_j)) for n events, given the
+    decay factors e = exp(-beta * g) over their n - 1 gaps g: s[0] = 0 and
+    s[i] = e * (s[i-1] + 1).  Equal times count (g = 0, e = 1)."""
+    prev = 0.0
+    s = [0.0, *[prev := e * (prev + 1.0) for e in decay.tolist()]]
+    return np.array(s[:n])
 
 
-def _log_likelihood_and_gradient(events: np.ndarray, horizon: float, mu: float,
-                                 alpha: float, beta: float) -> tuple[float, np.ndarray]:
-    """Log-likelihood on [0, horizon] and its exact gradient in (mu, alpha,
-    beta); (-inf, nan) if any event intensity is non-positive."""
-    s, r = _excitation(events, beta)
+def _excitation_slope(gaps: np.ndarray, decay: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """r[i] = -ds[i]/dbeta for _excitation's s: r[0] = 0 and
+    r[i] = e * (r[i-1] + g * (s[i-1] + 1))."""
+    prev = 0.0
+    r = [0.0, *[prev := e * (prev + drive)
+                for e, drive in zip(decay.tolist(), (gaps * (s[:-1] + 1.0)).tolist())]]
+    return np.array(r[:s.size])
+
+
+def _log_likelihood(gaps: np.ndarray, tail: np.ndarray, horizon: float, mu: float,
+                    alpha: float, beta: float) -> tuple[float, Optional[tuple]]:
+    """Log-likelihood on [0, horizon] of the events with these gaps
+    (np.diff(events)) and tails (horizon - events), and the state that
+    _gradient reads; (-inf, None) if any event intensity is non-positive."""
+    decay = np.exp(-beta * gaps)
+    s = _excitation(decay, tail.size)
     lam = mu + alpha * s
     if np.any(lam <= 0):
-        return -np.inf, np.full(3, np.nan)
-    tail = horizon - events
+        return -np.inf, None
     spent = -np.expm1(-beta * tail).sum()  # sum of 1 - exp(-beta * tail), accurate for small beta
+    value = float(np.log(lam).sum() - mu * horizon - (alpha / beta) * spent)
+    return value, (s, decay, lam, spent)
+
+
+def _gradient(gaps: np.ndarray, tail: np.ndarray, horizon: float, alpha: float,
+              beta: float, state: Optional[tuple]) -> np.ndarray:
+    """Exact gradient in (mu, alpha, beta) from the state _log_likelihood
+    returned at the same point; nan where it returned -inf."""
+    if state is None:
+        return np.full(3, np.nan)
+    s, decay, lam, spent = state
+    r = _excitation_slope(gaps, decay, s)
     inv = 1.0 / lam
-    grad = np.array([inv.sum() - horizon, (s * inv).sum() - spent / beta,
+    return np.array([inv.sum() - horizon, (s * inv).sum() - spent / beta,
                      alpha * (spent / beta / beta - (r * inv).sum()
                               - (tail * np.exp(-beta * tail)).sum() / beta)])
-    return float(np.log(lam).sum() - mu * horizon - (alpha / beta) * spent), grad
 
 
 def log_likelihood(model: HawkesModel, events: np.ndarray, horizon: float) -> float:
@@ -102,7 +120,8 @@ def log_likelihood(model: HawkesModel, events: np.ndarray, horizon: float) -> fl
     """
     model.validate()
     events = _check_sorted(events, horizon)
-    return _log_likelihood_and_gradient(events, horizon, model.mu, model.alpha, model.beta)[0]
+    return _log_likelihood(np.diff(events), horizon - events, horizon,
+                           model.mu, model.alpha, model.beta)[0]
 
 
 def simulate(model: HawkesModel, horizon: float, rng: np.random.Generator,
@@ -139,7 +158,9 @@ def fit(events: np.ndarray, horizon: float, init: HawkesModel,
 
     Parameters are clamped at 1e-8 and projected to alpha < beta
     (stationarity).  Backtracking on the step length guarantees the
-    returned likelihood is never below the initial one.  Deterministic.
+    returned likelihood is never below the initial one; each candidate
+    costs one likelihood value, and the gradient is taken only at the
+    start and at each accepted step.  Deterministic.
     """
     events = _check_sorted(events, horizon)
     if events.size < 2:
@@ -153,7 +174,9 @@ def fit(events: np.ndarray, horizon: float, init: HawkesModel,
         return p
 
     p = project(np.array([init.mu, init.alpha, init.beta]))
-    cur, g = _log_likelihood_and_gradient(events, horizon, *p)
+    gaps, tail = np.diff(events), horizon - events
+    cur, state = _log_likelihood(gaps, tail, horizon, *p)
+    g = _gradient(gaps, tail, horizon, p[1], p[2], state)
     delta = step_size
     for _ in range(steps):
         if delta <= 0:
@@ -167,9 +190,10 @@ def fit(events: np.ndarray, horizon: float, init: HawkesModel,
         improved = False
         while delta > 1e-12:
             cand = project(p + delta * direction)
-            val, cand_g = _log_likelihood_and_gradient(events, horizon, *cand)
+            val, state = _log_likelihood(gaps, tail, horizon, *cand)
             if val > cur:
-                p, cur, g = cand, val, cand_g
+                p, cur = cand, val
+                g = _gradient(gaps, tail, horizon, p[1], p[2], state)
                 improved = True
                 break
             delta *= 0.5
@@ -227,8 +251,8 @@ def sample_intensity(model: HawkesModel, events: np.ndarray,
     seen = k >= 0
     k = k[seen]
     raw = np.full(grid.shape, float(model.mu))
-    raw[seen] += model.alpha * np.exp(-model.beta * (grid[seen] - events[k])) * (
-        _excitation(events, model.beta)[0][k] + 1.0)
+    s = _excitation(np.exp(-model.beta * np.diff(events)), events.size)
+    raw[seen] += model.alpha * np.exp(-model.beta * (grid[seen] - events[k])) * (s[k] + 1.0)
     return IntensitySeries(grid=grid, raw=raw, smoothed=raw.copy())
 
 
@@ -279,10 +303,27 @@ def smooth(series: IntensitySeries, tau: float) -> IntensitySeries:
 
 
 def median_gap(times: np.ndarray) -> float:
-    """Median positive inter-post gap; 1.0 when no positive gap exists."""
+    """Median positive inter-post gap; 1.0 when no positive gap exists.
+    Equal to np.median, which imports numpy.ma on its first call."""
     gaps = np.diff(np.asarray(times, dtype=np.float64))
-    gaps = gaps[gaps > 0]
-    return float(np.median(gaps)) if gaps.size else 1.0
+    gaps = np.sort(gaps[gaps > 0])
+    if not gaps.size:
+        return 1.0
+    mid = gaps.size // 2
+    return float(gaps[mid] if gaps.size % 2 else (gaps[mid - 1] + gaps[mid]) / 2)
+
+
+def _quantile(values: np.ndarray, q: float) -> float:
+    """np.quantile(values, q) with its default linear method, bit for bit,
+    without the numpy.ma import that np.quantile makes on its first call."""
+    v = np.sort(values)
+    pos = (v.size - 1) * q
+    lo = int(pos)
+    if lo >= v.size - 1:
+        return float(v[-1])
+    a, b, t = v[lo], v[lo + 1], pos - lo
+    d = b - a
+    return float(b - d * (1 - t) if t >= 0.5 else a + d * t)
 
 
 def detect_ranges(thread, model: HawkesModel, tau: Optional[float] = None,
@@ -305,7 +346,7 @@ def detect_ranges(thread, model: HawkesModel, tau: Optional[float] = None,
         tau = median_gap(times)
     series = smooth(sample_intensity(model, times, times), tau)
     v = series.smoothed
-    threshold = float(np.quantile(v, quantile))
+    threshold = _quantile(v, quantile)
     cut = (v[1:] < threshold) & (v[1:] < v[:-1]) & np.r_[v[1:-1] <= v[2:], True]
     cuts = [0, *(np.flatnonzero(cut) + 1).tolist(), n]
     return [Range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]

@@ -1,8 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 These are deliberately naive, literal transcriptions of the two pruning
-stages, of the Laplace smoothing, of the schism cut rule and of the LSTM
-post encoder and its gradients, written against plain dict/list
+stages, of the Hawkes excitation recursion, of the Laplace smoothing, of
+the schism cut rule and of the LSTM post encoder and its gradients, written against plain dict/list
 structures and dense arrays with no shared code paths into the package.
 The production implementations in ``untangler.graph``,
 ``untangler.temporal`` and ``untangler.embedder`` are vectorized,
@@ -74,6 +74,19 @@ def reference_thin(n: int, edges: dict[tuple[int, int], float]) -> dict[tuple[in
         for u in range(n)
         for v in children[u]
     }
+
+
+def reference_excitation(events: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """s[i] = sum_{j<i} exp(-beta * (t_i - t_j)) and r[i] = -ds[i]/dbeta in
+    one indexed loop over the gaps g, with e = exp(-beta * g):
+    s[i] = e * (s[i-1] + 1) and r[i] = e * (r[i-1] + g * (s[i-1] + 1))."""
+    gaps = np.diff(events)
+    s = [0.0] * events.size
+    r = [0.0] * events.size
+    for i, (g, e) in enumerate(zip(gaps.tolist(), np.exp(-beta * gaps).tolist()), start=1):
+        s[i] = e * (s[i - 1] + 1.0)
+        r[i] = e * (r[i - 1] + g * (s[i - 1] + 1.0))
+    return np.array(s), np.array(r)
 
 
 def reference_smooth(grid: np.ndarray, raw: np.ndarray, tau: float) -> np.ndarray:

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from untangler import cli, harness, ingest
+from untangler import cli, embedder, harness, ingest
 
 from conftest import write_jsonl
 
@@ -196,6 +196,30 @@ class TestDisentangle:
         assert run("disentangle", "--input", thread_file, "--checkpoint", ckpt) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: ") and message in err
+
+    def test_non_utf8_vocab_reports_its_file_offset(self, tiny_model, tmp_path, capsys):
+        data = (tiny_model / "model.untg").read_bytes()
+        at = data.rindex(b"#vocab\t") + 40  # after the header and the parameter blocks
+        ckpt = tmp_path / "bad.untg"
+        ckpt.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        assert run("disentangle", "--input", tiny_model / "thread.jsonl",
+                   "--checkpoint", ckpt) == 2
+        assert capsys.readouterr().err == (f"error: {ckpt}: vocabulary block is not UTF-8 "
+                                           f"(invalid start byte at byte {at})\n")
+
+    def test_does_not_import_numpy_ma(self, tiny_model, tmp_path):
+        # numpy.ma takes ~15 ms to import, and np.median, np.quantile and
+        # np.unique import it on first use
+        argv = ["--out-dir", str(tmp_path), "disentangle", *map(str, command_argv(
+            "disentangle", tiny_model))]
+        code = ("import sys\nfrom untangler import cli\n"
+                f"assert cli.main({argv!r}) == 0\n"
+                "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["n_posts"] == 12
 
     def test_subnormal_gaps_exit_2(self, thread_file, tmp_path, capsys):
         assert run(*train_args(thread_file, tmp_path)) == 0
@@ -652,6 +676,19 @@ class TestPaths:
         assert run(*argv) == 0
         assert last_json(capsys)[flag[2:].replace("-", "_")] == str(csv_path)
         assert csv_path.read_text().count("\n") > 1
+
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--loss-csv"])
+    def test_unwritable_train_output_exits_2_before_training(self, tiny_model, tmp_path,
+                                                             monkeypatch, capsys, flag):
+        trained = []
+        monkeypatch.setattr(embedder, "train", lambda *args: trained.append(args))
+        out = tmp_path / "out"
+        (out / "D").mkdir(parents=True)
+        assert run("--out-dir", out, "train", *command_argv("train", tiny_model),
+                   *TRAIN_SMALL, flag, out / "D") == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out / 'D'}: Is a directory\n" and captured.out == ""
+        assert trained == [] and [p.name for p in out.iterdir()] == ["D"]
 
     @pytest.mark.parametrize("flags", [
         ["--checkpoint", "{out}/loss.csv"],

@@ -9,7 +9,15 @@ from untangler.temporal import (HawkesModel, Range, detect_ranges, fit,
                                 median_gap, sample_intensity, simulate, smooth)
 
 from conftest import make_thread
-from oracles import reference_ranges, reference_smooth
+from oracles import reference_excitation, reference_ranges, reference_smooth
+
+
+def value_and_gradient(events, horizon, mu, alpha, beta):
+    """The log-likelihood and its gradient, as fit takes them: the value
+    first, then the gradient from the state the value left."""
+    gaps, tail = np.diff(events), horizon - events
+    value, state = temporal._log_likelihood(gaps, tail, horizon, mu, alpha, beta)
+    return value, temporal._gradient(gaps, tail, horizon, alpha, beta, state)
 
 
 def naive_intensity(model, events, t):
@@ -87,7 +95,7 @@ class TestLogLikelihood:
         # (~eps * M / h) and truncation error (~h**2 * M) are both below
         # 1e-10 * M, where M = 1 + n + mu * T + |L| bounds the terms of L;
         # the gate is 1e-8 * M.
-        grad = temporal._log_likelihood_and_gradient
+        grad = value_and_gradient
         rng = np.random.default_rng(41)
         h = 1e-5
         for case in range(240):
@@ -117,6 +125,35 @@ class TestLogLikelihood:
                               - grad(events, horizon, *dn)[0]) / (2 * h)
             scale = 1 + n + p[0] * horizon + abs(value)
             np.testing.assert_allclose(p * g, central, rtol=0, atol=1e-8 * scale)
+
+
+class TestExcitation:
+    @pytest.mark.parametrize("beta", [1e-4, 0.01, 1.13, 114.0])
+    def test_matches_the_indexed_loop_exactly(self, beta):
+        rng = np.random.default_rng(43)
+        cases = [np.array([]), np.array([3.0]), np.array([1.0, 2.5]), np.array([2.0, 2.0]),
+                 np.array([0.0, 10.0, 10.0, 10.0, 20.0]),
+                 np.array([0.0, 1.0, 50.0, 50.5, 900.0])]  # exp(-114 * 49) underflows to 0
+        for _ in range(40):
+            events = np.cumsum(rng.exponential(rng.choice([0.01, 1.0, 100.0]),
+                                               size=rng.integers(2, 200)))
+            if rng.random() < 0.5:  # equal times
+                events[rng.integers(1, events.size, size=5)] = 0.0
+                events = np.maximum.accumulate(events)
+            cases.append(events)
+        for events in cases:
+            gaps = np.diff(events)
+            decay = np.exp(-beta * gaps)
+            s = temporal._excitation(decay, events.size)
+            r = temporal._excitation_slope(gaps, decay, s)
+            ref_s, ref_r = reference_excitation(events, beta)
+            assert s.tolist() == ref_s.tolist()
+            assert r.tolist() == ref_r.tolist()
+
+    def test_non_positive_intensity_gives_minus_inf_and_nan_gradient(self):
+        events = np.array([1.0, 2.0])
+        value, g = value_and_gradient(events, 5.0, 0.0, 1.0, 1.0)
+        assert value == -np.inf and np.isnan(g).all()
 
 
 class TestSimulate:
@@ -187,6 +224,40 @@ class TestFit:
                      HawkesModel(0.5 * rate, 0.5 / gap, 1.0 / gap), steps=100)
         assert log_likelihood(multi, events, horizon) >= \
             log_likelihood(single, events, horizon) - 1e-9
+
+    def test_gradient_only_at_the_start_and_each_accepted_step(self, monkeypatch):
+        # the line search takes values only; fit accepts the first
+        # candidate above the current value, so replaying the values finds
+        # every accepted step and the state the gradient must be taken at
+        values, states = [], []
+        value_fn, gradient_fn = temporal._log_likelihood, temporal._gradient
+
+        def value_spy(*args):
+            values.append(value_fn(*args))
+            return values[-1]
+
+        def gradient_spy(gaps, tail, horizon, alpha, beta, state):
+            states.append(state)
+            return gradient_fn(gaps, tail, horizon, alpha, beta, state)
+
+        monkeypatch.setattr(temporal, "_log_likelihood", value_spy)
+        monkeypatch.setattr(temporal, "_gradient", gradient_spy)
+        rng = np.random.default_rng(14)
+        events = simulate(HawkesModel(0.2, 0.5, 1.0), 400.0, rng)
+        rate, gap = events.size / 400.0, median_gap(events)
+        for scale in temporal._FIT_SCALES:
+            values.clear()
+            states.clear()
+            beta0 = scale / gap
+            fit(events, 400.0, HawkesModel(0.5 * rate, 0.5 * beta0, beta0), steps=200)
+            cur, accepted = values[0][0], []
+            for value, state in values[1:]:
+                if value > cur:
+                    cur = value
+                    accepted.append(state)
+            assert len(states) == len(accepted) + 1
+            assert all(a is b for a, b in zip(states, [values[0][1], *accepted]))
+            assert len(values) > len(states) > 1
 
     def test_multistart_validates_horizon(self):
         with pytest.raises(ValueError):
@@ -295,6 +366,31 @@ class TestMedianGap:
     def test_fallback_when_no_positive_gap(self):
         assert median_gap(np.array([5.0, 5.0])) == 1.0
         assert median_gap(np.array([5.0])) == 1.0
+
+    def test_equals_np_median(self):
+        rng = np.random.default_rng(33)
+        for n in range(2, 200):
+            times = np.cumsum(rng.exponential(3.0, size=n) * (rng.random(n) < 0.8))
+            if n % 3 == 0:  # equal gaps
+                times = np.cumsum(rng.choice([0.0, 0.5, 1.0, rng.exponential(3.0)], size=n))
+            gaps = np.diff(times)
+            expected = float(np.median(gaps[gaps > 0])) if (gaps > 0).any() else 1.0
+            assert median_gap(times) == expected
+
+
+class TestQuantile:
+    def test_equals_np_quantile(self):
+        # np.quantile's linear method takes b - (b - a) * (1 - t) for t >= 0.5
+        # and a + (b - a) * t below; near q = 0 and 1, t sits at either end
+        rng = np.random.default_rng(34)
+        qs = [1e-12, 1e-6, 0.1, 0.25, 0.5, 0.75, 0.9, 1 - 1e-6, 1 - 1e-12, 1 - 2 ** -53]
+        for n in [1, 2, *rng.integers(1, 80, size=300).tolist()]:
+            if rng.random() < 0.5:  # ties
+                values = rng.integers(0, 4, size=n).astype(float)
+            else:
+                values = rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5)
+            for q in [*qs, float(rng.uniform(0, 1))]:
+                assert temporal._quantile(values, q) == float(np.quantile(values, q))
 
 
 class TestDetectRanges:
