@@ -35,6 +35,10 @@ from .ingest import Thread
 CHECKPOINT_MAGIC = b"UNTG"
 CHECKPOINT_VERSION = 2
 
+# posts per packed batch of embed_thread: its gate buffer, states and
+# token arrays are sized by this, not by the thread
+_EMBED_ROWS = 1024
+
 
 @dataclass
 class EncoderConfig:
@@ -378,14 +382,16 @@ def train(threads: list[Thread], vocab: Vocab, windows: list[list[ContextWindow]
 
 def embed_thread(params: EncoderParams, thread: Thread, vocab: Vocab,
                  max_len: int = 64) -> np.ndarray:
-    """n x d matrix of post encodings, all posts run as one packed batch;
-    empty posts get all-zero rows and are excluded from graph edges
-    downstream."""
-    seqs = [encode_text(vocab, p.text, max_len) for p in thread.posts]
-    rows = [i for i, s in enumerate(seqs) if s]
-    enc = _forward(params, [seqs[i] for i in rows])  # before out: a lower peak
-    out = np.zeros((len(seqs), enc.shape[1]))
-    out[rows] = enc
+    """n x d matrix of post encodings; empty posts get all-zero rows and
+    are excluded from graph edges downstream.  Posts are tokenized and
+    encoded in packed batches of _EMBED_ROWS consecutive posts, so only
+    the output grows with the thread."""
+    posts = thread.posts
+    out = np.zeros((len(posts), params.proj.shape[1]))
+    for lo in range(0, len(posts), _EMBED_ROWS):
+        seqs = [encode_text(vocab, p.text, max_len) for p in posts[lo:lo + _EMBED_ROWS]]
+        rows = [i for i, s in enumerate(seqs) if s]
+        out[lo:lo + len(seqs)][rows] = _forward(params, [seqs[i] for i in rows])
     return out
 
 

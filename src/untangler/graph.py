@@ -131,7 +131,7 @@ class ReplyGraph:
     def roots(self) -> list[int]:
         has_parent = np.zeros(self.n, dtype=bool)
         has_parent[self.child] = True
-        return [i for i in range(self.n) if not has_parent[i]]
+        return np.flatnonzero(~has_parent).tolist()
 
 
 def orient(pruned: np.ndarray) -> ReplyGraph:
@@ -206,7 +206,9 @@ def reply_forest(embeddings: np.ndarray, ranges: list[Range]) -> ReplyGraph:
     total = unit.sum(axis=0)
     avg = (float(total @ total) - float(np.einsum("ij,ij->", unit, unit))) / (n * (n - 1))
     posts = np.flatnonzero(unit.any(axis=1))
-    unit, m = unit[posts], posts.size
+    m = posts.size
+    if m < n:  # set the empty posts aside; with none, no copy
+        unit = unit[posts]
     los = np.array([r.lo for r in ranges])
     # first[p]: the first post of p's range, both counted among non-empty posts
     first = np.searchsorted(posts, los[np.searchsorted(los, posts, side="right") - 1])
@@ -244,14 +246,13 @@ def extract_conversations(graph: ReplyGraph) -> list[Conversation]:
     """One conversation per tree of the forest, ordered by root index."""
     if np.any(np.bincount(graph.child, minlength=graph.n) > 1):
         raise ValueError("graph is not a forest: a node has in-degree > 1")
-    parent_of = {int(v): int(u) for u, v in zip(graph.parent, graph.child)}
-    root_of = np.arange(graph.n, dtype=np.int64)
-    for v in range(graph.n):  # parents precede children, one pass suffices
-        if v in parent_of:
-            root_of[v] = root_of[parent_of[v]]
+    parent_of = dict(zip(graph.child.tolist(), graph.parent.tolist()))
+    root_of = list(range(graph.n))
+    for v in sorted(parent_of):  # parents precede children, one pass suffices
+        root_of[v] = root_of[parent_of[v]]
     members_by_root: dict[int, list[int]] = {}
-    for i in range(graph.n):
-        members_by_root.setdefault(int(root_of[i]), []).append(i)
+    for i, root in enumerate(root_of):
+        members_by_root.setdefault(root, []).append(i)
     conversations = []
     for root in sorted(members_by_root):
         members = members_by_root[root]
@@ -261,22 +262,33 @@ def extract_conversations(graph: ReplyGraph) -> list[Conversation]:
 
 
 def export_graph(graph: ReplyGraph, fmt: str) -> bytes:
-    """Serialize to Graphviz DOT or a JSON edge list."""
-    edges = sorted(graph.edge_dict().items())
+    """Serialize to Graphviz DOT or a JSON edge list.
+
+    Edges are ordered by (parent, child); of two edges with the same
+    endpoints the later one wins, as in ``edge_dict``.  The JSON text is
+    that of ``json.dumps(payload, sort_keys=True)``, formatted straight
+    from the arrays without one object per edge.  Raises ValueError on
+    a non-finite weight, which JSON cannot carry.
+    """
+    if fmt not in ("dot", "json"):
+        raise ValueError(f"unknown export format {fmt!r}")
+    if not np.isfinite(graph.weight).all():
+        raise ValueError("edge weights must be finite")
+    order = np.lexsort((graph.child, graph.parent))  # stable: equal pairs keep their order
+    parent, child = graph.parent[order], graph.child[order]
+    last = np.ones(order.size, dtype=bool)  # the last edge of each run of equal pairs
+    last[:-1] = (parent[1:] != parent[:-1]) | (child[1:] != child[:-1])
+    order = order[last]
+    u, v, w = (a[order].tolist() for a in (graph.parent, graph.child, graph.weight))
     if fmt == "dot":
         lines = ["digraph replies {"]
         lines += [f"  {i};" for i in range(graph.n)]
-        lines += [f'  {u} -> {v} [label="{w:.4f}"];' for (u, v), w in edges]
+        lines += map('  {} -> {} [label="{:.4f}"];'.format, u, v, w)
         lines.append("}")
         return ("\n".join(lines) + "\n").encode("utf-8")
-    if fmt == "json":
-        payload = {
-            "n": graph.n,
-            "edges": [{"parent": u, "child": v, "w": w} for (u, v), w in edges],
-            "roots": graph.roots(),
-        }
-        return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-    raise ValueError(f"unknown export format {fmt!r}")
+    edges = ", ".join(map('{{"child": {}, "parent": {}, "w": {!r}}}'.format, v, u, w))
+    roots = ", ".join(map(str, graph.roots()))
+    return f'{{"edges": [{edges}], "n": {graph.n}, "roots": [{roots}]}}\n'.encode("utf-8")
 
 
 def _is_int(value) -> bool:

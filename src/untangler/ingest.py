@@ -24,7 +24,7 @@ class ChatLogError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Post:
     id: str
     timestamp: float

@@ -1,9 +1,11 @@
 """Independent reference implementations used as test oracles.
 
 These are deliberately naive, literal transcriptions of the two pruning
-stages, of the Hawkes excitation recursion, of the Laplace smoothing, of
-the schism cut rule and of the LSTM post encoder and its gradients, written against plain dict/list
-structures and dense arrays with no shared code paths into the package.
+stages, of conversation extraction and graph export, of the Hawkes
+excitation recursion, of the Laplace smoothing, of the schism cut rule
+and of the LSTM post encoder and its gradients, written against plain
+dict/list structures and dense arrays with no shared code paths into the
+package.
 The production implementations in ``untangler.graph``,
 ``untangler.temporal`` and ``untangler.embedder`` are vectorized,
 recursive or batched rewrites; every test that matters checks them
@@ -16,9 +18,12 @@ they define), which the encoder's own tests read its outputs through.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from untangler.embedder import _forward
+from untangler.graph import Conversation
 
 
 def reference_prune(embeddings_sim: np.ndarray, ranges: list[tuple[int, int]]) -> np.ndarray:
@@ -74,6 +79,46 @@ def reference_thin(n: int, edges: dict[tuple[int, int], float]) -> dict[tuple[in
         for u in range(n)
         for v in children[u]
     }
+
+
+def reference_conversations(graph) -> list[Conversation]:
+    """One conversation per tree, as the loop over posts: a child takes
+    its parent's root, children in ascending order, each index read back
+    from numpy scalars."""
+    parent_of = {int(v): int(u) for u, v in zip(graph.parent, graph.child)}
+    root_of = np.arange(graph.n, dtype=np.int64)
+    for v in range(graph.n):
+        if v in parent_of:
+            root_of[v] = root_of[parent_of[v]]
+    members_by_root: dict[int, list[int]] = {}
+    for i in range(graph.n):
+        members_by_root.setdefault(int(root_of[i]), []).append(i)
+    conversations = []
+    for root in sorted(members_by_root):
+        members = members_by_root[root]
+        parents = {c: parent_of[c] for c in members if c in parent_of}
+        conversations.append(Conversation(root=root, members=members, parents=parents))
+    return conversations
+
+
+def reference_export(graph, fmt: str) -> bytes:
+    """DOT or JSON text of a graph through a dict of edges (the last of
+    equal pairs wins), sorted, and ``json.dumps`` over one dict per edge."""
+    edges = sorted({(int(u), int(v)): float(w)
+                    for u, v, w in zip(graph.parent, graph.child, graph.weight)}.items())
+    if fmt == "dot":
+        lines = ["digraph replies {"]
+        lines += [f"  {i};" for i in range(graph.n)]
+        lines += [f'  {u} -> {v} [label="{w:.4f}"];' for (u, v), w in edges]
+        lines.append("}")
+        return ("\n".join(lines) + "\n").encode("utf-8")
+    has_parent = set(int(v) for v in graph.child)
+    payload = {
+        "n": graph.n,
+        "edges": [{"parent": u, "child": v, "w": w} for (u, v), w in edges],
+        "roots": [i for i in range(graph.n) if i not in has_parent],
+    }
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
 
 
 def reference_excitation(events: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:

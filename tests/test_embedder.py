@@ -191,6 +191,58 @@ class TestPackedBatch:
             np.testing.assert_allclose(emb[i], expected, rtol=1e-12, atol=1e-12)
         assert not emb[5].any()
 
+    def test_embed_thread_chunks_match_reference(self, monkeypatch):
+        # chunks of 3 posts: empty posts first (3) and last (8) in a
+        # chunk, a chunk of empty posts only (12-14), and a last chunk of
+        # one empty post (39)
+        monkeypatch.setattr(embedder, "_EMBED_ROWS", 3)
+        rng = np.random.default_rng(13)
+        words = "a b c d e f g h".split()
+        texts = [" ".join(rng.choice(words, size=rng.integers(1, 12))) for _ in range(40)]
+        empty = [3, 8, 12, 13, 14, 39]
+        for i in empty:
+            texts[i] = "..."  # no tokens
+        thread = make_thread(range(40), texts)
+        vocab = corpus.build_vocab([thread])
+        params = random_params(rng, vocab_size=len(vocab))
+        emb = embedder.embed_thread(params, thread, vocab, max_len=8)
+        for i, post in enumerate(thread.posts):
+            seq = corpus.encode_text(vocab, post.text, 8)
+            assert bool(seq) == (i not in empty)
+            expected = reference_encode(params, seq) if seq else np.zeros(4)
+            np.testing.assert_allclose(emb[i], expected, rtol=1e-12, atol=1e-12)
+        assert not emb[empty].any()
+
+    def test_embed_thread_memory_bound(self, monkeypatch):
+        # 8 chunks of 8-token posts at d = h = 64: the n x d output plus
+        # one chunk's working set, per row its gate buffer (4h), states
+        # (2h), encodings (2d) and about 8 arrays of its tokens, and per
+        # distinct token a row (4h) of the input table; the whole thread
+        # as one batch breaks the bound
+        rng = np.random.default_rng(17)
+        rows, d, tokens = embedder._EMBED_ROWS, 64, 8
+        n = 8 * rows
+        words = [f"w{i}" for i in range(300)]
+        thread = make_thread(range(n), [" ".join(rng.choice(words, size=tokens))
+                                        for _ in range(n)])
+        vocab = corpus.build_vocab([thread])
+        params = init_params(EncoderConfig(vocab_size=len(vocab), embed_dim=d, hidden_dim=d))
+        bound = (8 * n * d + 8 * rows * (6 * d + 2 * d + 8 * tokens)
+                 + 8 * len(vocab) * 4 * d + 2**20)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                embedder.embed_thread(params, thread, vocab, max_len=tokens)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        chunked = peak()
+        monkeypatch.setattr(embedder, "_EMBED_ROWS", n)
+        whole = peak()
+        assert chunked <= bound < whole, (chunked, bound, whole)
+
 
 class TestLoss:
     def test_similarity_bounds_and_symmetry(self):

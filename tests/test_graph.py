@@ -12,7 +12,8 @@ from untangler.graph import (Conversation, ReplyGraph, average_score,
                              similarity_matrix, thin)
 from untangler.temporal import Range
 
-from oracles import reference_prune, reference_thin
+from oracles import (reference_conversations, reference_export, reference_prune,
+                     reference_thin)
 
 
 def random_sim(rng, n):
@@ -324,6 +325,16 @@ class TestExtractConversations:
         with pytest.raises(ValueError, match="in-degree"):
             extract_conversations(g)
 
+    def test_matches_reference_on_random_forests(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n = int(rng.integers(0, 40))
+            child = np.flatnonzero(rng.random(n) < rng.random())
+            child = rng.permutation(child[child > 0])  # edges in no order
+            parent = rng.integers(0, 2 ** 31, size=child.size) % child
+            g = ReplyGraph(n=n, parent=parent, child=child, weight=rng.random(child.size))
+            assert extract_conversations(g) == reference_conversations(g)
+
 
 class TestExport:
     def test_json_round_trip(self):
@@ -363,3 +374,42 @@ class TestExport:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             export_graph(ReplyGraph(n=1), "yaml")
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_matches_reference_on_random_graphs(self, fmt):
+        # unsorted edge arrays, repeated (parent, child) pairs with
+        # different weights, and weights whose shortest repr is unusual
+        rng = np.random.default_rng(29)
+        special = np.array([-0.0, 5e-324, 1.0, -1.0, 0.1 + 0.2])
+        for _ in range(200):
+            n = int(rng.integers(2, 30))
+            child = rng.integers(1, n, size=int(rng.integers(0, 3 * n)))
+            parent = rng.integers(0, 2 ** 31, size=child.size) % child
+            weight = np.where(rng.random(child.size) < 0.3,
+                              rng.choice(special, size=child.size),
+                              rng.uniform(-1, 1, size=child.size))
+            g = ReplyGraph(n=n, parent=parent, child=child, weight=weight)
+            assert export_graph(g, fmt) == reference_export(g, fmt)
+
+    def test_last_of_equal_edges_wins(self):
+        g = ReplyGraph(n=4, parent=np.array([1, 0, 1, 0]), child=np.array([3, 2, 3, 2]),
+                       weight=np.array([0.25, 0.5, 0.75, -0.0]))
+        for fmt in ("json", "dot"):
+            assert export_graph(g, fmt) == reference_export(g, fmt)
+        assert json.loads(export_graph(g, "json"))["edges"] == [
+            {"parent": 0, "child": 2, "w": -0.0}, {"parent": 1, "child": 3, "w": 0.75}]
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_no_edges_matches_reference(self, fmt, n):
+        g = ReplyGraph(n=n)
+        assert export_graph(g, fmt) == reference_export(g, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, fmt, bad):
+        # json.dumps would write NaN or Infinity, which parse_graph_json rejects
+        g = ReplyGraph(n=3, parent=np.array([0, 1]), child=np.array([1, 2]),
+                       weight=np.array([0.5, bad]))
+        with pytest.raises(ValueError, match="finite"):
+            export_graph(g, fmt)
