@@ -239,6 +239,8 @@ def cmd_synth(args) -> int:
         thread, gold = harness.generate(config, seed=args.seed)
     except harness.StarvedProcessError as exc:
         raise UserError(f"cannot generate the thread: {exc}; raise --mu") from exc
+    except harness.RecencyOverflowError as exc:
+        raise UserError(f"cannot generate the thread: {exc}; lower --temperature") from exc
     thread_path = _out_path(args, "thread.jsonl")
     thread_path.write_text(ingest.serialize_thread(thread), encoding="utf-8")
     gold_path = _out_path(args, "gold.json")

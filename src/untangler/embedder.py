@@ -245,6 +245,15 @@ def _backward(params: EncoderParams, tape: list, d_out: np.ndarray,
     grads.emb[uniq] += d_x @ params.w_x.T
 
 
+def _row_sums(index: Sequence[int], rows: np.ndarray, n: int) -> np.ndarray:
+    """n x d sums of ``rows``, row i added into row index[i].  One
+    bincount over flat row * d + column indices adds each entry in row
+    order, as ``np.add.at`` does."""
+    d = rows.shape[1]
+    flat = (np.asarray(index)[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, rows.ravel(), minlength=n * d).reshape(n, d)
+
+
 def _minibatch_loss(params: EncoderParams, seqs: Sequence[Sequence[int]],
                     batch: Sequence[tuple[int, Sequence[Sequence[int]]]],
                     grads: EncoderParams) -> float:
@@ -268,8 +277,7 @@ def _minibatch_loss(params: EncoderParams, seqs: Sequence[Sequence[int]],
     tape: list = []
     enc = _forward(params, seqs, tape)
     left = enc[centre]
-    right = np.zeros_like(left)
-    np.add.at(right, ctx, enc[rows])
+    right = _row_sums(ctx, enc[rows], len(y))
     right /= size
     nl = np.linalg.norm(left, axis=1)
     nr = np.linalg.norm(right, axis=1)
@@ -277,9 +285,7 @@ def _minibatch_loss(params: EncoderParams, seqs: Sequence[Sequence[int]],
     coef = -y * _sigmoid(-y * z)  # d loss / d z
     d_left = (coef / (nl * nr))[:, None] * right - (coef * z / (nl * nl))[:, None] * left
     d_right = (coef / (nl * nr))[:, None] * left - (coef * z / (nr * nr))[:, None] * right
-    d_enc = np.zeros_like(enc)
-    np.add.at(d_enc, centre, d_left)
-    np.add.at(d_enc, rows, (d_right / size)[ctx])
+    d_enc = _row_sums(centre + rows, np.concatenate((d_left, (d_right / size)[ctx])), len(enc))
     _backward(params, tape, d_enc, grads)
     return float(np.logaddexp(0.0, -y * z).sum())
 
@@ -412,6 +418,7 @@ def save_checkpoint(path: str, config: EncoderConfig, params: EncoderParams,
                     vocab: Vocab) -> None:
     text = io.StringIO()
     corpus.save_vocab(vocab, text)
+    block = text.getvalue().encode("utf-8")  # before the file exists: a token may not encode
     with open(path, "wb") as fp:
         fp.write(_HEADER.pack(
             CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
@@ -420,7 +427,7 @@ def save_checkpoint(path: str, config: EncoderConfig, params: EncoderParams,
             config.batch_size, config.seed, config.learning_rate))
         for arr in (params.emb, params.w_x, params.w_h, params.b, params.proj):
             fp.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        fp.write(text.getvalue().encode("utf-8"))
+        fp.write(block)
 
 
 def load_checkpoint(path: str) -> tuple[EncoderConfig, EncoderParams, Vocab]:

@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .graph import _is_int, similarity_matrix
+from .graph import _TILE_ELEMENTS, _is_int, similarity_matrix
 from .ingest import Post, Thread
 from .temporal import HawkesModel, simulate
 
@@ -51,17 +51,22 @@ class SynthConfig:
             raise ValueError("posts_per_conversation must be >= 1")
 
 
+def _json_table(table: dict[int, int]) -> str:
+    """``json.dumps({str(k): v ...}, sort_keys=True)`` of an int -> int table."""
+    items = sorted(zip(map(str, table), table.values()))
+    return "{" + ", ".join(itertools.starmap('"{}": {}'.format, items)) + "}"
+
+
 @dataclass
 class GoldStandard:
     parents: dict[int, int]  # child index -> parent index (roots absent)
     labels: dict[int, int]   # post index -> conversation id
 
     def to_json(self) -> str:
-        payload = {
-            "parents": {str(c): p for c, p in sorted(self.parents.items())},
-            "labels": {str(i): l for i, l in sorted(self.labels.items())},
-        }
-        return json.dumps(payload, sort_keys=True) + "\n"
+        """The text of ``json.dumps({"parents": ..., "labels": ...},
+        sort_keys=True)`` over the tables with string keys, formatted
+        straight from them: keys sorted as strings at every level."""
+        return f'{{"labels": {_json_table(self.labels)}, "parents": {_json_table(self.parents)}}}\n'
 
     @classmethod
     def from_json(cls, data: str) -> "GoldStandard":
@@ -110,6 +115,11 @@ class StarvedProcessError(ValueError):
     """A Hawkes baseline too low to draw a conversation's posts."""
 
 
+class RecencyOverflowError(ValueError):
+    """A reply temperature so high that a post's gap to its nearest
+    earlier post, times the temperature, leaves the float range."""
+
+
 def _sample_times(model: HawkesModel, count: int, rng: np.random.Generator) -> np.ndarray:
     """First `count` events of the process, extending the horizon as needed."""
     horizon = max(10.0, 2.0 * count / max(model.mu, 1e-3))
@@ -122,25 +132,73 @@ def _sample_times(model: HawkesModel, count: int, rng: np.random.Generator) -> n
                               f"mu={model.mu:g} is too low")
 
 
+def _pick_parents(times: np.ndarray, u: np.ndarray, temperature: float) -> np.ndarray:
+    """Parent of each post j >= 1 of one conversation, in order.
+
+    Post j's parent is what ``rng.choice(j, p=w / w.sum())`` picks with
+    the double u[j - 1], for w = exp(logits - logits.max()) and logits
+    -(t_j - t_i) * temperature over the earlier posts i < j: the number
+    of entries of cdf / cdf[-1] that are <= u, cdf = cumsum(p).  Rows go
+    in blocks of at most _TILE_ELEMENTS entries, each step as ``choice``
+    takes it, so every pick is the same.  Only the sum of w is one call
+    per row, ``np.add.reduce`` of the row alone: numpy adds pairwise in
+    an order set by the row's length, and ``w.sum()`` starts from 0 on
+    numpy 2 where ``np.add.reduceat`` starts from the first entry.
+    Entries past a row's end weigh 0 and so keep cdf / cdf[-1] at 1 > u.
+    """
+    n = times.size
+    parents = np.empty(n - 1, dtype=np.int64)
+    rows = max(1, _TILE_ELEMENTS // n)
+    for a in range(1, n, rows):
+        b = min(n, a + rows)
+        width = b - 1  # row j holds posts 0..j-1; the block's last row fills it
+        j = np.arange(a, b)
+        logits = times[a:b, None] - times[:width]
+        with np.errstate(over="ignore", invalid="ignore"):  # far posts weigh exp(-inf) = 0
+            logits *= -temperature
+        logits[np.arange(width) >= j[:, None]] = -np.inf
+        top = logits.max(axis=1)
+        if not np.isfinite(top).all():
+            r = int(np.flatnonzero(~np.isfinite(top))[0])
+            gap = times[a + r] - times[a + r - 1]
+            raise RecencyOverflowError(
+                f"the temperature {temperature:g} times a gap of {gap:g} s between posts "
+                "is not a finite number")
+        logits -= top[:, None]
+        w = np.exp(logits, out=logits)
+        w /= np.array([np.add.reduce(row[:k]) for row, k in zip(w, j.tolist())])[:, None]
+        cdf = np.cumsum(w, axis=1, out=w)
+        cdf /= cdf[:, -1:]
+        parents[a - 1:b - 1] = np.count_nonzero(cdf <= u[a - 1:b - 1, None], axis=1)
+    return parents
+
+
 def generate(config: SynthConfig, seed: int = 0) -> tuple[Thread, GoldStandard]:
-    """Deterministic synthetic thread plus its gold reply structure."""
+    """Deterministic synthetic thread plus its gold reply structure.
+
+    The draws are part of the output format.  Each conversation draws
+    its post count and times, then per post, in order: the double that
+    picks its parent (none for the first post), its length, and its
+    tokens, as ``rng.choice(pool, size=k)`` would.  The parents are then
+    picked from those doubles in bulk, by ``_pick_parents``.
+    """
     config.validate()
     rng = np.random.default_rng(seed)
+    lo, hi = config.posts_per_conversation
+    k_lo, k_hi = config.tokens_per_post
     records = []  # (time, conv, local_idx, local_parent, text)
     for conv, (pool, model) in enumerate(zip(config.topic_pools, config.hawkes)):
-        lo, hi = config.posts_per_conversation
         n_posts = int(rng.integers(lo, hi + 1))
         times = _sample_times(model, n_posts, rng) + conv * config.gap_seconds
+        u, texts = [], []
         for j in range(n_posts):
-            parent = None
-            if j > 0:
-                dt = times[j] - times[:j]
-                logits = -dt * config.temperature
-                w = np.exp(logits - logits.max())
-                parent = int(rng.choice(j, p=w / w.sum()))
-            k = int(rng.integers(config.tokens_per_post[0], config.tokens_per_post[1] + 1))
-            text = " ".join(rng.choice(pool, size=k, replace=True))
-            records.append((float(times[j]), conv, j, parent, text))
+            if j:
+                u.append(rng.random())
+            k = int(rng.integers(k_lo, k_hi + 1))
+            texts.append(" ".join(map(pool.__getitem__,
+                                      rng.integers(0, len(pool), size=k).tolist())))
+        picks = [None, *_pick_parents(times, np.array(u), config.temperature).tolist()]
+        records += zip(times.tolist(), itertools.repeat(conv), range(n_posts), picks, texts)
     records.sort(key=lambda r: (r[0], r[1], r[2]))
     final_index = {(conv, j): idx for idx, (_, conv, j, _, _) in enumerate(records)}
     posts = [

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from typing import IO, Iterable, Optional, Union
 
 
@@ -104,6 +105,12 @@ def _parse_line(raw: str, lineno: int) -> Optional[Post]:
     author = obj.get("author")
     if author is not None and not isinstance(author, str):
         raise ChatLogError("'author' must be a string when present", lineno)
+    for key, value in (("id", pid), ("text", text), ("author", author or "")):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate escape, such as "\ud800"
+            raise ChatLogError(f"{key!r} is not UTF-8 text (lone surrogate "
+                               f"{ascii(value[exc.start])} at character {exc.start})", lineno) from exc
     return Post(id=pid, timestamp=ts, text=text, author=author)
 
 
@@ -137,14 +144,25 @@ def parse_chat_log(
     return Thread(posts=posts, name=name)
 
 
+def _json_number(value) -> str:
+    """What ``json.dumps`` writes for a number: a finite float as its repr."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
 def serialize_thread(thread: Thread) -> str:
-    """Canonical JSONL serialization; parse(serialize(t)) == t."""
+    """Canonical JSONL serialization; parse(serialize(t)) == t.
+
+    Each line is the text of ``json.dumps(obj, sort_keys=True,
+    ensure_ascii=False)`` for the post's object, formatted straight from
+    its fields: strings through ``encode_basestring``, as ``json`` does.
+    """
     lines = []
     for p in thread.posts:
-        obj = {"id": p.id, "ts": p.timestamp, "text": p.text}
-        if p.author is not None:
-            obj["author"] = p.author
-        lines.append(json.dumps(obj, sort_keys=True, ensure_ascii=False))
+        author = "" if p.author is None else f'"author": {encode_basestring(p.author)}, '
+        lines.append(f'{{{author}"id": {encode_basestring(p.id)}, '
+                     f'"text": {encode_basestring(p.text)}, "ts": {_json_number(p.timestamp)}}}')
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -3,9 +3,9 @@
 These are deliberately naive, literal transcriptions of the two pruning
 stages, of conversation extraction and graph export, of the Hawkes
 excitation recursion, of the Laplace smoothing, of the schism cut rule
-and of the LSTM post encoder and its gradients, written against plain
-dict/list structures and dense arrays with no shared code paths into the
-package.
+and of the LSTM post encoder and its gradients, and of the synthetic-thread
+generator and its writers, written against plain dict/list structures
+and dense arrays with no shared code paths into the package.
 The production implementations in ``untangler.graph``,
 ``untangler.temporal`` and ``untangler.embedder`` are vectorized,
 recursive or batched rewrites; every test that matters checks them
@@ -24,6 +24,8 @@ import numpy as np
 
 from untangler.embedder import _forward
 from untangler.graph import Conversation
+from untangler.harness import GoldStandard, _sample_times
+from untangler.ingest import Post, Thread
 
 
 def reference_prune(embeddings_sim: np.ndarray, ranges: list[tuple[int, int]]) -> np.ndarray:
@@ -207,6 +209,63 @@ def reference_grads(params, seq, d_out) -> dict[str, np.ndarray]:
         dh = params.w_h @ da
         dc = dc * f
     return grads
+
+
+def reference_generate(config, seed: int = 0) -> tuple[Thread, GoldStandard]:
+    """``harness.generate`` as the per-post loop: each post draws its
+    parent with ``rng.choice(j, p=...)`` over the recency weights of the
+    earlier posts of its conversation, then its length, then its tokens
+    with ``rng.choice(pool, size=k)``."""
+    config.validate()
+    rng = np.random.default_rng(seed)
+    records = []  # (time, conv, local_idx, local_parent, text)
+    for conv, (pool, model) in enumerate(zip(config.topic_pools, config.hawkes)):
+        lo, hi = config.posts_per_conversation
+        n_posts = int(rng.integers(lo, hi + 1))
+        times = _sample_times(model, n_posts, rng) + conv * config.gap_seconds
+        for j in range(n_posts):
+            parent = None
+            if j > 0:
+                dt = times[j] - times[:j]
+                logits = -dt * config.temperature
+                w = np.exp(logits - logits.max())
+                parent = int(rng.choice(j, p=w / w.sum()))
+            k = int(rng.integers(config.tokens_per_post[0], config.tokens_per_post[1] + 1))
+            text = " ".join(rng.choice(pool, size=k, replace=True))
+            records.append((float(times[j]), conv, j, parent, text))
+    records.sort(key=lambda r: (r[0], r[1], r[2]))
+    final_index = {(conv, j): idx for idx, (_, conv, j, _, _) in enumerate(records)}
+    posts = [
+        Post(id=f"c{conv}p{j}", timestamp=t, text=text, author=f"user{conv}")
+        for t, conv, j, _, text in records
+    ]
+    parents = {
+        final_index[(conv, j)]: final_index[(conv, parent)]
+        for _, conv, j, parent, _ in records
+        if parent is not None
+    }
+    labels = {final_index[(conv, j)]: conv for _, conv, j, _, _ in records}
+    return Thread(posts=posts, name=f"synthetic-{seed}"), GoldStandard(parents, labels)
+
+
+def reference_thread_jsonl(thread) -> str:
+    """thread.jsonl as one ``json.dumps`` per post, keys sorted."""
+    lines = []
+    for p in thread.posts:
+        obj = {"id": p.id, "ts": p.timestamp, "text": p.text}
+        if p.author is not None:
+            obj["author"] = p.author
+        lines.append(json.dumps(obj, sort_keys=True, ensure_ascii=False))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def reference_gold_json(gold) -> str:
+    """gold.json as ``json.dumps`` over string-keyed tables, keys sorted."""
+    payload = {
+        "parents": {str(c): p for c, p in sorted(gold.parents.items())},
+        "labels": {str(i): l for i, l in sorted(gold.labels.items())},
+    }
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def encode_post(params, seq) -> np.ndarray:

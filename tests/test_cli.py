@@ -7,11 +7,13 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from untangler import cli, embedder, harness, ingest
 
 from conftest import write_jsonl
+from oracles import reference_generate, reference_gold_json, reference_thread_jsonl
 
 
 @pytest.fixture
@@ -130,6 +132,15 @@ class TestTrain:
         assert run(*train_args(thread_file, tmp_path, "--lr", "1e300")) == 2
         captured = capsys.readouterr()
         assert "mean loss is nan" in captured.err and captured.out == ""
+        assert not (tmp_path / "out" / "model.untg").exists()
+
+    def test_lone_surrogate_exits_2_before_training(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        log.write_text('{"id": "a", "ts": 1, "text": "hello \\ud800 world"}\n'
+                       '{"id": "b", "ts": 2, "text": "hello world"}\n', encoding="utf-8")
+        assert run("--out-dir", tmp_path / "out", "train", "--input", log) == 2
+        captured = capsys.readouterr()
+        assert "line 1: 'text' is not UTF-8 text" in captured.err and captured.out == ""
         assert not (tmp_path / "out" / "model.untg").exists()
 
     def test_emit_rejects_non_finite_numbers(self):
@@ -374,6 +385,29 @@ class TestSynthEval:
         assert run("eval", "--pred", tmp_path / "g.json",
                    "--gold", tmp_path / "gold.json") == 2
         assert message in capsys.readouterr().err
+
+    def test_overflowing_nearest_gap_exits_2(self, tmp_path, capsys):
+        # some post lies over 1.8 s after its nearest earlier post, and 1.8 * 1e308 overflows
+        assert run("--out-dir", tmp_path / "out", "synth", "--temperature", "1e308") == 2
+        captured = capsys.readouterr()
+        assert "--temperature" in captured.err and "Warning" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_far_posts_weigh_nothing(self, tmp_path, capsys):
+        # seed 0's nearest gaps are at most 5.8 s and its conversations span 32 s,
+        # so the nearest logits are finite and the farthest overflow to -inf
+        flags = ["--conversations", 2, "--posts-lo", 20, "--posts-hi", 20,
+                 "--temperature", "1.5e307"]
+        assert run("--seed", 0, "--out-dir", tmp_path, "synth", *flags) == 0
+        assert capsys.readouterr().err == ""
+        config = cli.default_synth_config(2, 20, 20, temperature=1.5e307)
+        with np.errstate(over="ignore"):
+            thread, gold = reference_generate(config, seed=0)
+        assert (tmp_path / "thread.jsonl").read_text(encoding="utf-8") == \
+            reference_thread_jsonl(thread)
+        assert (tmp_path / "gold.json").read_text(encoding="utf-8") == reference_gold_json(gold)
+        assert all(gold.parents[c] == c - 1 for c in gold.parents)
 
     def test_eval_mismatched_inputs_exit_2(self, tmp_path, capsys):
         (tmp_path / "g.json").write_text(json.dumps({"n": 2, "edges": [], "roots": [0, 1]}))

@@ -497,6 +497,15 @@ class TestCheckpoint:
             np.testing.assert_allclose(params2.groups()[name],
                                        params.groups()[name], atol=1e-7)
 
+    def test_unencodable_token_writes_no_file(self, tmp_path):
+        vocab = small_vocab()
+        vocab.index_to_token[2] = "\ud800"
+        vocab.counts["\ud800"] = 1
+        path = tmp_path / "model.untg"
+        with pytest.raises(UnicodeEncodeError):
+            embedder.save_checkpoint(str(path), small_config(), init_params(small_config()), vocab)
+        assert not path.exists()
+
     def test_magic_bytes(self, tmp_path):
         path = tmp_path / "model.untg"
         embedder.save_checkpoint(str(path), small_config(), init_params(small_config()),

@@ -1,12 +1,21 @@
 """Synthetic generation, evaluation metrics, clustering, projection."""
 
+import runpy
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from untangler import harness
+from untangler import cli, harness, ingest
 from untangler.harness import (GoldStandard, SynthConfig, agglomerative,
                                edge_prf, generate, partition_ari, project_3d)
 from untangler.temporal import HawkesModel
+
+from oracles import reference_generate, reference_gold_json, reference_thread_jsonl
+
+# the benchmark's workloads, read from its own file
+BENCH = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
 
 
 def small_config(**kw):
@@ -92,10 +101,125 @@ class TestGenerate:
         _, gold = generate(small_config(), seed=8)
         assert GoldStandard.from_json(gold.to_json()) == gold
 
+    def test_gold_json_is_json_dumps(self):
+        # keys sort as strings: "10" before "2"
+        gold = GoldStandard(parents={10: 2, 2: 0, 100: 10, 3: 1},
+                            labels={i: i % 3 for i in (0, 1, 2, 3, 10, 11, 100)})
+        assert gold.to_json() == reference_gold_json(gold)
+        assert GoldStandard({}, {}).to_json() == reference_gold_json(GoldStandard({}, {}))
+
     @pytest.mark.parametrize("data", ['{"labels": {"0": 0}}', '{"parents": {}}', "{}"])
     def test_gold_missing_table_raises_value_error(self, data):
         with pytest.raises(ValueError):
             GoldStandard.from_json(data)
+
+
+class FixedDraw(np.random.Generator):
+    """A generator whose random() returns the double in ``u``."""
+    u = 0.0
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.u
+
+
+def output_bytes(thread, gold) -> tuple[str, str]:
+    return ingest.serialize_thread(thread), gold.to_json()
+
+
+def reference_bytes(config, seed) -> tuple[str, str]:
+    thread, gold = reference_generate(config, seed)
+    return reference_thread_jsonl(thread), reference_gold_json(gold)
+
+
+class TestGenerateOracle:
+    """generate picks the parents in bulk; the per-post loop of
+    reference_generate and json.dumps define its output, byte for byte."""
+
+    @pytest.mark.parametrize("flags", [
+        {},  # the CLI's defaults
+        {"temperature": 0.0},
+        {"gap": 0.0},
+        {"posts_lo": 1, "posts_hi": 5},
+        {"n_conversations": 5, "posts_lo": 1, "posts_hi": 1},
+        {"pool_size": 1},
+        {"tokens_lo": 1, "tokens_hi": 1},
+        {"temperature": 1e-3, "gap": 5.0, "posts_lo": 100, "posts_hi": 150},
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bytes_match_reference(self, flags, seed):
+        config = cli.default_synth_config(**flags)
+        assert output_bytes(*generate(config, seed)) == reference_bytes(config, seed)
+
+    @pytest.mark.parametrize("tile", [1, 150, 1000, 4000])
+    def test_row_blocks_match_reference(self, tile, monkeypatch):
+        monkeypatch.setattr(harness, "_TILE_ELEMENTS", tile)  # 1 to 130 rows a block
+        config = cli.default_synth_config(n_conversations=2, posts_lo=30, posts_hi=90)
+        for seed in (3, 4):
+            assert output_bytes(*generate(config, seed)) == reference_bytes(config, seed)
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.05, 1.0, 30.0])
+    def test_picks_at_cdf_boundaries(self, temperature, monkeypatch):
+        """The double that ``rng.choice(j, p=...)`` turns into a parent,
+        set to a cdf entry and to its neighbours, gives choice's pick."""
+        monkeypatch.setattr(harness, "_TILE_ELEMENTS", 2000)  # several row blocks
+        rng = np.random.default_rng(5)
+        times = np.cumsum(rng.exponential(1.0, 150))
+        fixed = FixedDraw(np.random.PCG64(0))
+        picks = {"at": [], "below": [], "above": []}
+        doubles = {key: [] for key in picks}
+        for j in range(1, times.size):
+            logits = -(times[j] - times[:j]) * temperature
+            w = np.exp(logits - logits.max())
+            p = w / w.sum()
+            cdf = p.cumsum()
+            edge = (cdf / cdf[-1])[rng.integers(j)]
+            for key, u in (("at", edge), ("below", np.nextafter(edge, 0.0)),
+                           ("above", np.nextafter(edge, 1.0))):
+                fixed.u = min(u, np.nextafter(1.0, 0.0))
+                doubles[key].append(fixed.u)
+                picks[key].append(int(fixed.choice(j, p=p)))
+        for key in picks:
+            got = harness._pick_parents(times, np.array(doubles[key]), temperature)
+            assert got.tolist() == picks[key], key
+
+    def test_memory_is_linear_in_a_conversation(self):
+        # the lower triangle of one 5,000-post conversation's weights is 100 MB
+        config = small_config(topic_pools=[["a", "b"]], hawkes=[HawkesModel(0.5, 0.2, 1.0)],
+                              posts_per_conversation=(5000, 5000))
+        tracemalloc.start()
+        try:
+            generate(config, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * harness._TILE_ELEMENTS, peak
+
+    def test_overflowing_nearest_gap_raises(self):
+        with pytest.raises(harness.RecencyOverflowError, match="not a finite number"):
+            generate(small_config(temperature=1e308), seed=0)
+
+
+class TestBenchmarkThreads:
+    """The threads `untangler synth` draws for each benchmark workload,
+    at its instance seeds, are those of the per-post loop, so no change
+    can move the benchmark's inputs unnoticed."""
+
+    @pytest.mark.parametrize("seed", [1, 601])
+    @pytest.mark.parametrize("name", sorted(BENCH["WORKLOADS"]))
+    def test_synth_matches_reference(self, name, seed, tmp_path, capsys):
+        workload = BENCH["WORKLOADS"][name]
+        for i in range(workload.setups):
+            instance = BENCH["instance_seed"](seed, i)
+            argv = ["--seed", str(instance), "--out-dir", str(tmp_path), "synth",
+                    *workload.synth_flags]
+            assert cli.main(argv) == 0
+            args = cli.build_parser().parse_args(argv)
+            config = cli.default_synth_config(
+                args.conversations, args.posts_lo, args.posts_hi, args.gap, args.pool_size,
+                args.tokens_lo, args.tokens_hi, args.temperature, args.mu, args.alpha, args.beta)
+            written = tuple((tmp_path / file).read_text(encoding="utf-8")
+                            for file in ("thread.jsonl", "gold.json"))
+            assert written == reference_bytes(config, instance)
 
 
 class TestEdgePrf:

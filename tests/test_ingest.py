@@ -9,6 +9,7 @@ from untangler import ingest
 from untangler.ingest import ChatLogError, ParseOptions, Post, Thread
 
 from conftest import make_thread
+from oracles import reference_thread_jsonl
 
 
 def parse(lines, **opts):
@@ -62,6 +63,9 @@ class TestParse:
         (row("a", 10**400, "x"), "finite"),
         (json.dumps({"id": "a", "ts": 1, "text": 7}), "must be a string"),
         (row("a", 1, "x", author=3), "'author' must be a string"),
+        ('{"id":"a","ts":1,"text":"hello \\ud800 world"}', "'text' is not UTF-8 text"),
+        (row("a\udfff", 1, "x"), "'id' is not UTF-8 text"),
+        (row("a", 1, "x", author="\ud800"), "'author' is not UTF-8 text"),
     ])
     def test_malformed_lines_rejected(self, bad, fragment):
         with pytest.raises(ChatLogError) as err:
@@ -85,6 +89,16 @@ class TestSerialize:
         out = ingest.serialize_thread(make_thread([1.0], ["hi"]))
         assert "author" not in out
         assert json.loads(out) == {"id": "p0", "ts": 1.0, "text": "hi"}
+
+    def test_lines_are_json_dumps(self):
+        texts = ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "café ✓ 𝄞",
+                 "\u2028\u2029", "", " "]
+        posts = [Post(id=f'"{i}\\', timestamp=t, text=text, author=author)
+                 for i, (t, text, author) in enumerate(zip(
+                     [0.0, 1e-300, 0.1, 1.5e300, 123456789.125, 2.0, 7],
+                     texts, [None, "kim", 'a"b', None, "ü\n", None, "x"]))]
+        thread = Thread(posts=posts)
+        assert ingest.serialize_thread(thread) == reference_thread_jsonl(thread)
 
     def test_unicode_preserved(self):
         thread = make_thread([1.0], ["café ✓"])
