@@ -44,8 +44,7 @@ def _reading(path: str | Path):
 
 def _read_thread(path: str, keep_empty: bool = False) -> ingest.Thread:
     with _reading(path), open(path, "r", encoding="utf-8") as fp:
-        return ingest.parse_chat_log(
-            fp, ingest.ParseOptions(keep_empty=keep_empty), name=Path(path).stem)
+        return ingest.parse_chat_log(fp, keep_empty)
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -122,13 +121,22 @@ def _hawkes_from_args(args, thread: ingest.Thread) -> temporal.HawkesModel:
                         "give --mu/--alpha/--beta instead") from exc
 
 
+@contextmanager
+def _finite_intensity():
+    """A UserError naming the Hawkes flags for an intensity that overflows."""
+    try:
+        yield
+    except temporal.IntensityError as exc:
+        raise UserError(f"--mu/--alpha/--beta: {exc}") from exc
+
+
 # --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
 
 def cmd_stats(args) -> int:
     thread = _read_thread(args.input, keep_empty=args.keep_empty)
-    _emit(ingest.thread_stats(thread).to_dict())
+    _emit(ingest.thread_stats(thread))
     return 0
 
 
@@ -182,8 +190,9 @@ def cmd_disentangle(args) -> int:
         raise UserError("empty thread")
     config, params, vocab = _load_model(args)
     model = _hawkes_from_args(args, thread)
-    _, ranges, forest, conversations = run_pipeline(
-        thread, config, params, vocab, model, args.tau, args.quantile)
+    with _finite_intensity():
+        _, ranges, forest, conversations = run_pipeline(
+            thread, config, params, vocab, model, args.tau, args.quantile)
     graph_path = _out_path(args, "graph.json")
     graph_path.write_bytes(graphmod.export_graph(forest, "json"))
     outputs = {"graph_json": str(graph_path)}
@@ -236,7 +245,8 @@ def cmd_synth(args) -> int:
         args.pool_size, args.tokens_lo, args.tokens_hi, args.temperature,
         args.mu, args.alpha, args.beta)
     try:
-        thread, gold = harness.generate(config, seed=args.seed)
+        with _finite_intensity():
+            thread, gold = harness.generate(config, seed=args.seed)
     except harness.StarvedProcessError as exc:
         raise UserError(f"cannot generate the thread: {exc}; raise --mu") from exc
     except harness.RecencyOverflowError as exc:
@@ -271,11 +281,9 @@ def cmd_eval(args) -> int:
             pred_labels[m] = conv.root
     p, r, f1 = harness.edge_prf(pred_parents, gold.parents)
     ari = harness.partition_ari(pred_labels, gold.labels)
-    report = harness.EvalReport(
-        precision=p, recall=r, f1=f1, ari=ari,
-        predicted_conversations=len(conversations),
-        gold_conversations=len(set(gold.labels.values())))
-    _emit(report.to_dict())
+    _emit({"precision": p, "recall": r, "f1": f1, "ari": ari,
+           "predicted_conversations": len(conversations),
+           "gold_conversations": len(set(gold.labels.values()))})
     return 0
 
 
@@ -286,10 +294,12 @@ def cmd_export_intensity(args) -> int:
     model = _hawkes_from_args(args, thread)
     times = np.asarray(thread.timestamps)
     tau = args.tau if args.tau is not None else temporal.median_gap(times)
-    series = temporal.smooth(temporal.sample_intensity(model, times, times), tau)
+    with _finite_intensity():
+        raw = temporal.sample_intensity(model, times, times)
+        smoothed = temporal.smooth(times, raw, tau)
     csv_path = _out_path(args, "intensity.csv", args.csv)
     _write_csv(csv_path, ["t", "raw", "smoothed"],
-               zip(series.grid.tolist(), series.raw.tolist(), series.smoothed.tolist()))
+               zip(times.tolist(), raw.tolist(), smoothed.tolist()))
     _emit({"csv": str(csv_path), "n_posts": len(thread),
            "hawkes": {"mu": model.mu, "alpha": model.alpha, "beta": model.beta}})
     return 0
@@ -366,7 +376,7 @@ OPTIONS = [
     (("train",), "--epochs", POSITIVE_INT, 30),
     (("train",), "--negatives", COUNT, 5),
     (("train",), "--batch-size", POSITIVE_INT, 16),
-    (("train", *_HAWKES), "--keep-empty", BOOL_WORD, False),
+    (("stats", "train", *_HAWKES), "--keep-empty", BOOL_WORD, False),
     # explicit Hawkes parameters; _hawkes_from_args checks them together
     (_HAWKES, "--mu", float, None),
     (_HAWKES, "--alpha", float, None),
@@ -407,7 +417,6 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
 
     p = command("stats", cmd_stats, "summarize a chat log")
     p.add_argument("input")
-    p.add_argument("--keep-empty", action="store_true")
 
     p = command("train", cmd_train, "train the post encoder")
     p.add_argument("--input", required=True)

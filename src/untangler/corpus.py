@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import string
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import IO, Iterable
+from dataclasses import dataclass
+from typing import IO
 
 from .ingest import Thread
 
@@ -44,9 +44,6 @@ class Vocab:
 
     def __len__(self) -> int:
         return len(self.index_to_token)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_index
 
     def index(self, token: str) -> int:
         return self.token_to_index.get(token, UNK)
@@ -130,8 +127,6 @@ def load_vocab(fp: IO[str]) -> Vocab:
 class ContextWindow:
     center: int
     members: tuple[int, ...]
-    paradigm: str
-    k: int
 
 
 def build_windows(thread: Thread, paradigm: str, k: int) -> list[ContextWindow]:
@@ -155,5 +150,5 @@ def build_windows(thread: Thread, paradigm: str, k: int) -> list[ContextWindow]:
             after = range(i + 1, min(n, i + k + 1))
             members = tuple(before) + tuple(after)
         if members:
-            windows.append(ContextWindow(center=i, members=members, paradigm=paradigm, k=k))
+            windows.append(ContextWindow(center=i, members=members))
     return windows

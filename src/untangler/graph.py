@@ -125,9 +125,6 @@ class ReplyGraph:
         return {(int(u), int(v)): float(w)
                 for u, v, w in zip(self.parent, self.child, self.weight)}
 
-    def children(self, u: int) -> list[int]:
-        return sorted(int(v) for p, v in zip(self.parent, self.child) if p == u)
-
     def roots(self) -> list[int]:
         has_parent = np.zeros(self.n, dtype=bool)
         has_parent[self.child] = True

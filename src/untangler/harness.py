@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -26,10 +26,10 @@ from .temporal import HawkesModel, simulate
 class SynthConfig:
     topic_pools: list[list[str]]          # pairwise disjoint token pools
     hawkes: list[HawkesModel]             # per-conversation burst dynamics
-    posts_per_conversation: tuple[int, int] = (20, 40)
-    gap_seconds: float = 3600.0           # offset between conversation starts
-    tokens_per_post: tuple[int, int] = (3, 8)
-    temperature: float = 1.0              # reply recency weight, 1/seconds
+    posts_per_conversation: tuple[int, int]
+    gap_seconds: float                    # offset between conversation starts
+    tokens_per_post: tuple[int, int]
+    temperature: float                    # reply recency weight, 1/seconds
 
     @property
     def n_conversations(self) -> int:
@@ -89,26 +89,6 @@ class GoldStandard:
             if not 0 <= parent < child:
                 raise ValueError(f"gold edge {parent} -> {child} breaks 0 <= parent < child")
         return cls(parents=parents, labels={int(i): l for i, l in payload["labels"].items()})
-
-
-@dataclass
-class EvalReport:
-    precision: float
-    recall: float
-    f1: float
-    ari: float
-    predicted_conversations: int
-    gold_conversations: int
-
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "ari": self.ari,
-            "predicted_conversations": self.predicted_conversations,
-            "gold_conversations": self.gold_conversations,
-        }
 
 
 class StarvedProcessError(ValueError):
@@ -211,7 +191,7 @@ def generate(config: SynthConfig, seed: int = 0) -> tuple[Thread, GoldStandard]:
         if parent is not None
     }
     labels = {final_index[(conv, j)]: conv for _, conv, j, _, _ in records}
-    return Thread(posts=posts, name=f"synthetic-{seed}"), GoldStandard(parents, labels)
+    return Thread(posts=posts), GoldStandard(parents, labels)
 
 
 def edge_prf(predicted: dict[int, int], gold: dict[int, int]) -> tuple[float, float, float]:

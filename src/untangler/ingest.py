@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
-from typing import IO, Iterable, Optional, Union
+from typing import Iterable, Optional
 
 
 class ChatLogError(ValueError):
@@ -34,18 +34,11 @@ class Post:
 
 
 @dataclass
-class ParseOptions:
-    # whitespace-only posts carry no linguistic signal; dropped unless asked
-    keep_empty: bool = False
-
-
-@dataclass
 class Thread:
     """Chronologically ordered posts.  Post list indices 0..n-1 are the
     canonical identifiers used by every downstream module."""
 
     posts: list[Post] = field(default_factory=list)
-    name: str = ""
 
     def __len__(self) -> int:
         return len(self.posts)
@@ -53,26 +46,6 @@ class Thread:
     @property
     def timestamps(self) -> list[float]:
         return [p.timestamp for p in self.posts]
-
-
-@dataclass
-class ThreadStats:
-    message_count: int
-    span_minutes: float
-    length_histogram: dict[int, int]
-    mean_words: float
-    median_words: float
-    max_words: int
-
-    def to_dict(self) -> dict:
-        return {
-            "message_count": self.message_count,
-            "span_minutes": self.span_minutes,
-            "length_histogram": {str(k): v for k, v in sorted(self.length_histogram.items())},
-            "mean_words": self.mean_words,
-            "median_words": self.median_words,
-            "max_words": self.max_words,
-        }
 
 
 def _parse_line(raw: str, lineno: int) -> Optional[Post]:
@@ -114,34 +87,28 @@ def _parse_line(raw: str, lineno: int) -> Optional[Post]:
     return Post(id=pid, timestamp=ts, text=text, author=author)
 
 
-def parse_chat_log(
-    stream: Union[IO, Iterable[Union[str, bytes]]],
-    options: Optional[ParseOptions] = None,
-    name: str = "",
-) -> Thread:
+def parse_chat_log(stream: Iterable[str], keep_empty: bool = False) -> Thread:
     """Parse a JSON-Lines chat log into a canonical Thread.
 
     Posts are stably sorted by timestamp, so ties keep input order.
-    Raises ChatLogError (with line number) on malformed lines, duplicate
-    ids, or negative or non-finite timestamps.
+    Whitespace-only posts carry no linguistic signal and are dropped
+    unless keep_empty.  Raises ChatLogError (with line number) on
+    malformed lines, duplicate ids, or negative or non-finite timestamps.
     """
-    options = options or ParseOptions()
     posts: list[Post] = []
     seen_ids: set[str] = set()
     for lineno, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
         if not raw.strip():
             continue
         post = _parse_line(raw, lineno)
         if post.id in seen_ids:
             raise ChatLogError(f"duplicate id {post.id!r}", lineno)
         seen_ids.add(post.id)
-        if not options.keep_empty and not post.text.strip():
+        if not keep_empty and not post.text.strip():
             continue
         posts.append(post)
     posts.sort(key=lambda p: p.timestamp)  # stable: ties keep input order
-    return Thread(posts=posts, name=name)
+    return Thread(posts=posts)
 
 
 def _json_number(value) -> str:
@@ -166,25 +133,25 @@ def serialize_thread(thread: Thread) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def thread_stats(thread: Thread) -> ThreadStats:
+def thread_stats(thread: Thread) -> dict:
     """Message count, time span in minutes, and whitespace-token length
-    distribution of a canonical thread."""
+    distribution of a canonical thread, keyed as `stats` prints them.
+    The histogram maps each length, as a string, to its post count."""
     n = len(thread.posts)
     if n == 0:
-        return ThreadStats(0, 0.0, {}, 0.0, 0.0, 0)
-    ts = thread.timestamps
-    span_minutes = (ts[-1] - ts[0]) / 60.0
+        return {"message_count": 0, "span_minutes": 0.0, "length_histogram": {},
+                "mean_words": 0.0, "median_words": 0.0, "max_words": 0}
     counts = sorted(len(p.text.split()) for p in thread.posts)
-    hist: dict[int, int] = {}
-    for c in counts:
+    hist: dict[str, int] = {}
+    for c in map(str, counts):
         hist[c] = hist.get(c, 0) + 1
     mid = n // 2
     median = float(counts[mid]) if n % 2 else (counts[mid - 1] + counts[mid]) / 2.0
-    return ThreadStats(
-        message_count=n,
-        span_minutes=span_minutes,
-        length_histogram=hist,
-        mean_words=sum(counts) / n,
-        median_words=median,
-        max_words=counts[-1],
-    )
+    return {
+        "message_count": n,
+        "span_minutes": (thread.posts[-1].timestamp - thread.posts[0].timestamp) / 60.0,
+        "length_histogram": hist,
+        "mean_words": sum(counts) / n,
+        "median_words": median,
+        "max_words": counts[-1],
+    }

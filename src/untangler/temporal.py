@@ -34,17 +34,14 @@ class HawkesModel:
             raise ValueError("require mu >= 0, alpha >= 0, beta > 0")
 
 
-@dataclass
-class IntensitySeries:
-    grid: np.ndarray      # sample times, strictly increasing
-    raw: np.ndarray       # lambda at grid points
-    smoothed: np.ndarray  # Laplace-smoothed lambda
-
-
 @dataclass(frozen=True)
 class Range:
     lo: int  # inclusive
     hi: int  # exclusive
+
+
+class IntensityError(ValueError):
+    """Hawkes parameters whose intensity leaves the float range."""
 
 
 def _check_sorted(events: np.ndarray, horizon: Optional[float] = None) -> np.ndarray:
@@ -137,13 +134,15 @@ def simulate(model: HawkesModel, horizon: float, rng: np.random.Generator,
     excite = 0.0  # sum of alpha*exp(-beta*(t - t_i)) just after current t
     while True:
         lam_bar = model.mu + excite
+        if lam_bar == np.inf:
+            raise IntensityError("the intensity is not a finite number")
         if lam_bar <= 0:
             break
         w = rng.exponential(1.0 / lam_bar)
         t += w
         if t > horizon:
             break
-        excite *= np.exp(-model.beta * w)
+        excite *= float(np.exp(-model.beta * w))  # a Python float: overflow is inf
         if rng.random() * lam_bar <= model.mu + excite:
             times.append(t)
             excite += model.alpha
@@ -239,11 +238,11 @@ def fit_multistart(events: np.ndarray, horizon: float, steps: int = 200,
     return best[1]
 
 
-def sample_intensity(model: HawkesModel, events: np.ndarray,
-                     grid: np.ndarray) -> IntensitySeries:
-    """Raw intensity at the given grid times (smoothed starts as a copy):
-    intensity() at each t, as mu + alpha * exp(-beta * (t - t_k)) * (s_k + 1)
-    with t_k the latest event before t (mu when there is none)."""
+def sample_intensity(model: HawkesModel, events: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Raw intensity at the given grid times: intensity() at each t, as
+    mu + alpha * exp(-beta * (t - t_k)) * (s_k + 1) with t_k the latest
+    event before t (mu when there is none).  A decay whose exponent
+    overflows is 0; IntensityError if an intensity is not finite."""
     model.validate()
     events = _check_sorted(events)
     grid = np.asarray(grid, dtype=np.float64)
@@ -251,9 +250,12 @@ def sample_intensity(model: HawkesModel, events: np.ndarray,
     seen = k >= 0
     k = k[seen]
     raw = np.full(grid.shape, float(model.mu))
-    s = _excitation(np.exp(-model.beta * np.diff(events)), events.size)
-    raw[seen] += model.alpha * np.exp(-model.beta * (grid[seen] - events[k])) * (s[k] + 1.0)
-    return IntensitySeries(grid=grid, raw=raw, smoothed=raw.copy())
+    with np.errstate(over="ignore"):
+        s = _excitation(np.exp(-model.beta * np.diff(events)), events.size)
+        raw[seen] += model.alpha * np.exp(-model.beta * (grid[seen] - events[k])) * (s[k] + 1.0)
+    if not np.isfinite(raw).all():
+        raise IntensityError("the intensity is not a finite number")
+    return raw
 
 
 def _laplace_sums(values: np.ndarray, decay: np.ndarray) -> np.ndarray:
@@ -275,31 +277,32 @@ def _laplace_sums(values: np.ndarray, decay: np.ndarray) -> np.ndarray:
     return out
 
 
-def smooth(series: IntensitySeries, tau: float) -> IntensitySeries:
-    """Normalized two-sided Laplace-kernel smoothing over the grid.
+def smooth(grid: np.ndarray, raw: np.ndarray, tau: float) -> np.ndarray:
+    """Normalized two-sided Laplace-kernel smoothing of raw over the grid.
 
     Per-point kernel weights exp(-|dt|/tau) are renormalized to sum to
     one, so a constant series is preserved exactly and smoothed values
     stay inside [min(raw), max(raw)].  The grid must be sorted; posts at
-    equal times are pooled first, so they get equal smoothed values.
-    O(n) time and memory.
+    equal times are pooled first, so they get equal smoothed values.  A
+    kernel weight whose exponent overflows is 0; IntensityError if a
+    weighted sum overflows.  O(n) time and memory.
     """
     if tau <= 0:
         raise ValueError("tau must be > 0")
-    grid = series.grid
-    raw = series.raw
     if grid.size == 0:
-        return IntensitySeries(grid=grid.copy(), raw=raw.copy(), smoothed=raw.copy())
+        return raw.copy()
     gaps = np.diff(grid)
     if np.any(gaps < 0):
         raise ValueError("grid must be sorted ascending")
     starts = np.flatnonzero(np.r_[True, gaps > 0])
-    decay = np.exp(-np.diff(grid[starts]) / tau)
-    weighted = _laplace_sums(np.add.reduceat(raw, starts), decay)
+    with np.errstate(over="ignore", invalid="ignore"):  # the sums are checked below
+        decay = np.exp(-np.diff(grid[starts]) / tau)
+        weighted = _laplace_sums(np.add.reduceat(raw, starts), decay)
+    if not np.isfinite(weighted).all():
+        raise IntensityError("the smoothed intensity is not a finite number")
     mass = _laplace_sums(np.diff(np.r_[starts, grid.size]).astype(np.float64), decay)
     pooled = np.cumsum(np.r_[False, gaps > 0])  # grid index -> distinct time index
-    smoothed = (weighted / mass)[pooled]
-    return IntensitySeries(grid=grid.copy(), raw=raw.copy(), smoothed=smoothed)
+    return (weighted / mass)[pooled]
 
 
 def median_gap(times: np.ndarray) -> float:
@@ -344,8 +347,7 @@ def detect_ranges(thread, model: HawkesModel, tau: Optional[float] = None,
         return [Range(0, 1)]
     if tau is None:
         tau = median_gap(times)
-    series = smooth(sample_intensity(model, times, times), tau)
-    v = series.smoothed
+    v = smooth(times, sample_intensity(model, times, times), tau)
     threshold = _quantile(v, quantile)
     cut = (v[1:] < threshold) & (v[1:] < v[:-1]) & np.r_[v[1:-1] <= v[2:], True]
     cuts = [0, *(np.flatnonzero(cut) + 1).tolist(), n]

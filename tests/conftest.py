@@ -9,14 +9,14 @@ import pytest
 from untangler.ingest import Post, Thread
 
 
-def make_thread(times, texts=None, name="test") -> Thread:
+def make_thread(times, texts=None) -> Thread:
     """Thread with posts p0..p{n-1} at the given timestamps."""
     texts = texts if texts is not None else [f"token{i}" for i in range(len(times))]
     posts = [
         Post(id=f"p{i}", timestamp=float(t), text=texts[i])
         for i, t in enumerate(times)
     ]
-    return Thread(posts=posts, name=name)
+    return Thread(posts=posts)
 
 
 def write_jsonl(path, rows) -> None:

@@ -245,7 +245,7 @@ def reference_generate(config, seed: int = 0) -> tuple[Thread, GoldStandard]:
         if parent is not None
     }
     labels = {final_index[(conv, j)]: conv for _, conv, j, _, _ in records}
-    return Thread(posts=posts, name=f"synthetic-{seed}"), GoldStandard(parents, labels)
+    return Thread(posts=posts), GoldStandard(parents, labels)
 
 
 def reference_thread_jsonl(thread) -> str:

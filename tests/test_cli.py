@@ -1,5 +1,6 @@
 """Command-line interface: happy paths, precedence, exit codes."""
 
+import inspect
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from untangler import cli, embedder, harness, ingest
+from untangler import cli, corpus, embedder, harness, ingest, temporal
 
 from conftest import write_jsonl
 from oracles import reference_generate, reference_gold_json, reference_thread_jsonl
@@ -49,6 +50,10 @@ def timed_log(path, times):
     return path
 
 
+def default_of(function, parameter):
+    return inspect.signature(function).parameters[parameter].default
+
+
 SUBNORMAL_TIMES = [0.0, 5e-324, 1e-323]  # median gap 5e-324: every start's beta0 is inf
 
 
@@ -64,6 +69,15 @@ class TestStats:
         payload = last_json(capsys)
         assert payload["message_count"] == 12
         assert payload["max_words"] == 3
+
+    def test_keep_empty_from_a_config_file(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        write_jsonl(log, [{"id": "a", "ts": 0.0, "text": "x"},
+                          {"id": "b", "ts": 1.0, "text": " "}])
+        config = tmp_path / "cfg"
+        config.write_text("keep_empty=1\n")
+        assert run("--config", config, "stats", log) == 0
+        assert last_json(capsys)["message_count"] == 2
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert run("stats", tmp_path / "nope.jsonl") == 2
@@ -460,6 +474,56 @@ class TestExportIntensity:
         assert all(math.isfinite(v) for v in hawkes.values())
 
 
+class TestIntensityOverflow:
+    # valid values at the edge of the float range, on tiny_model's synth
+    # thread (12 posts, gaps of 0.1 s and more, none tied)
+
+    @pytest.mark.parametrize("command", ["export-intensity", "disentangle"])
+    def test_overflowing_smoothing_decay_is_zero(self, tiny_model, tmp_path, capsys, command):
+        # gap / tau overflows for every gap: each post keeps its raw value
+        argv = command_argv(command, tiny_model)
+        assert run("--out-dir", tmp_path, command, *argv, "--tau", "1e-320") == 0
+        assert capsys.readouterr().err == ""
+        if command == "export-intensity":
+            rows = (tmp_path / "intensity.csv").read_text().strip().splitlines()[1:]
+            assert all(row.split(",")[1] == row.split(",")[2] for row in rows)
+
+    @pytest.mark.parametrize("command", ["export-intensity", "disentangle"])
+    def test_overflowing_hawkes_decay_is_zero(self, tiny_model, tmp_path, capsys, command):
+        # beta * gap overflows for every gap: the intensity is mu throughout
+        argv = command_argv(command, tiny_model)
+        assert run("--out-dir", tmp_path, command, *argv,
+                   "--mu", 1, "--alpha", 0.5, "--beta", "1e308") == 0
+        assert capsys.readouterr().err == ""
+        if command == "export-intensity":
+            rows = (tmp_path / "intensity.csv").read_text().strip().splitlines()[1:]
+            assert all(row.split(",")[1:] == ["1.0", "1.0"] for row in rows)
+
+    @pytest.mark.parametrize("alpha,what", [
+        ("1e308", "the intensity"),  # alpha * 2 overflows
+        ("1e307", "the smoothed intensity"),  # raw values up to 1.1e308; their sums overflow
+    ])
+    @pytest.mark.parametrize("command", ["export-intensity", "disentangle"])
+    def test_overflowing_intensity_exits_2(self, tiny_model, tmp_path, capsys, command,
+                                           alpha, what):
+        argv = command_argv(command, tiny_model)
+        assert run("--out-dir", tmp_path / "out", command, *argv,
+                   "--mu", 1, "--alpha", alpha, "--beta", "1e-300") == 2
+        captured = capsys.readouterr()
+        assert f"error: --mu/--alpha/--beta: {what} is not a finite number" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_synth_intensity_exits_2(self, tmp_path, capsys):
+        # right after an event the intensity is at least alpha = 1e308
+        assert run("--out-dir", tmp_path / "out", "synth", "--posts-lo", 5, "--posts-hi", 5,
+                   "--alpha", "1e308", "--beta", "1e308") == 2
+        captured = capsys.readouterr()
+        assert "error: --mu/--alpha/--beta: the intensity is not a finite number" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+
 class TestTinyGaps:
     # normal but tiny gaps: the first start's beta is 0.01 / gap, finite,
     # while beta ** 2 overflows
@@ -565,6 +629,20 @@ class TestOptionValues:
         assert cli.default_synth_config() == cli.default_synth_config(
             args.conversations, args.posts_lo, args.posts_hi, args.gap, args.pool_size,
             args.tokens_lo, args.tokens_hi, args.temperature, args.mu, args.alpha, args.beta)
+
+    def test_train_defaults_match_the_library(self):
+        args = cli.build_parser().parse_args(["train", "--input", "x"])
+        assert embedder.EncoderConfig(vocab_size=7) == embedder.EncoderConfig(
+            vocab_size=7, embed_dim=args.dim, hidden_dim=args.hidden, max_len=args.max_len,
+            seed=args.seed, learning_rate=args.lr, epochs=args.epochs,
+            negatives_per_sample=args.negatives, batch_size=args.batch_size)
+        assert default_of(corpus.build_vocab, "min_count") == args.min_count
+        assert default_of(embedder.embed_thread, "max_len") == args.max_len
+
+    def test_disentangle_defaults_match_the_library(self):
+        args = cli.build_parser().parse_args(["disentangle", "--input", "x", "--checkpoint", "y"])
+        assert default_of(temporal.detect_ranges, "quantile") == args.quantile
+        assert default_of(temporal.detect_ranges, "tau") == args.tau
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         assert run("--seed", -1, "--out-dir", tmp_path / "out", "synth") == 2

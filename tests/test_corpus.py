@@ -46,7 +46,7 @@ class TestVocab:
 
     def test_min_count_filters(self):
         vocab = build_vocab([make_thread([0, 1], ["rare", "common common"])], min_count=2)
-        assert "rare" not in vocab
+        assert "rare" not in vocab.token_to_index
         assert vocab.index("rare") == UNK
         assert vocab.index("common") == 2
 
@@ -103,19 +103,19 @@ class TestWindows:
         thread = make_thread(range(4))
         wins = build_windows(thread, BEFORE_ONLY, 2)
         assert wins == [
-            ContextWindow(1, (0,), BEFORE_ONLY, 2),
-            ContextWindow(2, (0, 1), BEFORE_ONLY, 2),
-            ContextWindow(3, (1, 2), BEFORE_ONLY, 2),
+            ContextWindow(1, (0,)),
+            ContextWindow(2, (0, 1)),
+            ContextWindow(3, (1, 2)),
         ]
 
     def test_symmetric(self):
         thread = make_thread(range(4))
         wins = build_windows(thread, SYMMETRIC, 1)
         assert wins == [
-            ContextWindow(0, (1,), SYMMETRIC, 1),
-            ContextWindow(1, (0, 2), SYMMETRIC, 1),
-            ContextWindow(2, (1, 3), SYMMETRIC, 1),
-            ContextWindow(3, (2,), SYMMETRIC, 1),
+            ContextWindow(0, (1,)),
+            ContextWindow(1, (0, 2)),
+            ContextWindow(2, (1, 3)),
+            ContextWindow(3, (2,)),
         ]
 
     def test_single_post_has_no_windows(self):

@@ -134,11 +134,10 @@ class TestOrientAndThin:
         thinned = thin(ReplyGraph(n=5))
         assert thinned.n == 5 and thinned.n_edges == 0
 
-    def test_roots_and_children(self):
+    def test_roots(self):
         g = ReplyGraph(n=4, parent=np.array([0, 0]), child=np.array([1, 3]),
                        weight=np.array([1.0, 1.0]))
         assert g.roots() == [0, 2]
-        assert g.children(0) == [1, 3]
 
 
 def random_embeddings(rng, n):

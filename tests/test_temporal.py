@@ -272,31 +272,28 @@ class TestFit:
 class TestSmoothing:
     def test_constant_series_preserved(self):
         grid = np.array([0.0, 1.0, 3.0, 7.0])
-        series = temporal.IntensitySeries(grid, np.full(4, 2.5), np.full(4, 2.5))
-        out = smooth(series, tau=2.0)
-        np.testing.assert_allclose(out.smoothed, 2.5)
+        np.testing.assert_allclose(smooth(grid, np.full(4, 2.5), tau=2.0), 2.5)
 
     def test_smoothed_within_raw_bounds(self):
         rng = np.random.default_rng(21)
         grid = np.sort(rng.uniform(0, 100, size=60))
         raw = rng.uniform(0, 5, size=60)
-        series = temporal.IntensitySeries(grid, raw, raw.copy())
-        out = smooth(series, tau=3.0)
-        assert out.smoothed.min() >= raw.min() - 1e-12
-        assert out.smoothed.max() <= raw.max() + 1e-12
+        out = smooth(grid, raw, tau=3.0)
+        assert out.min() >= raw.min() - 1e-12
+        assert out.max() <= raw.max() + 1e-12
 
     def test_larger_tau_flattens_more(self):
         grid = np.linspace(0, 10, 50)
         raw = np.sin(grid)
-        series = temporal.IntensitySeries(grid, raw, raw.copy())
-        narrow = smooth(series, tau=0.1).smoothed
-        wide = smooth(series, tau=50.0).smoothed
+        narrow = smooth(grid, raw, tau=0.1)
+        wide = smooth(grid, raw, tau=50.0)
         assert np.ptp(wide) < np.ptp(narrow)
 
     def test_tau_validation(self):
-        series = sample_intensity(HawkesModel(1, 0, 1), np.array([1.0]), np.array([2.0]))
+        grid = np.array([2.0])
+        raw = sample_intensity(HawkesModel(1, 0, 1), np.array([1.0]), grid)
         with pytest.raises(ValueError):
-            smooth(series, tau=0.0)
+            smooth(grid, raw, tau=0.0)
 
     def test_matches_dense_reference(self):
         # the recursion multiplies per-gap decays where the dense kernel
@@ -313,28 +310,27 @@ class TestSmoothing:
                 grid += 1.7e9
             raw = rng.uniform(0.01, 5.0, size=grid.size)
             tau = float(rng.choice([0.01, 1.0, 30.0, 1e4]))
-            out = smooth(temporal.IntensitySeries(grid, raw, raw.copy()), tau)
-            np.testing.assert_allclose(out.smoothed, reference_smooth(grid, raw, tau),
+            np.testing.assert_allclose(smooth(grid, raw, tau), reference_smooth(grid, raw, tau),
                                        rtol=1e-12, atol=0)
 
     def test_equal_times_get_equal_values(self):
         grid = np.array([0.0, 1.0, 1.0, 1.0, 2.5, 9.0, 9.0])
         raw = np.array([1.0, 0.3, 2.0, 0.7, 1.1, 4.0, 0.2])
-        out = smooth(temporal.IntensitySeries(grid, raw, raw.copy()), tau=1.3).smoothed
+        out = smooth(grid, raw, tau=1.3)
         assert out[1] == out[2] == out[3] and out[5] == out[6]
 
     def test_empty_and_unsorted_grids(self):
         empty = np.zeros(0)
-        assert smooth(temporal.IntensitySeries(empty, empty, empty), 1.0).smoothed.size == 0
+        assert smooth(empty, empty, 1.0).size == 0
         with pytest.raises(ValueError, match="sorted"):
-            smooth(temporal.IntensitySeries(np.array([1.0, 0.0]), np.ones(2), np.ones(2)), 1.0)
+            smooth(np.array([1.0, 0.0]), np.ones(2), 1.0)
 
     def test_sample_intensity_values(self):
         model = HawkesModel(0.5, 1.0, 2.0)
         events = np.array([1.0, 2.0])
-        series = sample_intensity(model, events, np.array([0.5, 1.5, 2.5]))
+        raw = sample_intensity(model, events, np.array([0.5, 1.5, 2.5]))
         expected = [naive_intensity(model, events, t) for t in (0.5, 1.5, 2.5)]
-        np.testing.assert_allclose(series.raw, expected)
+        np.testing.assert_allclose(raw, expected)
 
     def test_sample_intensity_matches_intensity(self):
         # the recursion multiplies at most n per-gap decays where
@@ -354,9 +350,9 @@ class TestSmoothing:
             grid = np.r_[rng.uniform(lo - 10, hi + 10, size=rng.integers(0, 50)),
                          events[rng.integers(0, n, size=min(n, 10))]]
             model = HawkesModel(rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(0.01, 3))
-            series = sample_intensity(model, events, grid)
+            raw = sample_intensity(model, events, grid)
             expected = [intensity(model, events, t) for t in grid]
-            np.testing.assert_allclose(series.raw, expected, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(raw, expected, rtol=1e-12, atol=0)
 
 
 class TestMedianGap:
@@ -429,11 +425,11 @@ class TestDetectRanges:
         times = np.sort(rng.integers(0, n, size=n)).astype(float)
         seen = []
 
-        def spy(series, tau):
-            out = smooth(series, tau)
+        def spy(grid, raw, tau):
+            out = smooth(grid, raw, tau)
             if seed % 2:
-                out.smoothed = rng.integers(0, 4, size=n).astype(float)
-            seen.append(out.smoothed)
+                out = rng.integers(0, 4, size=n).astype(float)
+            seen.append(out)
             return out
 
         monkeypatch.setattr(temporal, "smooth", spy)
