@@ -293,10 +293,8 @@ def cmd_export_intensity(args) -> int:
         raise UserError("empty thread")
     model = _hawkes_from_args(args, thread)
     times = np.asarray(thread.timestamps)
-    tau = args.tau if args.tau is not None else temporal.median_gap(times)
     with _finite_intensity():
-        raw = temporal.sample_intensity(model, times, times)
-        smoothed = temporal.smooth(times, raw, tau)
+        raw, smoothed = temporal.post_intensity(model, times, args.tau)
     csv_path = _out_path(args, "intensity.csv", args.csv)
     _write_csv(csv_path, ["t", "raw", "smoothed"],
                zip(times.tolist(), raw.tolist(), smoothed.tolist()))

@@ -4,16 +4,18 @@ The conversation rate is modeled with the exponential-kernel intensity
 
     lambda(t) = mu + sum_{t_j < t} alpha * exp(-beta * (t - t_j))
 
-Fitting is projected gradient ascent on the log-likelihood.  The
-likelihood and the sampled intensity come from one O(n) recursion, and
-the exact gradient from a second one over the first one's output.  The
-intensity is smoothed with a two-sided Laplace kernel and low local minima
-mark conversation schisms, yielding the ranges the graph stage consumes.
+Every sum over this kernel is one O(n) scan of decayed running sums
+(_scan): the excitation, its beta-slope for the exact gradient, and both
+halves of the Laplace kernel that smooths the intensity.  Fitting is
+projected gradient ascent on the log-likelihood; low local minima of the
+smoothed intensity mark conversation schisms, yielding the ranges the
+graph stage consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -55,44 +57,32 @@ def _check_sorted(events: np.ndarray, horizon: Optional[float] = None) -> np.nda
     return events
 
 
-def intensity(model: HawkesModel, events: np.ndarray, t: float) -> float:
-    """lambda(t); only events strictly before t excite."""
-    model.validate()
-    events = _check_sorted(events)
-    past = events[events < t]
-    return float(model.mu + model.alpha * np.exp(-model.beta * (t - past)).sum())
-
-
-def _excitation(decay: np.ndarray, n: int) -> np.ndarray:
-    """s[i] = sum_{j<i} exp(-beta * (t_i - t_j)) for n events, given the
-    decay factors e = exp(-beta * g) over their n - 1 gaps g: s[0] = 0 and
-    s[i] = e * (s[i-1] + 1).  Equal times count (g = 0, e = 1)."""
-    prev = 0.0
-    s = [0.0, *[prev := e * (prev + 1.0) for e in decay.tolist()]]
-    return np.array(s[:n])
-
-
-def _excitation_slope(gaps: np.ndarray, decay: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """r[i] = -ds[i]/dbeta for _excitation's s: r[0] = 0 and
-    r[i] = e * (r[i-1] + g * (s[i-1] + 1))."""
-    prev = 0.0
-    r = [0.0, *[prev := e * (prev + drive)
-                for e, drive in zip(decay.tolist(), (gaps * (s[:-1] + 1.0)).tolist())]]
-    return np.array(r[:s.size])
+def _scan(gain: np.ndarray, drive: np.ndarray | float) -> np.ndarray:
+    """y[0] = 0, y[i] = gain[i-1] * (y[i-1] + drive[i-1]) with drive an
+    array or one number: every sum over the kernel, one Python-float step
+    a point (a float overflow is inf, without a warning)."""
+    steps = drive.tolist() if isinstance(drive, np.ndarray) else repeat(drive)
+    y = 0.0
+    return np.fromiter([0.0, *[y := g * (y + d) for g, d in zip(gain.tolist(), steps)]],
+                       np.float64, gain.size + 1)
 
 
 def _log_likelihood(gaps: np.ndarray, tail: np.ndarray, horizon: float, mu: float,
                     alpha: float, beta: float) -> tuple[float, Optional[tuple]]:
     """Log-likelihood on [0, horizon] of the events with these gaps
     (np.diff(events)) and tails (horizon - events), and the state that
-    _gradient reads; (-inf, None) if any event intensity is non-positive."""
+    _gradient reads; (-inf, None) if any event intensity is non-positive
+    or overflows.  Call under np.errstate(over="ignore", invalid="ignore"):
+    a decay whose exponent overflows is 0."""
     decay = np.exp(-beta * gaps)
-    s = _excitation(decay, tail.size)
+    s = _scan(decay, 1.0)[:tail.size]  # sum_{j<i} exp(-beta * (t_i - t_j))
     lam = mu + alpha * s
     if np.any(lam <= 0):
         return -np.inf, None
     spent = -np.expm1(-beta * tail).sum()  # sum of 1 - exp(-beta * tail), accurate for small beta
     value = float(np.log(lam).sum() - mu * horizon - (alpha / beta) * spent)
+    if value != value or value == np.inf:  # an intensity overflowed
+        return -np.inf, None
     return value, (s, decay, lam, spent)
 
 
@@ -103,7 +93,7 @@ def _gradient(gaps: np.ndarray, tail: np.ndarray, horizon: float, alpha: float,
     if state is None:
         return np.full(3, np.nan)
     s, decay, lam, spent = state
-    r = _excitation_slope(gaps, decay, s)
+    r = _scan(decay, gaps * (s[:-1] + 1.0))[:s.size]  # r[i] = -ds[i]/dbeta
     inv = 1.0 / lam
     return np.array([inv.sum() - horizon, (s * inv).sum() - spent / beta,
                      alpha * (spent / beta / beta - (r * inv).sum()
@@ -113,12 +103,13 @@ def _gradient(gaps: np.ndarray, tail: np.ndarray, horizon: float, alpha: float,
 def log_likelihood(model: HawkesModel, events: np.ndarray, horizon: float) -> float:
     """Exponential-kernel Hawkes log-likelihood on [0, horizon].
 
-    Returns -inf if any event intensity is non-positive.
+    Returns -inf if any event intensity is non-positive or overflows.
     """
     model.validate()
     events = _check_sorted(events, horizon)
-    return _log_likelihood(np.diff(events), horizon - events, horizon,
-                           model.mu, model.alpha, model.beta)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _log_likelihood(np.diff(events), horizon - events, horizon,
+                               model.mu, model.alpha, model.beta)[0]
 
 
 def simulate(model: HawkesModel, horizon: float, rng: np.random.Generator,
@@ -174,30 +165,31 @@ def fit(events: np.ndarray, horizon: float, init: HawkesModel,
 
     p = project(np.array([init.mu, init.alpha, init.beta]))
     gaps, tail = np.diff(events), horizon - events
-    cur, state = _log_likelihood(gaps, tail, horizon, *p)
-    g = _gradient(gaps, tail, horizon, p[1], p[2], state)
-    delta = step_size
-    for _ in range(steps):
-        if delta <= 0:
-            break
-        top = float(np.abs(g).max())
-        if not np.isfinite(top) or top == 0.0:
-            break
-        direction = g / top  # scaled first, so the norm cannot overflow
-        direction /= np.linalg.norm(direction)
-        delta = min(delta * 2.0, step_size * 8)
-        improved = False
-        while delta > 1e-12:
-            cand = project(p + delta * direction)
-            val, state = _log_likelihood(gaps, tail, horizon, *cand)
-            if val > cur:
-                p, cur = cand, val
-                g = _gradient(gaps, tail, horizon, p[1], p[2], state)
-                improved = True
+    with np.errstate(over="ignore", invalid="ignore"):  # see _log_likelihood
+        cur, state = _log_likelihood(gaps, tail, horizon, *p)
+        g = _gradient(gaps, tail, horizon, p[1], p[2], state)
+        delta = step_size
+        for _ in range(steps):
+            if delta <= 0:
                 break
-            delta *= 0.5
-        if not improved:
-            break
+            top = float(np.abs(g).max())
+            if not np.isfinite(top) or top == 0.0:
+                break
+            direction = g / top  # scaled first, so the norm cannot overflow
+            direction /= np.linalg.norm(direction)
+            delta = min(delta * 2.0, step_size * 8)
+            improved = False
+            while delta > 1e-12:
+                cand = project(p + delta * direction)
+                val, state = _log_likelihood(gaps, tail, horizon, *cand)
+                if val > cur:
+                    p, cur = cand, val
+                    g = _gradient(gaps, tail, horizon, p[1], p[2], state)
+                    improved = True
+                    break
+                delta *= 0.5
+            if not improved:
+                break
     return HawkesModel(float(p[0]), float(p[1]), float(p[2]))
 
 
@@ -239,10 +231,11 @@ def fit_multistart(events: np.ndarray, horizon: float, steps: int = 200,
 
 
 def sample_intensity(model: HawkesModel, events: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Raw intensity at the given grid times: intensity() at each t, as
-    mu + alpha * exp(-beta * (t - t_k)) * (s_k + 1) with t_k the latest
-    event before t (mu when there is none).  A decay whose exponent
-    overflows is 0; IntensityError if an intensity is not finite."""
+    """Raw intensity lambda(t) at each grid time t, only events strictly
+    before t exciting: mu + alpha * exp(-beta * (t - t_k)) * (s_k + 1)
+    with t_k the latest event before t (mu when there is none).  A decay
+    whose exponent overflows is 0; IntensityError if an intensity is not
+    finite."""
     model.validate()
     events = _check_sorted(events)
     grid = np.asarray(grid, dtype=np.float64)
@@ -251,30 +244,24 @@ def sample_intensity(model: HawkesModel, events: np.ndarray, grid: np.ndarray) -
     k = k[seen]
     raw = np.full(grid.shape, float(model.mu))
     with np.errstate(over="ignore"):
-        s = _excitation(np.exp(-model.beta * np.diff(events)), events.size)
+        s = _scan(np.exp(-model.beta * np.diff(events)), 1.0)
         raw[seen] += model.alpha * np.exp(-model.beta * (grid[seen] - events[k])) * (s[k] + 1.0)
     if not np.isfinite(raw).all():
         raise IntensityError("the intensity is not a finite number")
     return raw
 
 
+def intensity(model: HawkesModel, events: np.ndarray, t: float) -> float:
+    """lambda(t): sample_intensity at the one time t."""
+    return float(sample_intensity(model, events, [t])[0])
+
+
 def _laplace_sums(values: np.ndarray, decay: np.ndarray) -> np.ndarray:
     """out[i] = sum_j values[j] * exp(-|t_i - t_j| / tau) on a sorted grid,
-    given decay[k] = exp(-(t[k+1] - t[k]) / tau).
-
-    A forward and a backward first-order recursive filter, each exact
-    because the kernel factorises over the gaps between neighbours.
-    """
-    fwd = values.tolist()
-    bwd = values.tolist()
-    gain = decay.tolist()
-    for k in range(1, len(fwd)):
-        fwd[k] += gain[k - 1] * fwd[k - 1]
-    for k in range(len(bwd) - 2, -1, -1):
-        bwd[k] += gain[k] * bwd[k + 1]
-    out = np.array(fwd)
-    out[:-1] += decay * np.array(bwd[1:])
-    return out
+    given decay[k] = exp(-(t[k+1] - t[k]) / tau): the kernel factorises
+    over the gaps between neighbours, so the earlier and the later points'
+    shares are one scan each, forward and over the reversed grid."""
+    return (values + _scan(decay, values)) + _scan(decay[::-1], values[::-1])[::-1]
 
 
 def smooth(grid: np.ndarray, raw: np.ndarray, tau: float) -> np.ndarray:
@@ -303,6 +290,16 @@ def smooth(grid: np.ndarray, raw: np.ndarray, tau: float) -> np.ndarray:
     mass = _laplace_sums(np.diff(np.r_[starts, grid.size]).astype(np.float64), decay)
     pooled = np.cumsum(np.r_[False, gaps > 0])  # grid index -> distinct time index
     return (weighted / mass)[pooled]
+
+
+def post_intensity(model: HawkesModel, times: np.ndarray,
+                   tau: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Raw and smoothed intensity at the sorted post times, smoothed over
+    tau seconds (the median gap between posts by default)."""
+    if tau is None:
+        tau = median_gap(times)
+    raw = sample_intensity(model, times, times)
+    return raw, smooth(times, raw, tau)
 
 
 def median_gap(times: np.ndarray) -> float:
@@ -345,9 +342,7 @@ def detect_ranges(thread, model: HawkesModel, tau: Optional[float] = None,
         return []
     if n == 1:
         return [Range(0, 1)]
-    if tau is None:
-        tau = median_gap(times)
-    v = smooth(times, sample_intensity(model, times, times), tau)
+    v = post_intensity(model, times, tau)[1]
     threshold = _quantile(v, quantile)
     cut = (v[1:] < threshold) & (v[1:] < v[:-1]) & np.r_[v[1:-1] <= v[2:], True]
     cuts = [0, *(np.flatnonzero(cut) + 1).tolist(), n]

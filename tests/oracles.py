@@ -2,9 +2,10 @@
 
 These are deliberately naive, literal transcriptions of the two pruning
 stages, of conversation extraction and graph export, of the Hawkes
-excitation recursion, of the Laplace smoothing, of the schism cut rule
-and of the LSTM post encoder and its gradients, and of the synthetic-thread
-generator and its writers, written against plain dict/list structures
+excitation recursion, of the Laplace smoothing and its forward and
+backward sums, of the schism cut rule and of the LSTM post encoder and
+its gradients, and of the synthetic-thread generator and its writers,
+written against plain dict/list structures
 and dense arrays with no shared code paths into the package.
 The production implementations in ``untangler.graph``,
 ``untangler.temporal`` and ``untangler.embedder`` are vectorized,
@@ -134,6 +135,25 @@ def reference_excitation(events: np.ndarray, beta: float) -> tuple[np.ndarray, n
         s[i] = e * (s[i - 1] + 1.0)
         r[i] = e * (r[i - 1] + g * (s[i - 1] + 1.0))
     return np.array(s), np.array(r)
+
+
+def reference_laplace_sums(values: np.ndarray, decay: np.ndarray) -> np.ndarray:
+    """out[i] = sum_j values[j] * exp(-|t_i - t_j| / tau) as two indexed
+    loops over decay[k] = exp(-(t[k+1] - t[k]) / tau): forward
+    fwd[k] = values[k] + decay[k-1] * fwd[k-1], backward
+    bwd[k] = values[k] + decay[k] * bwd[k+1], and out[k] = fwd[k] +
+    decay[k] * bwd[k+1] (fwd[k] for the last point)."""
+    v, d = values.tolist(), decay.tolist()
+    n = len(v)
+    fwd, bwd = list(v), list(v)
+    for k in range(1, n):
+        fwd[k] = v[k] + d[k - 1] * fwd[k - 1]
+    for k in range(n - 2, -1, -1):
+        bwd[k] = v[k] + d[k] * bwd[k + 1]
+    out = list(fwd)
+    for k in range(n - 1):
+        out[k] = fwd[k] + d[k] * bwd[k + 1]
+    return np.array(out)
 
 
 def reference_smooth(grid: np.ndarray, raw: np.ndarray, tau: float) -> np.ndarray:

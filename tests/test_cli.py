@@ -526,11 +526,16 @@ class TestIntensityOverflow:
 
 class TestTinyGaps:
     # normal but tiny gaps: the first start's beta is 0.01 / gap, finite,
-    # while beta ** 2 overflows
-    @pytest.mark.parametrize("gap", [1e-160, 1e-300])
+    # while beta ** 2 overflows.  Behind 50 tied posts, the intensity
+    # alpha * s overflows at candidates near alpha = 5e306, beta = 1e307
+    @pytest.mark.parametrize("times", [
+        pytest.param([0.0, 1e-160, 2e-160], id="1e-160"),
+        pytest.param([0.0, 1e-300, 2e-300], id="1e-300"),
+        pytest.param([0.0] * 50 + [k * 1e-307 for k in range(1, 11)], id="ties"),
+    ])
     @pytest.mark.parametrize("command", ["export-intensity", "disentangle"])
-    def test_fits_silently(self, thread_file, tmp_path, command, gap):
-        log = timed_log(tmp_path / "tiny.jsonl", [0.0, gap, 2 * gap])
+    def test_fits_silently(self, thread_file, tmp_path, command, times):
+        log = timed_log(tmp_path / "tiny.jsonl", times)
         argv = ["--out-dir", str(tmp_path / "res"), command, "--input", str(log)]
         if command == "disentangle":
             assert run(*train_args(thread_file, tmp_path)) == 0
@@ -543,12 +548,12 @@ class TestTinyGaps:
             hawkes = json.loads(proc.stdout.strip().splitlines()[-1])["hawkes"]
             rows = (tmp_path / "res" / "intensity.csv").read_text().strip().splitlines()[1:]
             values = [float(v) for row in rows for v in row.split(",")]
-            assert len(values) == 9
+            assert len(values) == 3 * len(times)
         else:
             hawkes = json.loads((tmp_path / "res" / "conversations.json").read_text())["hawkes"]
             graph = json.loads((tmp_path / "res" / "graph.json").read_text())
             values = [e["w"] for e in graph["edges"]]
-            assert graph["n"] == 3
+            assert graph["n"] == len(times)
         assert all(math.isfinite(v) for v in [*hawkes.values(), *values])
 
 

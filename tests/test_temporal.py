@@ -9,7 +9,8 @@ from untangler.temporal import (HawkesModel, Range, detect_ranges, fit,
                                 median_gap, sample_intensity, simulate, smooth)
 
 from conftest import make_thread
-from oracles import reference_excitation, reference_ranges, reference_smooth
+from oracles import (reference_excitation, reference_laplace_sums, reference_ranges,
+                     reference_smooth)
 
 
 def value_and_gradient(events, horizon, mu, alpha, beta):
@@ -144,8 +145,8 @@ class TestExcitation:
         for events in cases:
             gaps = np.diff(events)
             decay = np.exp(-beta * gaps)
-            s = temporal._excitation(decay, events.size)
-            r = temporal._excitation_slope(gaps, decay, s)
+            s = temporal._scan(decay, 1.0)[:events.size]
+            r = temporal._scan(decay, gaps * (s[:-1] + 1.0))[:events.size]
             ref_s, ref_r = reference_excitation(events, beta)
             assert s.tolist() == ref_s.tolist()
             assert r.tolist() == ref_r.tolist()
@@ -154,6 +155,18 @@ class TestExcitation:
         events = np.array([1.0, 2.0])
         value, g = value_and_gradient(events, 5.0, 0.0, 1.0, 1.0)
         assert value == -np.inf and np.isnan(g).all()
+
+
+class TestOverflow:
+    # a decay whose exponent overflows is 0; an intensity that overflows
+    # makes the likelihood -inf, not inf - inf
+    @pytest.mark.parametrize("call, expected", [
+        (lambda: intensity(HawkesModel(1, 0.5, 1e308), [0.0], 2.0), 1.0),
+        (lambda: log_likelihood(HawkesModel(1, 0.5, 1e308), [0, 2], 3), -3.0),
+        (lambda: log_likelihood(HawkesModel(1, 1e308, 1e-300), [0, 1, 2], 3), -np.inf),
+    ], ids=["intensity", "log_likelihood-decay", "log_likelihood-intensity"])
+    def test_silent_and_defined(self, call, expected):
+        assert call() == expected
 
 
 class TestSimulate:
@@ -313,6 +326,20 @@ class TestSmoothing:
             np.testing.assert_allclose(smooth(grid, raw, tau), reference_smooth(grid, raw, tau),
                                        rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("tau", [1e-3, 0.7, 30.0, 1e4])
+    def test_laplace_sums_match_the_indexed_loop_exactly(self, tau):
+        rng = np.random.default_rng(44)
+        cases = [np.array([2.0]), np.array([1.0, 2.5]), np.array([0.0, 1.0, 900.0])]
+        for _ in range(40):
+            cases.append(np.cumsum(rng.exponential(rng.choice([0.01, 1.0, 100.0]),
+                                                   size=rng.integers(2, 200))))
+        for grid in cases:
+            decay = np.exp(-np.diff(grid) / tau)
+            for values in (rng.uniform(0.01, 5.0, size=grid.size),
+                           rng.integers(1, 4, size=grid.size).astype(np.float64)):
+                out = temporal._laplace_sums(values, decay)
+                assert out.tolist() == reference_laplace_sums(values, decay).tolist()
+
     def test_equal_times_get_equal_values(self):
         grid = np.array([0.0, 1.0, 1.0, 1.0, 2.5, 9.0, 9.0])
         raw = np.array([1.0, 0.3, 2.0, 0.7, 1.1, 4.0, 0.2])
@@ -333,8 +360,8 @@ class TestSmoothing:
         np.testing.assert_allclose(raw, expected)
 
     def test_sample_intensity_matches_intensity(self):
-        # the recursion multiplies at most n per-gap decays where
-        # intensity() takes one exp per event, so they agree to ~n ulp
+        # the scan multiplies at most n per-gap decays where
+        # naive_intensity takes one exp per event, so they agree to ~n ulp
         rng = np.random.default_rng(43)
         for case in range(300):
             n = 0 if case < 20 else int(rng.integers(1, 80))
@@ -351,7 +378,7 @@ class TestSmoothing:
                          events[rng.integers(0, n, size=min(n, 10))]]
             model = HawkesModel(rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(0.01, 3))
             raw = sample_intensity(model, events, grid)
-            expected = [intensity(model, events, t) for t in grid]
+            expected = [naive_intensity(model, events, t) for t in grid]
             np.testing.assert_allclose(raw, expected, rtol=1e-12, atol=0)
 
 
