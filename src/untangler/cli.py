@@ -223,12 +223,9 @@ def default_synth_config(n_conversations: int = 3, posts_lo: int = 40,
                          tokens_hi: int = 8, temperature: float = 200.0,
                          mu: float = 0.1, alpha: float = 0.1,
                          beta: float = 0.01) -> harness.SynthConfig:
-    pools = [
-        [f"t{c}w{i}" for i in range(pool_size)] for c in range(n_conversations)
-    ]
-    models = [temporal.HawkesModel(mu, alpha, beta) for _ in range(n_conversations)]
     return harness.SynthConfig(
-        topic_pools=pools, hawkes=models,
+        n_conversations=n_conversations, pool_size=pool_size,
+        hawkes=temporal.HawkesModel(mu, alpha, beta),
         posts_per_conversation=(posts_lo, posts_hi), gap_seconds=gap,
         tokens_per_post=(tokens_lo, tokens_hi), temperature=temperature)
 
@@ -240,6 +237,8 @@ def cmd_synth(args) -> int:
         raise UserError("--tokens-lo must be <= --tokens-hi")
     if not math.isfinite(args.gap * (args.conversations - 1)):  # the last start time
         raise UserError("--gap times --conversations must be a finite number")
+    if max(args.pool_size, args.posts_hi, args.tokens_hi) >= 2**63:  # drawn as int64
+        raise UserError("--pool-size, --posts-hi and --tokens-hi must be < 2**63")
     config = default_synth_config(
         args.conversations, args.posts_lo, args.posts_hi, args.gap,
         args.pool_size, args.tokens_lo, args.tokens_hi, args.temperature,

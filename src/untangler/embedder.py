@@ -175,14 +175,14 @@ def _steps(params: EncoderParams, x: np.ndarray, ids: np.ndarray, ks: np.ndarray
 
 
 def _backward(params: EncoderParams, tape: list, d_out: np.ndarray,
-              grads: EncoderParams) -> None:
+              grads: EncoderParams) -> np.ndarray:
     """Accumulate d(loss)/d(params) into grads, given d(loss)/d(encodings)
     for the rows of the `_forward` call that filled ``tape``.  Gates come
     from the tape, a step's previous hidden state as o * tanh(c) of the
     step before, and each step's gate slot is overwritten with
     d(loss)/d(pre-activation).  Those are summed per distinct token, so
     w_x, emb and b take one product each after the loop.  Consumes the
-    tape."""
+    tape, and returns the distinct tokens, the rows of grads.emb touched."""
     order, uniq, ids, ks, gates, cells, h = tape.pop()
     hd = params.hidden_dim
     d_out = d_out[order]
@@ -243,6 +243,7 @@ def _backward(params: EncoderParams, tape: list, d_out: np.ndarray,
     grads.w_x += params.emb[uniq].T @ d_x
     grads.b += d_x.sum(axis=0)
     grads.emb[uniq] += d_x @ params.w_x.T
+    return uniq
 
 
 def _row_sums(index: Sequence[int], rows: np.ndarray, n: int) -> np.ndarray:
@@ -256,8 +257,10 @@ def _row_sums(index: Sequence[int], rows: np.ndarray, n: int) -> np.ndarray:
 
 def _minibatch_loss(params: EncoderParams, seqs: Sequence[Sequence[int]],
                     batch: Sequence[tuple[int, Sequence[Sequence[int]]]],
-                    grads: EncoderParams) -> float:
-    """Summed loss of a minibatch, with its gradient accumulated into grads.
+                    grads: EncoderParams) -> tuple[float, np.ndarray]:
+    """Summed loss of a minibatch, with its gradient accumulated into
+    grads, and the distinct tokens of ``seqs``: the only rows of
+    grads.emb it changes.
 
     ``batch`` holds (centre, contexts) samples as indices into ``seqs``, the
     minibatch's distinct posts, so each post is encoded once.  A centre is
@@ -286,8 +289,8 @@ def _minibatch_loss(params: EncoderParams, seqs: Sequence[Sequence[int]],
     d_left = (coef / (nl * nr))[:, None] * right - (coef * z / (nl * nl))[:, None] * left
     d_right = (coef / (nl * nr))[:, None] * left - (coef * z / (nr * nr))[:, None] * right
     d_enc = _row_sums(centre + rows, np.concatenate((d_left, (d_right / size)[ctx])), len(enc))
-    _backward(params, tape, d_enc, grads)
-    return float(np.logaddexp(0.0, -y * z).sum())
+    tokens = _backward(params, tape, d_enc, grads)
+    return float(np.logaddexp(0.0, -y * z).sum()), tokens
 
 
 def loss_and_grads(params: EncoderParams, center_seq: Sequence[int],
@@ -307,7 +310,7 @@ def loss_and_grads(params: EncoderParams, center_seq: Sequence[int],
     seqs = [center_seq, *members, *(s for s in neg_seqs if len(s) > 0)]
     k = len(members) + 1
     contexts = [range(1, k)] + [[j] for j in range(k, len(seqs))]
-    return _minibatch_loss(params, seqs, [(0, contexts)], grads), grads
+    return _minibatch_loss(params, seqs, [(0, contexts)], grads)[0], grads
 
 
 def train(threads: list[Thread], vocab: Vocab, windows: list[list[ContextWindow]],
@@ -365,16 +368,14 @@ def train(threads: list[Thread], vocab: Vocab, windows: list[list[ContextWindow]
             posts = [seqs[t][i] for t, i in rows]
             for _, g in dense:
                 g.fill(0.0)
-            total += _minibatch_loss(params, posts, batch, grads)
+            loss, tokens = _minibatch_loss(params, posts, batch, grads)
+            total += loss
             scale = config.learning_rate / len(batch)
             for p, g in dense:
                 g *= scale
                 p -= g
             # only the rows of the minibatch's tokens are nonzero in
-            # grads.emb; zero them again for the next minibatch.  The
-            # sorting np.unique, as in _pack: its hash-based path would
-            # fault in about 1 MB more of the process's peak RSS
-            tokens = np.unique(np.concatenate(posts), return_inverse=True)[0]
+            # grads.emb; zero them again for the next minibatch
             g = grads.emb[tokens]
             g *= scale
             params.emb[tokens] -= g

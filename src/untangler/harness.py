@@ -2,9 +2,9 @@
 
 Real chat corpora with annotated reply structure are scarce, so the
 pipeline is evaluated against generated threads: each conversation draws
-its post times from its own self-exciting process, its texts from a
-topic-specific token pool, and its reply links from a recency-weighted
-parent distribution.  Interleaving the conversations by global time
+its post times from a self-exciting process, its texts from a token pool
+of its own, and its reply links from a recency-weighted parent
+distribution.  Interleaving the conversations by global time
 order produces a flat thread with a known gold standard.
 """
 
@@ -24,37 +24,31 @@ from .temporal import HawkesModel, simulate
 
 @dataclass
 class SynthConfig:
-    topic_pools: list[list[str]]          # pairwise disjoint token pools
-    hawkes: list[HawkesModel]             # per-conversation burst dynamics
+    n_conversations: int
+    pool_size: int                        # conversation c writes t{c}w0 .. t{c}w{pool_size-1}
+    hawkes: HawkesModel                   # burst dynamics every conversation shares
     posts_per_conversation: tuple[int, int]
     gap_seconds: float                    # offset between conversation starts
     tokens_per_post: tuple[int, int]
     temperature: float                    # reply recency weight, 1/seconds
 
-    @property
-    def n_conversations(self) -> int:
-        return len(self.topic_pools)
-
     def validate(self) -> None:
-        if not self.topic_pools:
-            raise ValueError("need at least one topic pool")
-        if len(self.hawkes) != len(self.topic_pools):
-            raise ValueError("need one Hawkes model per conversation")
-        seen: set[str] = set()
-        for pool in self.topic_pools:
-            if not pool:
-                raise ValueError("topic pools must be non-empty")
-            if seen & set(pool):
-                raise ValueError("topic pools must be pairwise disjoint")
-            seen |= set(pool)
-        if self.posts_per_conversation[0] < 1:
-            raise ValueError("posts_per_conversation must be >= 1")
+        if min(self.n_conversations, self.pool_size, self.posts_per_conversation[0]) < 1:
+            raise ValueError("n_conversations, pool_size and posts_per_conversation must be >= 1")
 
 
 def _json_table(table: dict[int, int]) -> str:
     """``json.dumps({str(k): v ...}, sort_keys=True)`` of an int -> int table."""
     items = sorted(zip(map(str, table), table.values()))
     return "{" + ", ".join(itertools.starmap('"{}": {}'.format, items)) + "}"
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict, or ValueError if it repeats a key."""
+    table = dict(pairs)
+    if len(table) != len(pairs):
+        raise ValueError("a JSON object repeats a key")
+    return table
 
 
 @dataclass
@@ -71,10 +65,11 @@ class GoldStandard:
     @classmethod
     def from_json(cls, data: str) -> "GoldStandard":
         """Inverse of to_json.  Raises ValueError unless 'parents' and
-        'labels' are objects mapping decimal post indices to integers and
-        every gold edge has 0 <= parent < child."""
+        'labels' are objects mapping post indices, written as canonical
+        decimals ("1", not "01"), to integers, no object repeats a key,
+        and every gold edge has 0 <= parent < child."""
         try:
-            payload = json.loads(data)
+            payload = json.loads(data, object_pairs_hook=_unique_keys)
         except RecursionError as exc:
             raise ValueError("JSON nested too deeply") from exc
         if not isinstance(payload, dict):
@@ -82,7 +77,8 @@ class GoldStandard:
         for key in ("parents", "labels"):
             table = payload.get(key)
             if not (isinstance(table, dict) and all(
-                    k.isascii() and k.isdigit() and _is_int(v) for k, v in table.items())):
+                    k.isascii() and k.isdigit() and str(int(k)) == k and _is_int(v)
+                    for k, v in table.items())):
                 raise ValueError(f"{key!r} must be an object mapping post indices to integers")
         parents = {int(c): p for c, p in payload["parents"].items()}
         for child, parent in parents.items():
@@ -159,7 +155,8 @@ def generate(config: SynthConfig, seed: int = 0) -> tuple[Thread, GoldStandard]:
     The draws are part of the output format.  Each conversation draws
     its post count and times, then per post, in order: the double that
     picks its parent (none for the first post), its length, and its
-    tokens, as ``rng.choice(pool, size=k)`` would.  The parents are then
+    token indices, ``rng.integers(0, pool_size, size=k)``; index i of
+    conversation c is the token ``t{c}w{i}``.  The parents are then
     picked from those doubles in bulk, by ``_pick_parents``.
     """
     config.validate()
@@ -167,16 +164,16 @@ def generate(config: SynthConfig, seed: int = 0) -> tuple[Thread, GoldStandard]:
     lo, hi = config.posts_per_conversation
     k_lo, k_hi = config.tokens_per_post
     records = []  # (time, conv, local_idx, local_parent, text)
-    for conv, (pool, model) in enumerate(zip(config.topic_pools, config.hawkes)):
+    for conv in range(config.n_conversations):
         n_posts = int(rng.integers(lo, hi + 1))
-        times = _sample_times(model, n_posts, rng) + conv * config.gap_seconds
+        times = _sample_times(config.hawkes, n_posts, rng) + conv * config.gap_seconds
+        word = f"t{conv}w{{}}".format
         u, texts = [], []
         for j in range(n_posts):
             if j:
                 u.append(rng.random())
             k = int(rng.integers(k_lo, k_hi + 1))
-            texts.append(" ".join(map(pool.__getitem__,
-                                      rng.integers(0, len(pool), size=k).tolist())))
+            texts.append(" ".join(map(word, rng.integers(0, config.pool_size, size=k).tolist())))
         picks = [None, *_pick_parents(times, np.array(u), config.temperature).tolist()]
         records += zip(times.tolist(), itertools.repeat(conv), range(n_posts), picks, texts)
     records.sort(key=lambda r: (r[0], r[1], r[2]))

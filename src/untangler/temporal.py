@@ -80,7 +80,7 @@ def _log_likelihood(gaps: np.ndarray, tail: np.ndarray, horizon: float, mu: floa
     if np.any(lam <= 0):
         return -np.inf, None
     spent = -np.expm1(-beta * tail).sum()  # sum of 1 - exp(-beta * tail), accurate for small beta
-    value = float(np.log(lam).sum() - mu * horizon - (alpha / beta) * spent)
+    value = float(np.log(lam).sum() - mu * horizon - alpha * (spent / beta))
     if value != value or value == np.inf:  # an intensity overflowed
         return -np.inf, None
     return value, (s, decay, lam, spent)

@@ -235,14 +235,16 @@ def reference_generate(config, seed: int = 0) -> tuple[Thread, GoldStandard]:
     """``harness.generate`` as the per-post loop: each post draws its
     parent with ``rng.choice(j, p=...)`` over the recency weights of the
     earlier posts of its conversation, then its length, then its tokens
-    with ``rng.choice(pool, size=k)``."""
+    with ``rng.choice(pool, size=k)`` from the conversation's pool
+    ``t{conv}w0 .. t{conv}w{pool_size-1}``."""
     config.validate()
     rng = np.random.default_rng(seed)
     records = []  # (time, conv, local_idx, local_parent, text)
-    for conv, (pool, model) in enumerate(zip(config.topic_pools, config.hawkes)):
+    for conv in range(config.n_conversations):
+        pool = [f"t{conv}w{i}" for i in range(config.pool_size)]
         lo, hi = config.posts_per_conversation
         n_posts = int(rng.integers(lo, hi + 1))
-        times = _sample_times(model, n_posts, rng) + conv * config.gap_seconds
+        times = _sample_times(config.hawkes, n_posts, rng) + conv * config.gap_seconds
         for j in range(n_posts):
             parent = None
             if j > 0:

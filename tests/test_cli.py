@@ -392,10 +392,13 @@ class TestSynthEval:
         ({"parents": {}, "labels": {"0": 0, " 1": 0, "2": 1}}, "post indices"),
         ({"parents": {}}, "labels"),
         ([1], "JSON object"),
+        # aliases of one post: a non-canonical index, a repeated key (raw text)
+        ({"parents": {"1": 0, "01": 0}, "labels": {"0": 0, "1": 0, "00": 1}}, "post indices"),
+        ('{"parents": {}, "labels": {"0": 0, "1": 0, "1": 1, "2": 1}}', "repeats a key"),
     ])
     def test_eval_rejects_invalid_gold(self, tmp_path, capsys, gold, message):
         (tmp_path / "g.json").write_text(json.dumps({"n": 3, "edges": [], "roots": [0, 1, 2]}))
-        (tmp_path / "gold.json").write_text(json.dumps(gold))
+        (tmp_path / "gold.json").write_text(gold if isinstance(gold, str) else json.dumps(gold))
         assert run("eval", "--pred", tmp_path / "g.json",
                    "--gold", tmp_path / "gold.json") == 2
         assert message in capsys.readouterr().err
@@ -599,6 +602,9 @@ BAD_VALUES = [
     ("synth", {"--temperature": "nan"}),
     ("synth", {"--mu": "-1"}),
     ("synth", {"--mu": "0"}),
+    ("synth", {"--pool-size": str(2**63)}),
+    ("synth", {"--posts-hi": str(2**63)}),
+    ("synth", {"--tokens-hi": str(2**63)}),
 ]
 
 

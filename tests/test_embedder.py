@@ -319,7 +319,8 @@ class TestLoss:
                 negs = rng.integers(len(posts), size=rng.integers(0, 4))
                 batch.append((centre, [members] + [[int(j)] for j in negs]))
             grads = params.zeros_like()
-            loss = embedder._minibatch_loss(params, posts, batch, grads)
+            loss, tokens = embedder._minibatch_loss(params, posts, batch, grads)
+            np.testing.assert_array_equal(tokens, np.unique(np.concatenate(posts)))
             expected, acc = 0.0, params.zeros_like()
             for centre, (members, *negs) in batch:
                 expected += loss_and_grads(params, posts[centre], [posts[m] for m in members],
@@ -421,7 +422,9 @@ class TestTrain:
 
         def recording_minibatch_loss(params, seqs, batch, grads):
             snapshots.append((params.emb.copy(), np.unique(np.concatenate(seqs))))
-            return minibatch_loss(params, seqs, batch, grads)
+            loss, tokens = minibatch_loss(params, seqs, batch, grads)
+            np.testing.assert_array_equal(tokens, snapshots[-1][1])
+            return loss, tokens
 
         monkeypatch.setattr(embedder, "_minibatch_loss", recording_minibatch_loss)
         params, _ = embedder.train([thread], vocab, [windows], config)

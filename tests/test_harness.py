@@ -20,8 +20,9 @@ BENCH = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "
 
 def small_config(**kw):
     defaults = dict(
-        topic_pools=[["a1", "a2", "a3"], ["b1", "b2", "b3"]],
-        hawkes=[HawkesModel(0.5, 0.2, 1.0)] * 2,
+        n_conversations=2,
+        pool_size=3,
+        hawkes=HawkesModel(0.5, 0.2, 1.0),
         posts_per_conversation=(5, 8),
         gap_seconds=500.0,
         tokens_per_post=(2, 4),
@@ -35,21 +36,14 @@ class TestSynthConfig:
     def test_valid(self):
         small_config().validate()
 
-    def test_pool_hawkes_mismatch(self):
-        with pytest.raises(ValueError):
-            small_config(hawkes=[HawkesModel(1, 0, 1)]).validate()
-
-    def test_overlapping_pools_rejected(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            small_config(topic_pools=[["x", "y"], ["y", "z"]]).validate()
-
-    def test_empty_pool_rejected(self):
-        with pytest.raises(ValueError):
-            small_config(topic_pools=[["x"], []]).validate()
-
     def test_posts_lower_bound(self):
         with pytest.raises(ValueError):
             small_config(posts_per_conversation=(0, 5)).validate()
+
+    @pytest.mark.parametrize("field", ["n_conversations", "pool_size"])
+    def test_count_lower_bound(self, field):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: 0}).validate()
 
 
 class TestGenerate:
@@ -85,12 +79,12 @@ class TestGenerate:
         config = small_config()
         thread, gold = generate(config, seed=6)
         for i, post in enumerate(thread.posts):
-            pool = set(config.topic_pools[gold.labels[i]])
+            pool = {f"t{gold.labels[i]}w{w}" for w in range(config.pool_size)}
             assert set(post.text.split()) <= pool
 
     def test_high_temperature_prefers_recent_parent(self):
         config = small_config(temperature=1e6, posts_per_conversation=(30, 30),
-                              topic_pools=[["a"]], hawkes=[HawkesModel(0.5, 0.2, 1.0)])
+                              n_conversations=1, pool_size=1)
         thread, gold = generate(config, seed=7)
         # with extreme recency weighting almost every parent is the
         # immediately preceding post of the same conversation
@@ -108,7 +102,13 @@ class TestGenerate:
         assert gold.to_json() == reference_gold_json(gold)
         assert GoldStandard({}, {}).to_json() == reference_gold_json(GoldStandard({}, {}))
 
-    @pytest.mark.parametrize("data", ['{"labels": {"0": 0}}', '{"parents": {}}', "{}"])
+    @pytest.mark.parametrize("data", [
+        '{"labels": {"0": 0}}', '{"parents": {}}', "{}",
+        # "01" and "1" would name one post
+        '{"parents": {"1": 0, "01": 0}, "labels": {"0": 0, "1": 0, "00": 1}}',
+        '{"parents": {}, "labels": {"0": 0, "1": 0, "1": 1}}',
+        '{"parents": {}, "labels": {"0": 0}, "labels": {"0": 1}}',
+    ])
     def test_gold_missing_table_raises_value_error(self, data):
         with pytest.raises(ValueError):
             GoldStandard.from_json(data)
@@ -184,7 +184,7 @@ class TestGenerateOracle:
 
     def test_memory_is_linear_in_a_conversation(self):
         # the lower triangle of one 5,000-post conversation's weights is 100 MB
-        config = small_config(topic_pools=[["a", "b"]], hawkes=[HawkesModel(0.5, 0.2, 1.0)],
+        config = small_config(n_conversations=1, pool_size=2,
                               posts_per_conversation=(5000, 5000))
         tracemalloc.start()
         try:
@@ -193,6 +193,16 @@ class TestGenerateOracle:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 8 * harness._TILE_ELEMENTS, peak
+
+    def test_memory_is_independent_of_the_pool_size(self):
+        # the token strings of two pools of 10**6 would take hundreds of MB
+        tracemalloc.start()
+        try:
+            generate(small_config(pool_size=10**6), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
     def test_overflowing_nearest_gap_raises(self):
         with pytest.raises(harness.RecencyOverflowError, match="not a finite number"):

@@ -1,5 +1,7 @@
 """Hawkes model: intensity, likelihood, simulation, fitting, ranges."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -164,7 +166,10 @@ class TestOverflow:
         (lambda: intensity(HawkesModel(1, 0.5, 1e308), [0.0], 2.0), 1.0),
         (lambda: log_likelihood(HawkesModel(1, 0.5, 1e308), [0, 2], 3), -3.0),
         (lambda: log_likelihood(HawkesModel(1, 1e308, 1e-300), [0, 1, 2], 3), -np.inf),
-    ], ids=["intensity", "log_likelihood-decay", "log_likelihood-intensity"])
+        (lambda: log_likelihood(HawkesModel(1, 0.5, 1e-320), [0, 1, 2], 3),
+         pytest.approx(math.log(3) - 6)),
+    ], ids=["intensity", "log_likelihood-decay", "log_likelihood-intensity",
+            "log_likelihood-compensator"])
     def test_silent_and_defined(self, call, expected):
         assert call() == expected
 
