@@ -17,10 +17,12 @@ import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import corpus, ingest, score
 
-from . import corpus, embedder, graph as graphmod, harness, ingest, temporal
+if TYPE_CHECKING:  # each command imports the modules it runs, so eval runs without numpy
+    from . import embedder, harness, temporal
 
 
 class UserError(Exception):
@@ -98,6 +100,8 @@ def _emit(payload: dict) -> None:
 
 def _hawkes_from_args(args, thread: ingest.Thread) -> temporal.HawkesModel:
     """Explicit (mu, alpha, beta) when all three are given, else fit."""
+    import numpy as np
+    from . import temporal
     given = [args.mu, args.alpha, args.beta]
     if all(v is not None for v in given):
         model = temporal.HawkesModel(*given)
@@ -124,6 +128,7 @@ def _hawkes_from_args(args, thread: ingest.Thread) -> temporal.HawkesModel:
 @contextmanager
 def _finite_intensity():
     """A UserError naming the Hawkes flags for an intensity that overflows."""
+    from . import temporal
     try:
         yield
     except temporal.IntensityError as exc:
@@ -141,6 +146,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import embedder
     thread = _read_thread(args.input, keep_empty=args.keep_empty)
     if len(thread) == 0:
         raise UserError("empty corpus: nothing to train on")
@@ -169,6 +175,7 @@ def cmd_train(args) -> int:
 
 
 def _load_model(args) -> tuple[embedder.EncoderConfig, embedder.EncoderParams, corpus.Vocab]:
+    from . import embedder
     with _reading(args.checkpoint):
         return embedder.load_checkpoint(args.checkpoint)
 
@@ -177,14 +184,16 @@ def run_pipeline(thread: ingest.Thread, config: embedder.EncoderConfig,
                  params: embedder.EncoderParams, vocab: corpus.Vocab,
                  model: temporal.HawkesModel, tau, quantile: float):
     """embed -> ranges -> reply forest -> extract."""
+    from . import embedder, graph, temporal
     embeddings = embedder.embed_thread(params, thread, vocab, max_len=config.max_len)
     ranges = temporal.detect_ranges(thread, model, tau=tau, quantile=quantile)
-    forest = graphmod.reply_forest(embeddings, ranges)
-    conversations = graphmod.extract_conversations(forest)
+    forest = graph.reply_forest(embeddings, ranges)
+    conversations = graph.extract_conversations(forest)
     return embeddings, ranges, forest, conversations
 
 
 def cmd_disentangle(args) -> int:
+    from . import graph
     thread = _read_thread(args.input, keep_empty=args.keep_empty)
     if len(thread) == 0:
         raise UserError("empty thread")
@@ -194,11 +203,11 @@ def cmd_disentangle(args) -> int:
         _, ranges, forest, conversations = run_pipeline(
             thread, config, params, vocab, model, args.tau, args.quantile)
     graph_path = _out_path(args, "graph.json")
-    graph_path.write_bytes(graphmod.export_graph(forest, "json"))
+    graph_path.write_bytes(graph.export_graph(forest, "json"))
     outputs = {"graph_json": str(graph_path)}
     if args.dot:
         dot_path = _out_path(args, "graph.dot")
-        dot_path.write_bytes(graphmod.export_graph(forest, "dot"))
+        dot_path.write_bytes(graph.export_graph(forest, "dot"))
         outputs["dot"] = str(dot_path)
     conv_path = _out_path(args, "conversations.json")
     conv_payload = {
@@ -223,6 +232,7 @@ def default_synth_config(n_conversations: int = 3, posts_lo: int = 40,
                          tokens_hi: int = 8, temperature: float = 200.0,
                          mu: float = 0.1, alpha: float = 0.1,
                          beta: float = 0.01) -> harness.SynthConfig:
+    from . import harness, temporal
     return harness.SynthConfig(
         n_conversations=n_conversations, pool_size=pool_size,
         hawkes=temporal.HawkesModel(mu, alpha, beta),
@@ -231,6 +241,7 @@ def default_synth_config(n_conversations: int = 3, posts_lo: int = 40,
 
 
 def cmd_synth(args) -> int:
+    from . import harness
     if args.posts_lo > args.posts_hi:
         raise UserError("--posts-lo must be <= --posts-hi")
     if args.tokens_lo > args.tokens_hi:
@@ -261,25 +272,21 @@ def cmd_synth(args) -> int:
 
 def cmd_eval(args) -> int:
     with _reading(args.pred):
-        pred_graph = graphmod.parse_graph_json(Path(args.pred).read_bytes())
+        n, parent, child, _ = score.read_graph(Path(args.pred).read_bytes())
     with _reading(args.gold):
-        gold = harness.GoldStandard.from_json(Path(args.gold).read_text(encoding="utf-8"))
-    n = pred_graph.n
+        gold = score.GoldStandard.from_json(Path(args.gold).read_text(encoding="utf-8"))
     if len(gold.labels) != n or set(gold.labels) != set(range(n)):
         raise UserError("predicted graph and gold standard cover different posts")
-    if any(child >= n for child in gold.parents):
+    if any(c >= n for c in gold.parents):
         raise UserError(f"gold standard has an edge to a post beyond the graph's {n}")
     try:
-        conversations = graphmod.extract_conversations(pred_graph)
+        conversations = score.extract_trees(n, parent, child)
     except ValueError as exc:
         raise UserError(str(exc)) from exc
     pred_parents = {c: p for conv in conversations for c, p in conv.parents.items()}
-    pred_labels: dict[int, int] = {}
-    for conv in conversations:
-        for m in conv.members:
-            pred_labels[m] = conv.root
-    p, r, f1 = harness.edge_prf(pred_parents, gold.parents)
-    ari = harness.partition_ari(pred_labels, gold.labels)
+    pred_labels = {m: conv.root for conv in conversations for m in conv.members}
+    p, r, f1 = score.edge_prf(pred_parents, gold.parents)
+    ari = score.partition_ari(pred_labels, gold.labels)
     _emit({"precision": p, "recall": r, "f1": f1, "ari": ari,
            "predicted_conversations": len(conversations),
            "gold_conversations": len(set(gold.labels.values()))})
@@ -287,6 +294,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_intensity(args) -> int:
+    import numpy as np
+    from . import temporal
     thread = _read_thread(args.input, keep_empty=args.keep_empty)
     if len(thread) == 0:
         raise UserError("empty thread")
@@ -303,6 +312,7 @@ def cmd_export_intensity(args) -> int:
 
 
 def cmd_project(args) -> int:
+    from . import embedder, harness
     thread = _read_thread(args.input)
     config, params, vocab = _load_model(args)
     embeddings = embedder.embed_thread(params, thread, vocab, max_len=config.max_len)

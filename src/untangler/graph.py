@@ -16,12 +16,11 @@ linear in the number of posts, in one nearest-first scan.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .score import Conversation, extract_trees, read_graph
 from .temporal import Range
 
 # posts per block of reply_forest, and the width of each block's first
@@ -232,30 +231,9 @@ def reply_forest(embeddings: np.ndarray, ranges: list[Range]) -> ReplyGraph:
                       weight=weight[kept])
 
 
-@dataclass
-class Conversation:
-    root: int
-    members: list[int]           # ascending post indices, root included
-    parents: dict[int, int]      # child -> parent, within members
-
-
 def extract_conversations(graph: ReplyGraph) -> list[Conversation]:
     """One conversation per tree of the forest, ordered by root index."""
-    if np.any(np.bincount(graph.child, minlength=graph.n) > 1):
-        raise ValueError("graph is not a forest: a node has in-degree > 1")
-    parent_of = dict(zip(graph.child.tolist(), graph.parent.tolist()))
-    root_of = list(range(graph.n))
-    for v in sorted(parent_of):  # parents precede children, one pass suffices
-        root_of[v] = root_of[parent_of[v]]
-    members_by_root: dict[int, list[int]] = {}
-    for i, root in enumerate(root_of):
-        members_by_root.setdefault(root, []).append(i)
-    conversations = []
-    for root in sorted(members_by_root):
-        members = members_by_root[root]
-        parents = {c: parent_of[c] for c in members if c in parent_of}
-        conversations.append(Conversation(root=root, members=members, parents=parents))
-    return conversations
+    return extract_trees(graph.n, graph.parent.tolist(), graph.child.tolist())
 
 
 def export_graph(graph: ReplyGraph, fmt: str) -> bytes:
@@ -288,48 +266,9 @@ def export_graph(graph: ReplyGraph, fmt: str) -> bytes:
     return f'{{"edges": [{edges}], "n": {graph.n}, "roots": [{roots}]}}\n'.encode("utf-8")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    if not (_is_int(value) or isinstance(value, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
 def parse_graph_json(data) -> ReplyGraph:
-    """Inverse of export_graph(..., 'json').
-
-    Raises ValueError unless 0 <= n < 2**63, every edge has
-    0 <= parent < child < n and every weight is a finite number.
-    """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        payload = json.loads(data)
-    except RecursionError as exc:
-        raise ValueError("JSON nested too deeply") from exc
-    if not isinstance(payload, dict):
-        raise ValueError("graph must be a JSON object")
-    n = payload.get("n")
-    if not _is_int(n) or not 0 <= n < 2 ** 63:
-        raise ValueError("'n' must be an integer >= 0, not too large for int64")
-    edges = payload.get("edges", [])
-    if not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
-        raise ValueError("'edges' must be a list of objects")
-    for e in edges:
-        u, v, w = e.get("parent"), e.get("child"), e.get("w")  # None if missing
-        if not (_is_int(u) and _is_int(v) and 0 <= u < v < n):
-            raise ValueError(f"edge {u!r} -> {v!r} breaks 0 <= parent < child < n")
-        if not _is_finite(w):
-            raise ValueError(f"edge {u} -> {v} has weight {w!r}, not a finite number")
-    return ReplyGraph(
-        n=n,
-        parent=np.array([e["parent"] for e in edges], dtype=np.int64),
-        child=np.array([e["child"] for e in edges], dtype=np.int64),
-        weight=np.array([e["w"] for e in edges], dtype=np.float64),
-    )
+    """Inverse of export_graph(..., 'json'), checked by score.read_graph."""
+    n, parent, child, weight = read_graph(data)
+    return ReplyGraph(n=n, parent=np.array(parent, dtype=np.int64),
+                      child=np.array(child, dtype=np.int64),
+                      weight=np.array(weight, dtype=np.float64))

@@ -1,4 +1,4 @@
-"""Synthetic-conversation oracle and evaluation utilities.
+"""Synthetic-conversation oracle, a clustering baseline and a 3-d projection.
 
 Real chat corpora with annotated reply structure are scarce, so the
 pipeline is evaluated against generated threads: each conversation draws
@@ -11,14 +11,14 @@ order produces a flat thread with a known gold standard.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
-from .graph import _TILE_ELEMENTS, _is_int, similarity_matrix
+from . import score
+from .graph import _TILE_ELEMENTS, similarity_matrix
 from .ingest import Post, Thread
+from .score import GoldStandard
 from .temporal import HawkesModel, simulate
 
 
@@ -35,56 +35,6 @@ class SynthConfig:
     def validate(self) -> None:
         if min(self.n_conversations, self.pool_size, self.posts_per_conversation[0]) < 1:
             raise ValueError("n_conversations, pool_size and posts_per_conversation must be >= 1")
-
-
-def _json_table(table: dict[int, int]) -> str:
-    """``json.dumps({str(k): v ...}, sort_keys=True)`` of an int -> int table."""
-    items = sorted(zip(map(str, table), table.values()))
-    return "{" + ", ".join(itertools.starmap('"{}": {}'.format, items)) + "}"
-
-
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object's dict, or ValueError if it repeats a key."""
-    table = dict(pairs)
-    if len(table) != len(pairs):
-        raise ValueError("a JSON object repeats a key")
-    return table
-
-
-@dataclass
-class GoldStandard:
-    parents: dict[int, int]  # child index -> parent index (roots absent)
-    labels: dict[int, int]   # post index -> conversation id
-
-    def to_json(self) -> str:
-        """The text of ``json.dumps({"parents": ..., "labels": ...},
-        sort_keys=True)`` over the tables with string keys, formatted
-        straight from them: keys sorted as strings at every level."""
-        return f'{{"labels": {_json_table(self.labels)}, "parents": {_json_table(self.parents)}}}\n'
-
-    @classmethod
-    def from_json(cls, data: str) -> "GoldStandard":
-        """Inverse of to_json.  Raises ValueError unless 'parents' and
-        'labels' are objects mapping post indices, written as canonical
-        decimals ("1", not "01"), to integers, no object repeats a key,
-        and every gold edge has 0 <= parent < child."""
-        try:
-            payload = json.loads(data, object_pairs_hook=_unique_keys)
-        except RecursionError as exc:
-            raise ValueError("JSON nested too deeply") from exc
-        if not isinstance(payload, dict):
-            raise ValueError("gold standard must be a JSON object")
-        for key in ("parents", "labels"):
-            table = payload.get(key)
-            if not (isinstance(table, dict) and all(
-                    k.isascii() and k.isdigit() and str(int(k)) == k and _is_int(v)
-                    for k, v in table.items())):
-                raise ValueError(f"{key!r} must be an object mapping post indices to integers")
-        parents = {int(c): p for c, p in payload["parents"].items()}
-        for child, parent in parents.items():
-            if not 0 <= parent < child:
-                raise ValueError(f"gold edge {parent} -> {child} breaks 0 <= parent < child")
-        return cls(parents=parents, labels={int(i): l for i, l in payload["labels"].items()})
 
 
 class StarvedProcessError(ValueError):
@@ -191,44 +141,8 @@ def generate(config: SynthConfig, seed: int = 0) -> tuple[Thread, GoldStandard]:
     return Thread(posts=posts), GoldStandard(parents, labels)
 
 
-def edge_prf(predicted: dict[int, int], gold: dict[int, int]) -> tuple[float, float, float]:
-    """Precision/recall/F1 over parent->child edges."""
-    hits = sum(1 for c, p in predicted.items() if gold.get(c) == p)
-    if not predicted:
-        precision = 1.0 if not gold else 0.0
-    else:
-        precision = hits / len(predicted)
-    if not gold:
-        recall = 1.0 if not predicted else 0.0
-    else:
-        recall = hits / len(gold)
-    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
-    return precision, recall, f1
-
-
-def partition_ari(predicted: dict[int, int], gold: dict[int, int]) -> float:
-    """Adjusted Rand index via the pair-counting contingency formula."""
-    if set(predicted) != set(gold):
-        raise ValueError("partitions must label the same posts")
-    n = len(gold)
-    if n < 2:  # no pairs to count
-        return 1.0
-    table: dict[tuple[int, int], int] = {}
-    a: dict[int, int] = {}
-    b: dict[int, int] = {}
-    for i in predicted:
-        key = (predicted[i], gold[i])
-        table[key] = table.get(key, 0) + 1
-        a[predicted[i]] = a.get(predicted[i], 0) + 1
-        b[gold[i]] = b.get(gold[i], 0) + 1
-    index = sum(comb(c, 2) for c in table.values())
-    sum_a = sum(comb(c, 2) for c in a.values())
-    sum_b = sum(comb(c, 2) for c in b.values())
-    expected = sum_a * sum_b / comb(n, 2)
-    maximum = (sum_a + sum_b) / 2.0
-    if maximum == expected:
-        return 1.0
-    return (index - expected) / (maximum - expected)
+# the scorers live in score; here they keep their old names
+edge_prf, partition_ari = score.edge_prf, score.partition_ari
 
 
 def agglomerative(embeddings: np.ndarray, n_clusters: int) -> np.ndarray:

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from untangler import cli, corpus, embedder, harness, ingest, temporal
+from untangler import cli, corpus, embedder, graph, harness, ingest, temporal
 
 from conftest import write_jsonl
 from oracles import reference_generate, reference_gold_json, reference_thread_jsonl
@@ -395,6 +395,7 @@ class TestSynthEval:
         # aliases of one post: a non-canonical index, a repeated key (raw text)
         ({"parents": {"1": 0, "01": 0}, "labels": {"0": 0, "1": 0, "00": 1}}, "post indices"),
         ('{"parents": {}, "labels": {"0": 0, "1": 0, "1": 1, "2": 1}}', "repeats a key"),
+        ({"parents": {"1": 0}, "labels": {"0": 0, "1": 1, "2": 1}}, "joins two conversations"),
     ])
     def test_eval_rejects_invalid_gold(self, tmp_path, capsys, gold, message):
         (tmp_path / "g.json").write_text(json.dumps({"n": 3, "edges": [], "roots": [0, 1, 2]}))
@@ -615,6 +616,58 @@ def command_argv(command, model_dir):
             "disentangle": ["--input", thread, "--checkpoint", model_dir / "model.untg"],
             "export-intensity": ["--input", thread],
             "synth": []}[command]
+
+
+class TestImports:
+    """Each command imports only the modules it runs."""
+
+    @pytest.mark.parametrize("command,unloaded", [
+        ("--help", ["numpy"]),
+        ("stats", ["numpy"]),
+        ("eval", ["numpy"]),
+        ("train", ["untangler.graph", "untangler.harness", "untangler.temporal"]),
+        ("disentangle", ["untangler.harness"]),
+    ])
+    def test_command_leaves_modules_unloaded(self, tiny_model, tmp_path, command, unloaded):
+        thread, out = tiny_model / "thread.jsonl", tmp_path / "out"
+        if command == "eval":
+            assert run("--out-dir", out, "disentangle",
+                       *command_argv("disentangle", tiny_model)) == 0
+        argv = {"--help": ["--help"],
+                "stats": ["stats", thread],
+                "eval": ["eval", "--pred", out / "graph.json", "--gold", tiny_model / "gold.json"],
+                "train": ["--out-dir", out, "train", "--input", thread, "--dim", 4,
+                          "--hidden", 4, "--epochs", 1, "--k", 2],
+                "disentangle": ["--out-dir", out, "disentangle",
+                                *command_argv("disentangle", tiny_model)]}[command]
+        code = ("import sys\nfrom untangler import cli\n"
+                f"assert cli.main({list(map(str, argv))!r}) == 0\n"
+                f"loaded = sorted(set({unloaded!r}) & set(sys.modules))\n"
+                "assert not loaded, f'{loaded} imported'\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_eval_matches_the_graph_and_harness_route(self, tiny_model, tmp_path, capsys, seed):
+        assert run("--seed", seed, "--out-dir", tmp_path, "synth", "--conversations", 2,
+                   "--posts-lo", 6, "--posts-hi", 9, "--pool-size", 4, "--gap", 5) == 0
+        assert run("--out-dir", tmp_path, "disentangle", "--input", tmp_path / "thread.jsonl",
+                   "--checkpoint", tiny_model / "model.untg") == 0
+        capsys.readouterr()
+        assert run("eval", "--pred", tmp_path / "graph.json", "--gold", tmp_path / "gold.json") == 0
+        forest = graph.parse_graph_json((tmp_path / "graph.json").read_bytes())
+        gold = harness.GoldStandard.from_json((tmp_path / "gold.json").read_text())
+        conversations = graph.extract_conversations(forest)
+        pred_parents = {c: p for conv in conversations for c, p in conv.parents.items()}
+        pred_labels = {m: conv.root for conv in conversations for m in conv.members}
+        p, r, f1 = harness.edge_prf(pred_parents, gold.parents)
+        expected = {"precision": p, "recall": r, "f1": f1,
+                    "ari": harness.partition_ari(pred_labels, gold.labels),
+                    "predicted_conversations": len(conversations),
+                    "gold_conversations": len(set(gold.labels.values()))}
+        assert capsys.readouterr().out == json.dumps(expected, sort_keys=True) + "\n"
 
 
 class TestOptionValues:

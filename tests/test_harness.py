@@ -108,6 +108,8 @@ class TestGenerate:
         '{"parents": {"1": 0, "01": 0}, "labels": {"0": 0, "1": 0, "00": 1}}',
         '{"parents": {}, "labels": {"0": 0, "1": 0, "1": 1}}',
         '{"parents": {}, "labels": {"0": 0}, "labels": {"0": 1}}',
+        # a gold edge between two conversations
+        '{"labels": {"0": 0, "1": 1, "2": 1}, "parents": {"1": 0}}',
     ])
     def test_gold_missing_table_raises_value_error(self, data):
         with pytest.raises(ValueError):
