@@ -11,7 +11,6 @@ from __future__ import annotations
 import string
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO
 
 from .ingest import Thread
 
@@ -39,14 +38,18 @@ def tokenize(text: str) -> list[str]:
 class Vocab:
     token_to_index: dict[str, int]
     index_to_token: list[str]
-    counts: dict[str, int]
-    min_count: int = 1
 
     def __len__(self) -> int:
         return len(self.index_to_token)
 
     def index(self, token: str) -> int:
         return self.token_to_index.get(token, UNK)
+
+
+def _vocab(tokens: list[str]) -> Vocab:
+    """PAD and UNK, then ``tokens`` at indices 2, 3, ..."""
+    return Vocab({tok: i for i, tok in enumerate(tokens, start=2)},
+                 ["<pad>", "<unk>", *tokens])
 
 
 def build_vocab(threads: list[Thread], min_count: int = 1) -> Vocab:
@@ -62,18 +65,8 @@ def build_vocab(threads: list[Thread], min_count: int = 1) -> Vocab:
     for thread in threads:
         for post in thread.posts:
             counter.update(tokenize(post.text))
-    kept = sorted(
-        ((tok, c) for tok, c in counter.items() if c >= min_count),
-        key=lambda kv: (-kv[1], kv[0]),
-    )
-    index_to_token = ["<pad>", "<unk>"] + [tok for tok, _ in kept]
-    token_to_index = {tok: i + 2 for i, (tok, _) in enumerate(kept)}
-    return Vocab(
-        token_to_index=token_to_index,
-        index_to_token=index_to_token,
-        counts=dict(kept),
-        min_count=min_count,
-    )
+    return _vocab(sorted((tok for tok, c in counter.items() if c >= min_count),
+                         key=lambda tok: (-counter[tok], tok)))
 
 
 def encode_text(vocab: Vocab, text: str, max_len: int) -> list[int]:
@@ -83,44 +76,25 @@ def encode_text(vocab: Vocab, text: str, max_len: int) -> list[int]:
     return [vocab.index(tok) for tok in tokenize(text)[:max_len]]
 
 
-def save_vocab(vocab: Vocab, fp: IO[str]) -> None:
-    """One ``token<TAB>index<TAB>count`` line per entry, after a header."""
-    fp.write(f"#vocab\tmin_count={vocab.min_count}\tsize={len(vocab)}\n")
-    fp.write(f"<pad>\t{PAD}\t0\n<unk>\t{UNK}\t0\n")
-    for idx in range(2, len(vocab)):
-        tok = vocab.index_to_token[idx]
-        fp.write(f"{tok}\t{idx}\t{vocab.counts[tok]}\n")
+def save_vocab(vocab: Vocab) -> str:
+    """The tokens of indices 2, 3, ... in order, each followed by a
+    newline; PAD and UNK are implied.  No token holds a newline, since
+    `tokenize` splits on whitespace."""
+    return "".join(tok + "\n" for tok in vocab.index_to_token[2:])
 
 
-def load_vocab(fp: IO[str]) -> Vocab:
-    """Inverse of save_vocab.  Raises ValueError on a malformed file."""
-    header = fp.readline().strip().split("\t")
-    if (len(header) != 3 or header[0] != "#vocab"
-            or not header[1].startswith("min_count=") or not header[2].startswith("size=")):
-        raise ValueError("bad vocabulary header")
-    min_count = int(header[1][len("min_count="):])
-    size = int(header[2][len("size="):])
-    tokens: dict[int, str] = {}
-    token_to_index: dict[str, int] = {}
-    counts: dict[str, int] = {}
-    for lineno, line in enumerate(fp, start=2):
-        if not line.strip():
-            continue
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) != 3:
-            raise ValueError(f"line {lineno}: expected token, index and count")
-        tok, idx_s, count_s = fields
-        idx = int(idx_s)
-        if not 0 <= idx < size or idx in tokens:
-            raise ValueError(f"line {lineno}: index {idx} is out of range or repeated")
-        tokens[idx] = tok
-        if idx >= 2:
-            token_to_index[tok] = idx
-            counts[tok] = int(count_s)
-    if len(tokens) != size:
-        raise ValueError(f"header says {size} entries, file has {len(tokens)}")
-    index_to_token = [tokens[i] for i in range(size)]
-    return Vocab(token_to_index, index_to_token, counts, min_count)
+def load_vocab(text: str) -> Vocab:
+    """Inverse of save_vocab.  Raises ValueError unless ``text`` ends
+    with a newline and its tokens are non-empty and distinct."""
+    *tokens, rest = text.split("\n")
+    if rest:
+        raise ValueError("vocabulary block does not end with a newline")
+    vocab = _vocab(tokens)
+    if "" in vocab.token_to_index:
+        raise ValueError("vocabulary block has an empty token")
+    if len(set(vocab.index_to_token)) < len(vocab):
+        raise ValueError("vocabulary block repeats a token")
+    return vocab
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ finite-difference checkable.
 
 from __future__ import annotations
 
-import io
 import os
 import struct
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ from .corpus import ContextWindow, Vocab, encode_text
 from .ingest import Thread
 
 CHECKPOINT_MAGIC = b"UNTG"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # posts per packed batch of embed_thread: its gate buffer, states and
 # token arrays are sized by this, not by the thread
@@ -407,9 +406,10 @@ def embed_thread(params: EncoderParams, thread: Thread, vocab: Vocab,
 # (<7i q d> = vocab_size, embed_dim, hidden_dim, max_len, epochs,
 # negatives_per_sample, batch_size, seed, learning_rate), then
 # row-major little-endian float32 blocks: emb, w_x, w_h, b, proj, then
-# to the end of the file the vocabulary as the UTF-8 text of
-# corpus.save_vocab, whose token count must equal vocab_size: the rows
-# of emb mean nothing without the tokens that index them.
+# to the end of the file the vocabulary, without which the rows of emb
+# mean nothing: the UTF-8 text of corpus.save_vocab, the tokens of
+# indices 2 .. vocab_size - 1 (0 and 1 are PAD and UNK), each followed
+# by a newline, which no token holds: corpus.tokenize splits on whitespace.
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<4sI7iqd")
@@ -417,9 +417,7 @@ _HEADER = struct.Struct("<4sI7iqd")
 
 def save_checkpoint(path: str, config: EncoderConfig, params: EncoderParams,
                     vocab: Vocab) -> None:
-    text = io.StringIO()
-    corpus.save_vocab(vocab, text)
-    block = text.getvalue().encode("utf-8")  # before the file exists: a token may not encode
+    block = corpus.save_vocab(vocab).encode("utf-8")  # may raise: before the file exists
     with open(path, "wb") as fp:
         fp.write(_HEADER.pack(
             CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
@@ -464,8 +462,8 @@ def load_checkpoint(path: str) -> tuple[EncoderConfig, EncoderParams, Vocab]:
         except UnicodeDecodeError as exc:
             raise ValueError(f"vocabulary block is not UTF-8 ({exc.reason} "
                              f"at byte {offset + exc.start})") from exc
-        vocab = corpus.load_vocab(io.StringIO(text))
+        vocab = corpus.load_vocab(text)
     if len(vocab) != v:
-        raise ValueError(f"vocabulary block has {len(vocab)} tokens, "
+        raise ValueError(f"vocabulary block has {len(vocab)} tokens with PAD and UNK, "
                          f"but the header says vocab_size={v}")
     return config, EncoderParams(*arrays), vocab

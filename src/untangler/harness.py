@@ -33,8 +33,12 @@ class SynthConfig:
     temperature: float                    # reply recency weight, 1/seconds
 
     def validate(self) -> None:
-        if min(self.n_conversations, self.pool_size, self.posts_per_conversation[0]) < 1:
-            raise ValueError("n_conversations, pool_size and posts_per_conversation must be >= 1")
+        if min(self.n_conversations, self.pool_size) < 1:
+            raise ValueError("n_conversations and pool_size must be >= 1")
+        for name in ("posts_per_conversation", "tokens_per_post"):
+            lo, hi = getattr(self, name)
+            if not 1 <= lo <= hi:
+                raise ValueError(f"{name} (lo, hi) must have 1 <= lo <= hi")
 
 
 class StarvedProcessError(ValueError):

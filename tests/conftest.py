@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import pytest
 
@@ -17,6 +18,13 @@ def make_thread(times, texts=None) -> Thread:
         for i, t in enumerate(times)
     ]
     return Thread(posts=posts)
+
+
+def vocab_offset(checkpoint: bytes) -> int:
+    """Where a checkpoint's vocabulary block starts: after the 52-byte
+    header and the float32 parameter blocks of the dims it gives."""
+    v, d, h = struct.unpack_from("<3i", checkpoint, 8)
+    return 52 + 4 * (v * d + d * 4 * h + h * 4 * h + 4 * h + h * d)
 
 
 def write_jsonl(path, rows) -> None:

@@ -13,7 +13,7 @@ import pytest
 
 from untangler import cli, corpus, embedder, graph, harness, ingest, temporal
 
-from conftest import write_jsonl
+from conftest import vocab_offset, write_jsonl
 from oracles import reference_generate, reference_gold_json, reference_thread_jsonl
 
 
@@ -207,24 +207,28 @@ class TestDisentangle:
                    "--checkpoint", tmp_path / "out" / "model.untg") == 2
         assert "line 4: 'ts' must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["disentangle", "project"])
     @pytest.mark.parametrize("corrupt,message", [
-        (lambda vocab: vocab.replace("#vocab", "#vocabulary"), "bad vocabulary header"),
-        (lambda vocab: vocab.rsplit("\n", 2)[0] + "\n", "entries"),
-        (lambda vocab: vocab.replace("\t2\t", "\t999\t"), "index 999"),
+        (lambda vocab: vocab.rsplit("\n", 2)[0] + "\n", "tokens"),
+        (lambda vocab: vocab.rsplit("\n", 2)[0] + "\n" + vocab.split("\n", 1)[0] + "\n",
+         "repeats a token"),
+        (lambda vocab: vocab.rsplit("\n", 2)[0] + "\n\n", "empty token"),
+        (lambda vocab: vocab[:-1], "does not end with a newline"),
     ])
-    def test_malformed_vocab_exits_2(self, thread_file, tmp_path, capsys, corrupt, message):
-        assert run(*train_args(thread_file, tmp_path)) == 0
-        ckpt = tmp_path / "out" / "model.untg"
-        data = ckpt.read_bytes()
-        at = data.rindex(b"#vocab\t")  # the vocabulary block after the parameters
+    def test_malformed_vocab_exits_2(self, tiny_model, tmp_path, capsys, corrupt, message,
+                                     command):
+        data = (tiny_model / "model.untg").read_bytes()
+        at = vocab_offset(data)
+        ckpt = tmp_path / "bad.untg"
         ckpt.write_bytes(data[:at] + corrupt(data[at:].decode()).encode())
-        assert run("disentangle", "--input", thread_file, "--checkpoint", ckpt) == 2
+        assert run("--out-dir", tmp_path, command, "--input", tiny_model / "thread.jsonl",
+                   "--checkpoint", ckpt) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: ") and message in err
 
     def test_non_utf8_vocab_reports_its_file_offset(self, tiny_model, tmp_path, capsys):
         data = (tiny_model / "model.untg").read_bytes()
-        at = data.rindex(b"#vocab\t") + 40  # after the header and the parameter blocks
+        at = vocab_offset(data) + 2  # inside the first token
         ckpt = tmp_path / "bad.untg"
         ckpt.write_bytes(data[:at] + b"\xff" + data[at + 1:])
         assert run("disentangle", "--input", tiny_model / "thread.jsonl",
@@ -298,7 +302,7 @@ class TestDisentangle:
         assert run(*train_args(thread_file, tmp_path)) == 0
         ckpt = tmp_path / "out" / "model.untg"
         data = ckpt.read_bytes()
-        at = data.rindex(b"#vocab\t") - 4  # the last float of the parameter blocks
+        at = vocab_offset(data) - 4  # the last float of the parameter blocks
         ckpt.write_bytes(data[:at] + struct.pack("<f", float("nan")) + data[at + 4:])
         assert run("--out-dir", tmp_path / "dis", "disentangle", "--input", thread_file,
                    "--checkpoint", ckpt) == 2

@@ -1,7 +1,5 @@
 """Tokenization, vocabulary build/save/load, and context windows."""
 
-import io
-
 import pytest
 
 from untangler import corpus
@@ -56,7 +54,7 @@ class TestVocab:
 
     def test_multiple_threads_pooled(self):
         vocab = build_vocab([make_thread([0], ["x"]), make_thread([0], ["x y"])])
-        assert vocab.counts == {"x": 2, "y": 1}
+        assert vocab.index_to_token == ["<pad>", "<unk>", "x", "y"]
 
     def test_encode_text(self):
         vocab = build_vocab([make_thread([0], ["a b c"])])
@@ -71,26 +69,21 @@ class TestVocab:
 
     def test_save_load_round_trip(self):
         vocab = build_vocab([make_thread([0, 1], ["b a", "b naïve"])], min_count=1)
-        buf = io.StringIO()
-        save_vocab(vocab, buf)
-        buf.seek(0)
-        again = load_vocab(buf)
-        assert again == vocab
+        assert save_vocab(vocab) == "b\na\nnaïve\n"
+        assert load_vocab(save_vocab(vocab)) == vocab
 
-    def test_load_rejects_bad_header(self):
-        with pytest.raises(ValueError, match="header"):
-            load_vocab(io.StringIO("nonsense\n"))
+    def test_empty_block_is_pad_and_unk(self):
+        assert load_vocab("") == build_vocab([])
 
-    @pytest.mark.parametrize("body,match", [
-        ("#vocab\tmin_count=1\tsize\n", "header"),
-        ("#vocab\tmin_count=1\tsize=3\n<pad>\t0\t0\n<unk>\t1\t0\na\t7\t1\n", "index 7"),
-        ("#vocab\tmin_count=1\tsize=3\n<pad>\t0\t0\n<unk>\t1\t0\na\t-1\t1\n", "index -1"),
-        ("#vocab\tmin_count=1\tsize=3\n<pad>\t0\t0\n<unk>\t1\t0\n", "3 entries"),
-        ("#vocab\tmin_count=1\tsize=3\n<pad>\t0\t0\n<unk>\t1\t0\na 2 1\n", "line 4"),
+    @pytest.mark.parametrize("text,match", [
+        ("a\nb", "newline"),
+        ("a\n\nb\n", "empty token"),
+        ("a\nb\na\n", "repeats a token"),
+        ("a\n<unk>\n", "repeats a token"),
     ])
-    def test_load_rejects_malformed_entries(self, body, match):
+    def test_load_rejects_malformed_blocks(self, text, match):
         with pytest.raises(ValueError, match=match):
-            load_vocab(io.StringIO(body))
+            load_vocab(text)
 
     def test_pad_unk_reserved(self):
         vocab = build_vocab([make_thread([0], ["word"])])

@@ -1,6 +1,5 @@
 """Encoder numerics: forward pass, gradients, training, checkpoints."""
 
-import io
 import struct
 import tracemalloc
 
@@ -10,7 +9,7 @@ import pytest
 from untangler import corpus, embedder
 from untangler.embedder import EncoderConfig, EncoderParams, init_params, loss_and_grads
 
-from conftest import make_thread
+from conftest import make_thread, vocab_offset
 from oracles import (encode_context, encode_post, reference_encode, reference_grads,
                      similarity, training_loss)
 
@@ -475,16 +474,10 @@ def small_vocab(size=12):
 
 
 def vocab_block(size):
-    text = io.StringIO()
-    corpus.save_vocab(small_vocab(size), text)
-    return text.getvalue().encode("utf-8")
+    return corpus.save_vocab(small_vocab(size)).encode("utf-8")
 
 
 HEADER = struct.calcsize("<4sI7iqd")
-
-
-def vocab_start(b):
-    return b.rindex(b"#vocab\t")
 
 
 class TestCheckpoint:
@@ -503,7 +496,6 @@ class TestCheckpoint:
     def test_unencodable_token_writes_no_file(self, tmp_path):
         vocab = small_vocab()
         vocab.index_to_token[2] = "\ud800"
-        vocab.counts["\ud800"] = 1
         path = tmp_path / "model.untg"
         with pytest.raises(UnicodeEncodeError):
             embedder.save_checkpoint(str(path), small_config(), init_params(small_config()), vocab)
@@ -518,13 +510,16 @@ class TestCheckpoint:
     @pytest.mark.parametrize("mutate,match", [
         (lambda b: b"WRNG" + b[4:], "bad magic"),
         (lambda b: b[:4] + struct.pack("<I", 1) + b[8:], "unsupported checkpoint version 1"),
+        (lambda b: b[:4] + struct.pack("<I", 2) + b[8:], "unsupported checkpoint version 2"),
         (lambda b: b[:10], "truncated"),
         (lambda b: b[:HEADER + 5], "truncated"),
-        (lambda b: b + b"\x00", "expected token, index and count"),  # after the vocabulary
-        (lambda b: b[:vocab_start(b)] + vocab_block(11), "11 tokens"),
+        (lambda b: b + b"w0", "newline"),  # after the vocabulary
+        (lambda b: b + b"w0\n", "repeats a token"),
+        (lambda b: b[:-1] + b"\n\n", "empty token"),
+        (lambda b: b[:vocab_offset(b)] + vocab_block(11), "11 tokens"),
         (lambda b: b[:12] + struct.pack("<i", -5) + b[16:], "embed_dim must be >= 1"),
         (lambda b: b[:8] + struct.pack("<i", 2**31 - 1) + b[12:], "truncated"),
-        (lambda b: b[:vocab_start(b) - 4] + struct.pack("<f", float("nan")) + b[vocab_start(b):],
+        (lambda b: b[:vocab_offset(b) - 4] + struct.pack("<f", float("nan")) + b[vocab_offset(b):],
          "non-finite"),
         (lambda b: b[:HEADER] + struct.pack("<f", float("inf")) + b[HEADER + 4:], "non-finite"),
         (lambda b: b[:HEADER] + b"\x01\x00\x80\x7f" + b[HEADER + 4:], "non-finite"),  # sNaN

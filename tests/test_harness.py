@@ -45,6 +45,20 @@ class TestSynthConfig:
         with pytest.raises(ValueError, match=field):
             small_config(**{field: 0}).validate()
 
+    @pytest.mark.parametrize("field", ["posts_per_conversation", "tokens_per_post"])
+    @pytest.mark.parametrize("bounds", [(0, 1), (-2, 3), (6, 5)])
+    def test_range_bounds(self, field, bounds):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: bounds}).validate()
+        with pytest.raises(ValueError, match=field):
+            generate(small_config(**{field: bounds}), seed=0)
+
+    def test_range_of_one_value(self):
+        thread, gold = generate(small_config(posts_per_conversation=(1, 1),
+                                             tokens_per_post=(1, 1)), seed=0)
+        assert len(thread) == 2 and len(gold.labels) == 2
+        assert all(len(p.text.split()) == 1 for p in thread.posts)
+
 
 class TestGenerate:
     def test_deterministic(self):
