@@ -147,6 +147,10 @@ def cmd_stats(args) -> int:
 
 def cmd_train(args) -> int:
     from . import embedder
+    for name in ("max_len", "dim", "hidden", "epochs", "negatives", "batch_size", "seed"):
+        bits = 63 if name == "seed" else 31  # the checkpoint header's int64 and int32
+        if getattr(args, name) >= 2**bits:
+            raise UserError(f"--{name.replace('_', '-')} must be < 2**{bits} for train")
     thread = _read_thread(args.input, keep_empty=args.keep_empty)
     if len(thread) == 0:
         raise UserError("empty corpus: nothing to train on")
@@ -167,7 +171,10 @@ def cmd_train(args) -> int:
         params, curve = embedder.train([thread], vocab, [windows], config)
     except ValueError as exc:
         raise UserError(str(exc)) from exc
-    embedder.save_checkpoint(str(ckpt), config, params, vocab)
+    try:
+        embedder.save_checkpoint(str(ckpt), config, params, vocab)
+    except ValueError as exc:
+        raise UserError(f"cannot save the checkpoint: {exc}; lower --lr") from exc
     _write_csv(csv_path, ["epoch", "mean_loss"], enumerate(curve))
     _emit({"checkpoint": str(ckpt), "loss_csv": str(csv_path),
            "first_epoch_loss": curve[0], "final_epoch_loss": curve[-1]})

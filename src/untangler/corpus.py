@@ -85,15 +85,17 @@ def save_vocab(vocab: Vocab) -> str:
 
 def load_vocab(text: str) -> Vocab:
     """Inverse of save_vocab.  Raises ValueError unless ``text`` ends
-    with a newline and its tokens are non-empty and distinct."""
+    with a newline and its tokens are distinct, each one that `tokenize`
+    yields, so that every row of a model's embedding can be reached."""
     *tokens, rest = text.split("\n")
     if rest:
         raise ValueError("vocabulary block does not end with a newline")
     vocab = _vocab(tokens)
-    if "" in vocab.token_to_index:
-        raise ValueError("vocabulary block has an empty token")
     if len(set(vocab.index_to_token)) < len(vocab):
         raise ValueError("vocabulary block repeats a token")
+    for tok in tokens:
+        if tokenize(tok) != [tok]:
+            raise ValueError(f"vocabulary block has {tok!r}, not a non-empty token from tokenize")
     return vocab
 
 

@@ -176,63 +176,37 @@ def _steps(params: EncoderParams, x: np.ndarray, ids: np.ndarray, ks: np.ndarray
 def _backward(params: EncoderParams, tape: list, d_out: np.ndarray,
               grads: EncoderParams) -> np.ndarray:
     """Accumulate d(loss)/d(params) into grads, given d(loss)/d(encodings)
-    for the rows of the `_forward` call that filled ``tape``.  Gates come
-    from the tape, a step's previous hidden state as o * tanh(c) of the
-    step before, and each step's gate slot is overwritten with
-    d(loss)/d(pre-activation).  Those are summed per distinct token, so
-    w_x, emb and b take one product each after the loop.  Consumes the
-    tape, and returns the distinct tokens, the rows of grads.emb touched."""
+    for the rows of the `_forward` call that filled ``tape``.  Steps run
+    backwards through the LSTM gradient equations, one per gate, each
+    d(loss)/d(pre-activation) written over its gate's slot on the tape.
+    Only dh and dc carry between steps; tanh(c) and the previous hidden
+    state o * tanh(c) are recomputed from the tape.  Summed per distinct
+    token, the slots give w_x, emb and b one product each after the loop.
+    Consumes the tape; returns the distinct tokens, the rows of grads.emb touched."""
     order, uniq, ids, ks, gates, cells, h = tape.pop()
     hd = params.hidden_dim
     d_out = d_out[order]
     grads.proj += h.T @ d_out
     dh = d_out @ params.proj.T
-    dc, tc, tc_prev, h_prev, tmp = np.zeros((5,) + dh.shape)
-    d_x = np.zeros((uniq.size, 4 * hd))
+    dc, d_x = np.zeros_like(dh), np.zeros((uniq.size, 4 * hd))
     starts = np.cumsum(ks) - ks
-    if ks.size:
-        np.tanh(cells[starts[-1]:], out=tc_prev[:ks[-1]])
     for t in range(ks.size - 1, -1, -1):
         k, o = ks[t], starts[t]
-        tc, tc_prev = tc_prev, tc
-        tc_k, dh_k, dc_k, tmp_k = tc[:k], dh[:k], dc[:k], tmp[:k]
         d_a = gates[o:o + k]
         gi, gf, go, gg = (d_a[:, g:g + hd] for g in range(0, 4 * hd, hd))
         if t:
             p = starts[t - 1]
-            np.tanh(cells[p:p + ks[t - 1]], out=tc_prev[:ks[t - 1]])
-            np.multiply(gates[p:p + k, 2 * hd:3 * hd], tc_prev[:k], out=h_prev[:k])
             c_prev = cells[p:p + k]
+            h_prev = gates[p:p + k, 2 * hd:3 * hd] * np.tanh(c_prev)
         else:
-            h_prev[:k] = 0.0
-            c_prev = h_prev[:k]
-        # dc += dh * o * (1 - tanh(c)^2)
-        np.multiply(tc_k, tc_k, out=tmp_k)
-        np.subtract(1.0, tmp_k, out=tmp_k)
-        tmp_k *= go
-        tmp_k *= dh_k
-        dc_k += tmp_k
-        # output gate: dh * tanh(c) * o * (1 - o)
-        np.subtract(1.0, go, out=tmp_k)
-        go *= tmp_k
-        go *= tc_k
-        go *= dh_k
-        # input gate dc * g * i * (1 - i) and candidate dc * i * (1 - g^2)
-        np.subtract(1.0, gi, out=tmp_k)
-        tmp_k *= gi
-        tmp_k *= gg
-        tmp_k *= dc_k
-        np.multiply(gg, gg, out=gg)
-        np.subtract(1.0, gg, out=gg)
-        gg *= gi
-        gg *= dc_k
-        gi[...] = tmp_k
-        # forget gate dc * c_prev * f * (1 - f), then dc * f for the step before
-        dc_k *= gf
-        np.subtract(1.0, gf, out=gf)
-        gf *= dc_k
-        gf *= c_prev
-        grads.w_h += h_prev[:k].T @ d_a
+            c_prev = h_prev = np.zeros((k, hd))
+        tc, dh_k, dc_k = np.tanh(cells[o:o + k]), dh[:k], dc[:k]
+        dc_k += (1 - tc * tc) * go * dh_k  # through h = o * tanh(c)
+        np.multiply(go * (1 - go) * tc, dh_k, out=go)
+        gi[...], gg[...] = (1 - gi) * gi * gg * dc_k, (1 - gg * gg) * gi * dc_k
+        dc_k *= gf  # dc of the step before
+        np.multiply((1 - gf) * dc_k, c_prev, out=gf)
+        grads.w_h += h_prev.T @ d_a
         np.matmul(d_a, params.w_h.T, out=dh_k)
         # per-token sums of d_a: a segment sum over the step's ids sorted
         perm = np.argsort(ids[o:o + k], kind="stable")
@@ -417,16 +391,22 @@ _HEADER = struct.Struct("<4sI7iqd")
 
 def save_checkpoint(path: str, config: EncoderConfig, params: EncoderParams,
                     vocab: Vocab) -> None:
-    block = corpus.save_vocab(vocab).encode("utf-8")  # may raise: before the file exists
+    """Builds every block before the file opens, so an existing file is kept
+    when one fails.  Raises ValueError for a parameter not finite as float32."""
+    blocks = [_HEADER.pack(
+        CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+        config.vocab_size, config.embed_dim, config.hidden_dim,
+        config.max_len, config.epochs, config.negatives_per_sample,
+        config.batch_size, config.seed, config.learning_rate)]
+    for name, arr in params.groups().items():
+        with np.errstate(over="ignore"):  # an overflow to inf is reported below
+            block = np.ascontiguousarray(arr, dtype="<f4")
+        if not np.isfinite(block).all():
+            raise ValueError(f"parameter {name} is not finite as float32")
+        blocks.append(block.tobytes())
+    blocks.append(corpus.save_vocab(vocab).encode("utf-8"))
     with open(path, "wb") as fp:
-        fp.write(_HEADER.pack(
-            CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-            config.vocab_size, config.embed_dim, config.hidden_dim,
-            config.max_len, config.epochs, config.negatives_per_sample,
-            config.batch_size, config.seed, config.learning_rate))
-        for arr in (params.emb, params.w_x, params.w_h, params.b, params.proj):
-            fp.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        fp.write(block)
+        fp.writelines(blocks)
 
 
 def load_checkpoint(path: str) -> tuple[EncoderConfig, EncoderParams, Vocab]:

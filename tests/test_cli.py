@@ -148,6 +148,22 @@ class TestTrain:
         assert "mean loss is nan" in captured.err and captured.out == ""
         assert not (tmp_path / "out" / "model.untg").exists()
 
+    def test_header_limits_round_trip(self, thread_file, tmp_path, capsys):
+        assert run("--seed", 2**63 - 1, *train_args(thread_file, tmp_path, "--epochs", 1,
+                   "--negatives", 2**31 - 1, "--batch-size", 2**31 - 1,
+                   "--max-len", 2**31 - 1)) == 0
+        config, _, _ = embedder.load_checkpoint(str(tmp_path / "out" / "model.untg"))
+        assert (config.seed, config.negatives_per_sample, config.batch_size, config.max_len) \
+            == (2**63 - 1, 2**31 - 1, 2**31 - 1, 2**31 - 1)
+
+    def test_parameters_beyond_float32_exit_2_writing_nothing(self, thread_file, tmp_path,
+                                                              capsys):
+        assert run(*train_args(thread_file, tmp_path, "--epochs", 1, "--lr", "1e40")) == 2
+        captured = capsys.readouterr()
+        assert "not finite as float32" in captured.err and "lower --lr" in captured.err
+        assert captured.out == ""
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_lone_surrogate_exits_2_before_training(self, tmp_path, capsys):
         log = tmp_path / "log.jsonl"
         log.write_text('{"id": "a", "ts": 1, "text": "hello \\ud800 world"}\n'
@@ -214,6 +230,7 @@ class TestDisentangle:
          "repeats a token"),
         (lambda vocab: vocab.rsplit("\n", 2)[0] + "\n\n", "empty token"),
         (lambda vocab: vocab[:-1], "does not end with a newline"),
+        (lambda vocab: vocab.replace("t1w1\n", "T1W1!\n"), "'T1W1!', not a non-empty token"),
     ])
     def test_malformed_vocab_exits_2(self, tiny_model, tmp_path, capsys, corrupt, message,
                                      command):
@@ -610,6 +627,8 @@ BAD_VALUES = [
     ("synth", {"--pool-size": str(2**63)}),
     ("synth", {"--posts-hi": str(2**63)}),
     ("synth", {"--tokens-hi": str(2**63)}),
+    *(("train", {flag: str(2**31)}) for flag in  # the checkpoint header's int32 fields
+      ("--batch-size", "--negatives", "--max-len", "--epochs", "--dim", "--hidden")),
 ]
 
 
@@ -716,6 +735,13 @@ class TestOptionValues:
         assert run("--seed", -1, "--out-dir", tmp_path / "out", "synth") == 2
         captured = capsys.readouterr()
         assert "--seed must be an integer >= 0" in captured.err and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_train_seed_beyond_int64_exits_2(self, tiny_model, tmp_path, capsys):
+        assert run("--seed", 2**63, "--out-dir", tmp_path / "out", "train",
+                   *command_argv("train", tiny_model)) == 2
+        captured = capsys.readouterr()
+        assert "--seed must be < 2**63" in captured.err and captured.out == ""
         assert not (tmp_path / "out").exists()
 
     def test_starved_hawkes_process_exits_2(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tokenization, vocabulary build/save/load, and context windows."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from untangler import corpus
 from untangler.corpus import (BEFORE_ONLY, PAD, SYMMETRIC, UNK, ContextWindow,
@@ -80,10 +81,18 @@ class TestVocab:
         ("a\n\nb\n", "empty token"),
         ("a\nb\na\n", "repeats a token"),
         ("a\n<unk>\n", "repeats a token"),
+        ("a\nT1W5!\n", "'T1W5!', not a non-empty token"),
+        ("a\nb c\n", "not a non-empty token"),
     ])
     def test_load_rejects_malformed_blocks(self, text, match):
         with pytest.raises(ValueError, match=match):
             load_vocab(text)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.text(), max_size=4))
+    def test_built_tokens_load(self, texts):
+        vocab = build_vocab([make_thread(range(len(texts)), texts)])
+        assert load_vocab(save_vocab(vocab)) == vocab
 
     def test_pad_unk_reserved(self):
         vocab = build_vocab([make_thread([0], ["word"])])

@@ -501,6 +501,16 @@ class TestCheckpoint:
             embedder.save_checkpoint(str(path), small_config(), init_params(small_config()), vocab)
         assert not path.exists()
 
+    def test_parameter_beyond_float32_keeps_the_file(self, tmp_path):
+        path = tmp_path / "model.untg"
+        config, params = small_config(), init_params(small_config())
+        embedder.save_checkpoint(str(path), config, params, small_vocab())
+        before = path.read_bytes()
+        params.w_h[1, 2] = 1e39
+        with pytest.raises(ValueError, match="parameter w_h is not finite as float32"):
+            embedder.save_checkpoint(str(path), config, params, small_vocab())
+        assert path.read_bytes() == before
+
     def test_magic_bytes(self, tmp_path):
         path = tmp_path / "model.untg"
         embedder.save_checkpoint(str(path), small_config(), init_params(small_config()),
