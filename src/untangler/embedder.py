@@ -52,9 +52,12 @@ class EncoderConfig:
     batch_size: int = 16
 
     def validate(self) -> None:
-        for name in ("vocab_size", "embed_dim", "hidden_dim", "max_len"):
+        for name in ("vocab_size", "embed_dim", "hidden_dim", "max_len", "epochs",
+                     "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.negatives_per_sample < 0:
+            raise ValueError("negatives_per_sample must be >= 0")
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError("learning_rate must be finite and >= 0")
 
@@ -146,25 +149,36 @@ def _steps(params: EncoderParams, x: np.ndarray, ids: np.ndarray, ks: np.ndarray
            n: int, keep: bool) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """Final hidden states (n x hidden_dim) of the packed rows, step t
     gathering its inputs from rows ids of the table x and taking its
-    recurrent products over the rows still running only.  With ``keep``,
-    also every step's gate activations and cell states, packed step after
-    step; else one step's gate buffer is reused, and freed on return,
-    before the caller's projection allocates its n x embed_dim arrays."""
+    recurrent products over the rows still running only.  Step 0 starts
+    from h = c = 0, so it has no recurrent product and its cell state is
+    i * g.  The three sigmoid gates share the candidate's tanh pass
+    (`_sigmoid`'s steps around one np.tanh over the k x 4h block).  With
+    ``keep``, also every step's gate activations and cell states, packed
+    step after step; else one step's gate buffer is reused, and freed on
+    return, before the caller's projection allocates its n x embed_dim
+    arrays."""
     hd = params.hidden_dim
     h, c = np.zeros((2, n, hd))  # hidden and cell states
     gates = np.empty((ids.size if keep else n, 4 * hd))
     cells = np.empty((ids.size, hd)) if keep else None
     o = 0
-    for k in ks:
+    for t, k in enumerate(ks):
         a = gates[o:o + k] if keep else gates[:k]
         np.take(x, ids[o:o + k], axis=0, out=a, mode="clip")  # in range: no checked copy
-        for g in range(0, 4 * hd, hd):  # gate by gate: no k x 4h temporary
-            a[:, g:g + hd] += h[:k] @ params.w_h[:, g:g + hd]
-        _sigmoid(a[:, :3 * hd], out=a[:, :3 * hd])
-        np.tanh(a[:, 3 * hd:], out=a[:, 3 * hd:])
+        if t:
+            for g in range(0, 4 * hd, hd):  # gate by gate: no k x 4h temporary
+                a[:, g:g + hd] += h[:k] @ params.w_h[:, g:g + hd]
+        s = a[:, :3 * hd]
+        s *= 0.5
+        np.tanh(a, out=a)
+        s += 1.0
+        s *= 0.5
         gi, gf, go, gg = (a[:, g:g + hd] for g in range(0, 4 * hd, hd))
-        c[:k] *= gf
-        c[:k] += gi * gg
+        if t:
+            c[:k] *= gf
+            c[:k] += gi * gg
+        else:
+            np.multiply(gi, gg, out=c[:k])
         np.tanh(c[:k], out=h[:k])
         h[:k] *= go
         if keep:
@@ -180,9 +194,11 @@ def _backward(params: EncoderParams, tape: list, d_out: np.ndarray,
     backwards through the LSTM gradient equations, one per gate, each
     d(loss)/d(pre-activation) written over its gate's slot on the tape.
     Only dh and dc carry between steps; tanh(c) and the previous hidden
-    state o * tanh(c) are recomputed from the tape.  Summed per distinct
-    token, the slots give w_x, emb and b one product each after the loop.
-    Consumes the tape; returns the distinct tokens, the rows of grads.emb touched."""
+    state o * tanh(c) are recomputed from the tape.  Step 0's previous
+    states are zero, so its forget slot is zero, it adds nothing to w_h
+    and passes no dh or dc back.  Summed per distinct token, the slots
+    give w_x, emb and b one product each after the loop.  Consumes the
+    tape; returns the distinct tokens, the rows of grads.emb touched."""
     order, uniq, ids, ks, gates, cells, h = tape.pop()
     hd = params.hidden_dim
     d_out = d_out[order]
@@ -194,20 +210,20 @@ def _backward(params: EncoderParams, tape: list, d_out: np.ndarray,
         k, o = ks[t], starts[t]
         d_a = gates[o:o + k]
         gi, gf, go, gg = (d_a[:, g:g + hd] for g in range(0, 4 * hd, hd))
-        if t:
-            p = starts[t - 1]
-            c_prev = cells[p:p + k]
-            h_prev = gates[p:p + k, 2 * hd:3 * hd] * np.tanh(c_prev)
-        else:
-            c_prev = h_prev = np.zeros((k, hd))
         tc, dh_k, dc_k = np.tanh(cells[o:o + k]), dh[:k], dc[:k]
         dc_k += (1 - tc * tc) * go * dh_k  # through h = o * tanh(c)
         np.multiply(go * (1 - go) * tc, dh_k, out=go)
         gi[...], gg[...] = (1 - gi) * gi * gg * dc_k, (1 - gg * gg) * gi * dc_k
-        dc_k *= gf  # dc of the step before
-        np.multiply((1 - gf) * dc_k, c_prev, out=gf)
-        grads.w_h += h_prev.T @ d_a
-        np.matmul(d_a, params.w_h.T, out=dh_k)
+        if t:
+            p = starts[t - 1]
+            c_prev = cells[p:p + k]
+            h_prev = gates[p:p + k, 2 * hd:3 * hd] * np.tanh(c_prev)
+            dc_k *= gf  # dc of the step before
+            np.multiply((1 - gf) * dc_k, c_prev, out=gf)
+            grads.w_h += h_prev.T @ d_a
+            np.matmul(d_a, params.w_h.T, out=dh_k)
+        else:
+            gf.fill(0.0)
         # per-token sums of d_a: a segment sum over the step's ids sorted
         perm = np.argsort(ids[o:o + k], kind="stable")
         tok = ids[o:o + k][perm]
@@ -317,6 +333,14 @@ def train(threads: list[Thread], vocab: Vocab, windows: list[list[ContextWindow]
     nonempty: list[np.ndarray] = [
         np.array([i for i, s in enumerate(ts) if s], dtype=np.intp) for ts in seqs
     ]
+    # a sample's pool is nonempty[t] without its centre and members, in
+    # post order.  With e_0 < e_1 < ... their positions in nonempty[t],
+    # the offsets e_i - i ascend, and pool index j is position j + (the
+    # number of offsets <= j).  All samples' offsets, one after another:
+    excluded = [np.searchsorted(nonempty[t], sorted({center, *members}))
+                for t, center, members in samples]
+    bounds = np.cumsum([0] + [e.size for e in excluded])
+    offsets = np.concatenate([e - np.arange(e.size) for e in excluded])
     rng = np.random.default_rng(config.seed)
     params = init_params(config)
     grads = params.zeros_like()
@@ -330,12 +354,14 @@ def train(threads: list[Thread], vocab: Vocab, windows: list[list[ContextWindow]
             batch = []
             for si in order[start:start + config.batch_size]:
                 t, center, members = samples[si]
-                keep = np.ones(nonempty[t].size, dtype=bool)  # pool in post order
-                keep[np.searchsorted(nonempty[t], (center, *members))] = False
-                pool = nonempty[t][keep]
-                n_neg = min(config.negatives_per_sample, pool.size)
-                negs = rng.choice(pool.size, size=n_neg, replace=False) if n_neg else []
-                contexts = [members] + [[i] for i in pool[negs].tolist()]
+                off = offsets[bounds[si]:bounds[si + 1]]
+                pool = nonempty[t].size - off.size
+                n_neg = min(config.negatives_per_sample, pool)
+                negs = []
+                if n_neg:
+                    j = rng.choice(pool, size=n_neg, replace=False)
+                    negs = nonempty[t][j + np.searchsorted(off, j, side="right")].tolist()
+                contexts = [members] + [[i] for i in negs]
                 batch.append((rows.setdefault((t, center), len(rows)),
                               [[rows.setdefault((t, i), len(rows)) for i in c] for c in contexts]))
             posts = [seqs[t][i] for t, i in rows]

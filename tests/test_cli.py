@@ -106,6 +106,18 @@ class TestTrain:
         assert len(loss_lines) == 3
         assert payload["final_epoch_loss"] > 0
 
+    def test_does_not_import_numpy_ma(self, thread_file, tmp_path):
+        # numpy.ma adds ~1.4 MB to train's peak RSS; a plain np.unique
+        # imports it on first use
+        argv = list(map(str, train_args(thread_file, tmp_path)))
+        code = ("import sys\nfrom untangler import cli\n"
+                f"assert cli.main({argv!r}) == 0\n"
+                "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+
     def test_empty_corpus_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -282,6 +294,22 @@ class TestDisentangle:
         ckpt.write_bytes(data[:16] + struct.pack("<i", -4) + data[20:])  # hidden_dim
         assert run("disentangle", "--input", thread_file, "--checkpoint", ckpt) == 2
         assert "hidden_dim must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("at,value,message", [
+        (24, 0, "epochs must be >= 1"),
+        (28, -1, "negatives_per_sample must be >= 0"),
+        (32, -3, "batch_size must be >= 1"),
+    ])
+    def test_bad_training_field_in_checkpoint_exits_2(self, thread_file, tmp_path, capsys,
+                                                      at, value, message):
+        assert run(*train_args(thread_file, tmp_path)) == 0
+        ckpt = tmp_path / "out" / "model.untg"
+        data = ckpt.read_bytes()
+        ckpt.write_bytes(data[:at] + struct.pack("<i", value) + data[at + 4:])
+        assert run("--out-dir", tmp_path / "dis", "disentangle", "--input", thread_file,
+                   "--checkpoint", ckpt) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "dis").exists()
 
 
     @pytest.mark.parametrize("flags,message", [
@@ -691,6 +719,62 @@ class TestImports:
                     "predicted_conversations": len(conversations),
                     "gold_conversations": len(set(gold.labels.values()))}
         assert capsys.readouterr().out == json.dumps(expected, sort_keys=True) + "\n"
+
+
+def openblas_dynamic_arch() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS build that picks its kernel at
+    run time, the one kind that OPENBLAS_CORETYPE can switch."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy 1 has no mode
+        return False
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+class TestBlasPortability:
+    @pytest.mark.skipif(not openblas_dynamic_arch(),
+                        reason="numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH, so "
+                               "OPENBLAS_CORETYPE cannot run another CPU's kernel")
+    def test_outputs_under_other_cpu_kernels(self, tmp_path):
+        # each kernel sums in its own order, so float64 values differ in
+        # their last bits: loss.csv, the graph.json weights and
+        # projection.csv keep them.  The checkpoint's float32 rounding hides
+        # them except for a value next to a rounding boundary, which lands
+        # one ulp away; DOT's 4-digit labels hide them
+        assert run("--seed", 1, "--out-dir", tmp_path, "synth") == 0
+        thread = tmp_path / "thread.jsonl"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+
+        def outputs(coretype):
+            out = tmp_path / coretype
+            env = {**os.environ, "PYTHONPATH": src}
+            env.pop("OPENBLAS_CORETYPE", None)
+            if coretype != "default":
+                env["OPENBLAS_CORETYPE"] = coretype
+            for argv in (["train", "--input", thread, "--epochs", 3],
+                         ["disentangle", "--input", thread, "--checkpoint", out / "model.untg",
+                          "--dot"],
+                         ["project", "--input", thread, "--checkpoint", out / "model.untg"]):
+                proc = subprocess.run([sys.executable, "-m", "untangler.cli", "--out-dir",
+                                       str(out), *map(str, argv)],
+                                      capture_output=True, text=True, env=env)
+                assert proc.returncode == 0, proc.stderr
+            edges = json.loads((out / "graph.json").read_text())["edges"]
+            return (embedder.load_checkpoint(str(out / "model.untg")),
+                    {name: (out / name).read_bytes() for name in ("conversations.json", "graph.dot")},
+                    [(e["parent"], e["child"]) for e in edges])
+
+        (config, params, vocab), files, edges = outputs("default")
+        for coretype in ("Prescott", "Sandybridge", "Haswell"):
+            (config2, params2, vocab2), files2, edges2 = outputs(coretype)
+            assert (config2, vocab2) == (config, vocab), coretype
+            for name, arr in params.groups().items():
+                np.testing.assert_array_max_ulp(arr.astype(np.float32),
+                                                params2.groups()[name].astype(np.float32),
+                                                maxulp=1)
+            assert files2 == files, coretype
+            assert edges2 == edges, coretype
 
 
 class TestOptionValues:

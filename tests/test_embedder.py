@@ -126,6 +126,8 @@ class TestPackedBatch:
             seqs = random_batch(rng, 15, max_len) if trial else [[3]]
             if trial % 10 == 1:  # one distinct token
                 seqs = [[int(rng.integers(15))] * len(s) for s in seqs]
+            if trial % 10 == 2:  # one step: every row has one token
+                seqs = [s[:1] for s in seqs]
             d_out = rng.standard_normal((len(seqs), params.proj.shape[1]))
             tape: list = []
             embedder._forward(params, seqs, tape)
@@ -143,10 +145,12 @@ class TestPackedBatch:
             seen.add("single" if np.count_nonzero(counts) == 1 else "several")
             seen.update({"once"} if (counts == 1).any() else ())
             seen.update({"length 1"} if min(map(len, seqs)) == 1 else ())
+            seen.update({"all length 1"} if len(seqs) > 1 and max(map(len, seqs)) == 1 else ())
             steps = [[s[t] for s in seqs if len(s) > t] for t in range(max_len)]
             if any(len(set(step)) < len(step) for step in steps):
                 seen.add("repeated in a step")
-        assert seen == {"single", "several", "once", "length 1", "repeated in a step"}
+        assert seen == {"single", "several", "once", "length 1", "all length 1",
+                        "repeated in a step"}
 
     def test_minibatch_memory_bound(self):
         # one 100-row, 8-step, d = h = 64 minibatch: the tape holds
@@ -176,19 +180,23 @@ class TestPackedBatch:
             embedder._forward(params, [[2], []])
 
     def test_embed_thread_matches_reference(self):
+        # posts of up to 11 tokens, then posts of one token each: step 0 only
         rng = np.random.default_rng(12)
         words = "a b c d e f g h".split()
-        texts = [" ".join(rng.choice(words, size=rng.integers(0, 12))) for _ in range(40)]
-        texts[5] = "..."  # no tokens
-        thread = make_thread(range(40), texts)
-        vocab = corpus.build_vocab([thread])
-        params = random_params(rng, vocab_size=len(vocab))
-        emb = embedder.embed_thread(params, thread, vocab, max_len=8)
-        for i, post in enumerate(thread.posts):
-            seq = corpus.encode_text(vocab, post.text, 8)
-            expected = reference_encode(params, seq) if seq else np.zeros(4)
-            np.testing.assert_allclose(emb[i], expected, rtol=1e-12, atol=1e-12)
-        assert not emb[5].any()
+        for max_words in (12, 2):
+            texts = [" ".join(rng.choice(words, size=rng.integers(0, max_words)))
+                     for _ in range(40)]
+            texts[5] = "..."  # no tokens
+            thread = make_thread(range(40), texts)
+            vocab = corpus.build_vocab([thread])
+            params = random_params(rng, vocab_size=len(vocab))
+            emb = embedder.embed_thread(params, thread, vocab, max_len=8)
+            for i, post in enumerate(thread.posts):
+                seq = corpus.encode_text(vocab, post.text, 8)
+                expected = reference_encode(params, seq) if seq else np.zeros(4)
+                np.testing.assert_allclose(emb[i], expected, rtol=1e-12, atol=1e-12)
+            assert not emb[5].any()
+        assert max(len(corpus.encode_text(vocab, p.text, 8)) for p in thread.posts) == 1
 
     def test_embed_thread_chunks_match_reference(self, monkeypatch):
         # chunks of 3 posts: empty posts first (3) and last (8) in a
@@ -336,33 +344,45 @@ class TestLoss:
             loss_and_grads(params, [2], [[]], [])
 
 
+def reference_epochs(seqs, windows, config):
+    """train's samples and random draws as a per-sample loop, one epoch
+    per iteration: its minibatches, each a list of (thread, centre,
+    members, negatives) post indices, the negatives drawn from a pool
+    built as a list of every non-empty post outside the window."""
+    samples = [(t, w.center, [m for m in w.members if seqs[t][m]])
+               for t, wins in enumerate(windows) for w in wins if seqs[t][w.center]]
+    samples = [s for s in samples if s[2]]
+    rng = np.random.default_rng(config.seed)
+
+    def draw(t, centre, members):
+        pool = [i for i, s in enumerate(seqs[t]) if s and i != centre and i not in members]
+        n_neg = min(config.negatives_per_sample, len(pool))
+        negs = rng.choice(len(pool), size=n_neg, replace=False) if n_neg else []
+        return t, centre, members, [pool[j] for j in negs]
+
+    for _ in range(config.epochs):
+        order = rng.permutation(len(samples))
+        yield [[draw(*samples[si]) for si in order[start:start + config.batch_size]]
+               for start in range(0, len(order), config.batch_size)]
+
+
 def reference_train(threads, vocab, windows, config):
     """Training as a per-sample loop: every sample's loss_and_grads is
     summed into its minibatch's gradient, with the same random draws."""
     seqs = [[corpus.encode_text(vocab, p.text, config.max_len) for p in th.posts]
             for th in threads]
-    samples = [(t, w.center, [m for m in w.members if seqs[t][m]])
-               for t, wins in enumerate(windows) for w in wins if seqs[t][w.center]]
-    samples = [s for s in samples if s[2]]
-    rng = np.random.default_rng(config.seed)
     params = init_params(config)
     curve = []
-    for _ in range(config.epochs):
-        order = rng.permutation(len(samples))
+    for epoch in reference_epochs(seqs, windows, config):
         total = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
+        for batch in epoch:
             grads = params.zeros_like()
-            for t, centre, members in (samples[si] for si in batch):
-                pool = [i for i, s in enumerate(seqs[t])
-                        if s and i != centre and i not in members]
-                n_neg = min(config.negatives_per_sample, len(pool))
-                negs = rng.choice(len(pool), size=n_neg, replace=False) if n_neg else []
+            for t, centre, members, negs in batch:
                 total += loss_and_grads(params, seqs[t][centre], [seqs[t][m] for m in members],
-                                        [seqs[t][pool[j]] for j in negs], grads)[0]
+                                        [seqs[t][j] for j in negs], grads)[0]
             for name, g in grads.groups().items():
                 params.groups()[name] -= config.learning_rate / len(batch) * g
-        curve.append(total / len(samples))
+        curve.append(total / sum(map(len, epoch)))
     return params, curve
 
 
@@ -384,6 +404,52 @@ class TestTrain:
         for name, arr in params.groups().items():
             np.testing.assert_allclose(arr, ref_params.groups()[name], rtol=1e-10,
                                        atol=1e-12, err_msg=name)
+
+    def test_negatives_are_the_reference_pools(self, monkeypatch):
+        # thread 0 has empty posts in the middle and at both ends, so
+        # windows centre on its first and last non-empty post; thread 1's
+        # pools are smaller than negatives_per_sample, thread 2's empty.
+        # Every non-empty post holds a token of its own, so the recorded
+        # minibatch rows map back to (thread, post)
+        texts = [["..."] + [f"t0p{i} cat" for i in range(1, 14)] + ["..."],
+                 [f"t1p{i}" for i in range(4)], ["t2p0 dog", "t2p1"]]
+        for i in (4, 5, 9):
+            texts[0][i] = "!"
+        threads = [make_thread(range(len(ts)), ts) for ts in texts]
+        vocab = corpus.build_vocab(threads)
+        windows = [corpus.build_windows(th, corpus.SYMMETRIC, k)
+                   for th, k in zip(threads, (2, 1, 1))]
+        config = small_config(vocab_size=len(vocab), epochs=3, batch_size=5,
+                              negatives_per_sample=4)
+        seqs = [[corpus.encode_text(vocab, p.text, config.max_len) for p in th.posts]
+                for th in threads]
+        post = {tuple(s): (t, i) for t, ts in enumerate(seqs) for i, s in enumerate(ts) if s}
+        assert len(post) == sum(len(ts) for ts in texts) - 5
+        recorded = []
+        minibatch_loss = embedder._minibatch_loss
+
+        def recording_minibatch_loss(params, rows, batch, grads):
+            at = [post[tuple(r)] for r in rows]
+            recorded.append([(at[c], [at[m] for m in contexts[0]], [at[n] for n, in contexts[1:]])
+                             for c, contexts in batch])
+            return minibatch_loss(params, rows, batch, grads)
+
+        monkeypatch.setattr(embedder, "_minibatch_loss", recording_minibatch_loss)
+        embedder.train(threads, vocab, windows, config)
+        expected, seen = [], set()
+        for epoch in reference_epochs(seqs, windows, config):
+            for batch in epoch:
+                expected.append([((t, c), [(t, m) for m in members], [(t, n) for n in negs])
+                                 for t, c, members, negs in batch])
+                for t, c, members, negs in batch:
+                    nonempty = [i for i, s in enumerate(seqs[t]) if s]
+                    pool = len(nonempty) - 1 - len(members)
+                    seen.update({"first"} if c == nonempty[0] else (),
+                                {"last"} if c == nonempty[-1] else (),
+                                {"empty pool" if pool == 0 else "small pool"}
+                                if pool < config.negatives_per_sample else {"large pool"})
+        assert recorded == expected
+        assert seen == {"first", "last", "empty pool", "small pool", "large pool"}
 
     def test_loss_curve_decreases_on_toy_corpus(self):
         thread = make_thread(range(8), ["cat dog"] * 4 + ["sun moon"] * 4)
@@ -539,6 +605,30 @@ class TestCheckpoint:
         embedder.save_checkpoint(str(path), small_config(), init_params(small_config()),
                                  small_vocab())
         path.write_bytes(mutate(path.read_bytes()))
+        with pytest.raises(ValueError, match=match):
+            embedder.load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("epochs", 0, "epochs must be >= 1"),
+        ("epochs", -1, "epochs must be >= 1"),
+        ("batch_size", 0, "batch_size must be >= 1"),
+        ("batch_size", -3, "batch_size must be >= 1"),
+        ("negatives_per_sample", -1, "negatives_per_sample must be >= 0"),
+    ])
+    def test_training_fields_validated(self, tmp_path, field, value, match):
+        thread = make_thread(range(6))
+        vocab = corpus.build_vocab([thread])
+        config = small_config(vocab_size=len(vocab), **{field: value})
+        with pytest.raises(ValueError, match=match):
+            embedder.train([thread], vocab, [corpus.build_windows(thread, corpus.SYMMETRIC, 2)],
+                           config)
+        # the same value in a checkpoint header
+        path = tmp_path / "model.untg"
+        embedder.save_checkpoint(str(path), small_config(), init_params(small_config()),
+                                 small_vocab())
+        data = path.read_bytes()
+        at = {"epochs": 24, "negatives_per_sample": 28, "batch_size": 32}[field]
+        path.write_bytes(data[:at] + struct.pack("<i", value) + data[at + 4:])
         with pytest.raises(ValueError, match=match):
             embedder.load_checkpoint(str(path))
 
