@@ -196,8 +196,9 @@ def _backward(params: EncoderParams, tape: list, d_out: np.ndarray,
     Only dh and dc carry between steps; tanh(c) and the previous hidden
     state o * tanh(c) are recomputed from the tape.  Step 0's previous
     states are zero, so its forget slot is zero, it adds nothing to w_h
-    and passes no dh or dc back.  Summed per distinct token, the slots
-    give w_x, emb and b one product each after the loop.  Consumes the
+    and passes no dh or dc back.  Each step adds its slots, in row order,
+    into the per-token table d_x with one scatter-add (`_scatter_rows`),
+    which gives w_x, emb and b one product each after the loop.  Consumes the
     tape; returns the distinct tokens, the rows of grads.emb touched."""
     order, uniq, ids, ks, gates, cells, h = tape.pop()
     hd = params.hidden_dim
@@ -224,24 +225,21 @@ def _backward(params: EncoderParams, tape: list, d_out: np.ndarray,
             np.matmul(d_a, params.w_h.T, out=dh_k)
         else:
             gf.fill(0.0)
-        # per-token sums of d_a: a segment sum over the step's ids sorted
-        perm = np.argsort(ids[o:o + k], kind="stable")
-        tok = ids[o:o + k][perm]
-        first = np.flatnonzero(np.concatenate(([True], tok[1:] != tok[:-1])))
-        d_x[tok[first]] += np.add.reduceat(d_a[perm], first, axis=0)
+        _scatter_rows(d_x, ids[o:o + k], d_a)
     grads.w_x += params.emb[uniq].T @ d_x
     grads.b += d_x.sum(axis=0)
     grads.emb[uniq] += d_x @ params.w_x.T
     return uniq
 
 
-def _row_sums(index: Sequence[int], rows: np.ndarray, n: int) -> np.ndarray:
-    """n x d sums of ``rows``, row i added into row index[i].  One
-    bincount over flat row * d + column indices adds each entry in row
-    order, as ``np.add.at`` does."""
-    d = rows.shape[1]
-    flat = (np.asarray(index)[:, None] * d + np.arange(d)).ravel()
-    return np.bincount(flat, rows.ravel(), minlength=n * d).reshape(n, d)
+def _scatter_rows(out: np.ndarray, index: Sequence[int], rows: np.ndarray) -> np.ndarray:
+    """Add row i of ``rows`` into row index[i] of the C-contiguous ``out``,
+    in row order, with one np.add.at over flat row * d + column indices
+    (numpy's fast 1-D path); returns out."""
+    d = out.shape[1]
+    flat = (np.asarray(index, dtype=np.intp)[:, None] * d + np.arange(d)).ravel()
+    np.add.at(out.reshape(-1), flat, rows.ravel())
+    return out
 
 
 def _minibatch_loss(params: EncoderParams, seqs: Sequence[Sequence[int]],
@@ -255,8 +253,9 @@ def _minibatch_loss(params: EncoderParams, seqs: Sequence[Sequence[int]],
     minibatch's distinct posts, so each post is encoded once.  A centre is
     paired with the mean of each context: its window's members first
     (label y = +1), then one-post negatives (y = -1).  A pair with cosine
-    z costs softplus(-y z).
-    """
+    z costs softplus(-y z).  The context sums and the encodings' gradient
+    rows are each one scatter-add in row order, `_scatter_rows`, as in
+    `_backward`."""
     centre, ctx, rows, y = [], [], [], []
     for c, contexts in batch:
         for j, members in enumerate(contexts):
@@ -269,7 +268,7 @@ def _minibatch_loss(params: EncoderParams, seqs: Sequence[Sequence[int]],
     tape: list = []
     enc = _forward(params, seqs, tape)
     left = enc[centre]
-    right = _row_sums(ctx, enc[rows], len(y))
+    right = _scatter_rows(np.zeros((len(y), enc.shape[1])), ctx, enc[rows])
     right /= size
     nl = np.linalg.norm(left, axis=1)
     nr = np.linalg.norm(right, axis=1)
@@ -277,7 +276,8 @@ def _minibatch_loss(params: EncoderParams, seqs: Sequence[Sequence[int]],
     coef = -y * _sigmoid(-y * z)  # d loss / d z
     d_left = (coef / (nl * nr))[:, None] * right - (coef * z / (nl * nl))[:, None] * left
     d_right = (coef / (nl * nr))[:, None] * left - (coef * z / (nr * nr))[:, None] * right
-    d_enc = _row_sums(centre + rows, np.concatenate((d_left, (d_right / size)[ctx])), len(enc))
+    d_enc = _scatter_rows(np.zeros_like(enc), centre + rows,
+                          np.concatenate((d_left, (d_right / size)[ctx])))
     tokens = _backward(params, tape, d_enc, grads)
     return float(np.logaddexp(0.0, -y * z).sum()), tokens
 
@@ -375,9 +375,7 @@ def train(threads: list[Thread], vocab: Vocab, windows: list[list[ContextWindow]
                 p -= g
             # only the rows of the minibatch's tokens are nonzero in
             # grads.emb; zero them again for the next minibatch
-            g = grads.emb[tokens]
-            g *= scale
-            params.emb[tokens] -= g
+            params.emb[tokens] -= scale * grads.emb[tokens]
             grads.emb[tokens] = 0.0
         curve.append(total / len(samples))
         if not np.isfinite(curve[-1]):

@@ -310,6 +310,24 @@ class TestLoss:
         loss_and_grads(params, [2], [[3]], [[4]], grads=acc)
         np.testing.assert_allclose(acc.b, 2 * first)
 
+    def test_scatter_rows_matches_loop(self):
+        # bit for bit as a loop adding row i into row index[i] in row order:
+        # one row and one column, repeated indices given as Python ints, and
+        # a slice of token ids with rows scaled 1e-5 to 1e5 into an out that
+        # starts non-zero, where another order would round differently
+        rng = np.random.default_rng(18)
+        ids = rng.integers(0, 4, size=40).astype(np.intp)
+        scales = 10.0 ** rng.uniform(-5, 5, size=(30, 1))
+        cases = [([2], rng.standard_normal((1, 1)), np.zeros((3, 1))),
+                 ([1, 1, 0, 1], rng.standard_normal((4, 3)), np.zeros((2, 3))),
+                 (ids[5:35], rng.standard_normal((30, 5)) * scales, rng.standard_normal((4, 5)))]
+        for index, rows, out in cases:
+            expected = out.copy()
+            for i, r in zip(index, rows):
+                expected[i] += r
+            assert embedder._scatter_rows(out, index, rows) is out
+            np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
+
     def test_minibatch_equals_sum_of_samples(self):
         # samples sharing centres, members and negatives: each post is
         # encoded once, and the loss and every gradient group must equal
