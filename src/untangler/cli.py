@@ -320,7 +320,7 @@ def cmd_export_intensity(args) -> int:
 
 def cmd_project(args) -> int:
     from . import embedder, harness
-    thread = _read_thread(args.input)
+    thread = _read_thread(args.input, keep_empty=args.keep_empty)
     config, params, vocab = _load_model(args)
     embeddings = embedder.embed_thread(params, thread, vocab, max_len=config.max_len)
     try:
@@ -390,7 +390,7 @@ OPTIONS = [
     (("train",), "--epochs", POSITIVE_INT, 30),
     (("train",), "--negatives", COUNT, 5),
     (("train",), "--batch-size", POSITIVE_INT, 16),
-    (("stats", "train", *_HAWKES), "--keep-empty", BOOL_WORD, False),
+    (("stats", "train", *_HAWKES, "project"), "--keep-empty", BOOL_WORD, False),
     # explicit Hawkes parameters; _hawkes_from_args checks them together
     (_HAWKES, "--mu", float, None),
     (_HAWKES, "--alpha", float, None),

@@ -142,6 +142,50 @@ def simulate(model: HawkesModel, horizon: float, rng: np.random.Generator,
     return np.array(times)
 
 
+def _gaps_and_tails(events: np.ndarray, horizon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The gaps and tails _log_likelihood reads, of at least 2 events."""
+    events = _check_sorted(events, horizon)
+    if events.size < 2:
+        raise ValueError("need at least 2 events to fit")
+    return np.diff(events), horizon - events
+
+
+def _ascend(gaps: np.ndarray, tail: np.ndarray, horizon: float, init: HawkesModel,
+            steps: int, step_size: float) -> tuple[HawkesModel, float]:
+    """fit's ascent from init: the model it stops at and its log-likelihood."""
+    init.validate()
+
+    def project(p: np.ndarray) -> np.ndarray:
+        p = np.maximum(p, _POSITIVE_FLOOR)
+        if p[1] >= p[2]:
+            p[1] = 0.999 * p[2]
+        return p
+
+    p = project(np.array([init.mu, init.alpha, init.beta]))
+    with np.errstate(over="ignore", invalid="ignore"):  # see _log_likelihood
+        cur, state = _log_likelihood(gaps, tail, horizon, *p)
+        g = _gradient(gaps, tail, horizon, p[1], p[2], state)
+        delta = step_size
+        for _ in range(steps):
+            top = float(np.abs(g).max())
+            if not np.isfinite(top) or top == 0.0:
+                break
+            direction = g / top  # scaled first, so the norm cannot overflow
+            direction /= np.linalg.norm(direction)
+            delta = min(delta * 2.0, step_size * 8)
+            while delta > 1e-12:
+                cand = project(p + delta * direction)
+                val, state = _log_likelihood(gaps, tail, horizon, *cand)
+                if val > cur:
+                    p, cur = cand, val
+                    g = _gradient(gaps, tail, horizon, p[1], p[2], state)
+                    break
+                delta *= 0.5
+            else:  # no step length improved
+                break
+    return HawkesModel(*p.tolist()), cur
+
+
 def fit(events: np.ndarray, horizon: float, init: HawkesModel,
         steps: int = 400, step_size: float = 0.1) -> HawkesModel:
     """Projected gradient ascent on the log-likelihood (exact gradient).
@@ -152,45 +196,7 @@ def fit(events: np.ndarray, horizon: float, init: HawkesModel,
     costs one likelihood value, and the gradient is taken only at the
     start and at each accepted step.  Deterministic.
     """
-    events = _check_sorted(events, horizon)
-    if events.size < 2:
-        raise ValueError("need at least 2 events to fit")
-    init.validate()
-
-    def project(p: np.ndarray) -> np.ndarray:
-        p = np.maximum(p, _POSITIVE_FLOOR)
-        if p[1] >= p[2]:
-            p[1] = 0.999 * p[2]
-        return p
-
-    p = project(np.array([init.mu, init.alpha, init.beta]))
-    gaps, tail = np.diff(events), horizon - events
-    with np.errstate(over="ignore", invalid="ignore"):  # see _log_likelihood
-        cur, state = _log_likelihood(gaps, tail, horizon, *p)
-        g = _gradient(gaps, tail, horizon, p[1], p[2], state)
-        delta = step_size
-        for _ in range(steps):
-            if delta <= 0:
-                break
-            top = float(np.abs(g).max())
-            if not np.isfinite(top) or top == 0.0:
-                break
-            direction = g / top  # scaled first, so the norm cannot overflow
-            direction /= np.linalg.norm(direction)
-            delta = min(delta * 2.0, step_size * 8)
-            improved = False
-            while delta > 1e-12:
-                cand = project(p + delta * direction)
-                val, state = _log_likelihood(gaps, tail, horizon, *cand)
-                if val > cur:
-                    p, cur = cand, val
-                    g = _gradient(gaps, tail, horizon, p[1], p[2], state)
-                    improved = True
-                    break
-                delta *= 0.5
-            if not improved:
-                break
-    return HawkesModel(float(p[0]), float(p[1]), float(p[2]))
+    return _ascend(*_gaps_and_tails(events, horizon), horizon, init, steps, step_size)[0]
 
 
 _FIT_SCALES = (0.01, 0.1, 1.0, 10.0)
@@ -209,7 +215,8 @@ def fit_multistart(events: np.ndarray, horizon: float, steps: int = 200,
     median-gap timescale routinely misses the better one.  Each start
     uses beta0 = scale / median_gap with alpha0 = beta0 / 2 and a
     baseline at half the empirical rate.  Starts whose beta0 overflows
-    are skipped; TimescaleError when none is finite.
+    are skipped; TimescaleError when none is finite.  Of equal
+    likelihoods the earliest start wins.
     """
     events = _check_sorted(events)
     if horizon <= 0:
@@ -220,14 +227,10 @@ def fit_multistart(events: np.ndarray, horizon: float, steps: int = 200,
     if not starts:
         raise TimescaleError(f"median gap between events {gap:g} is too small "
                          "for a finite decay rate to start the fit from")
-    best: Optional[tuple[float, HawkesModel]] = None
-    for beta0 in starts:
-        init = HawkesModel(mu=0.5 * rate, alpha=0.5 * beta0, beta=beta0)
-        model = fit(events, horizon, init, steps=steps, step_size=step_size)
-        score = log_likelihood(model, events, horizon)
-        if best is None or score > best[0]:
-            best = (score, model)
-    return best[1]
+    gaps, tail = _gaps_and_tails(events, horizon)
+    fits = [_ascend(gaps, tail, horizon, HawkesModel(0.5 * rate, 0.5 * beta0, beta0),
+                    steps, step_size) for beta0 in starts]
+    return max(fits, key=lambda f: f[1])[0]
 
 
 def sample_intensity(model: HawkesModel, events: np.ndarray, grid: np.ndarray) -> np.ndarray:

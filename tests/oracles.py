@@ -4,7 +4,8 @@ These are deliberately naive, literal transcriptions of the two pruning
 stages, of conversation extraction and graph export, of the Hawkes
 excitation recursion, of the Laplace smoothing and its forward and
 backward sums, of the schism cut rule and of the LSTM post encoder and
-its gradients, and of the synthetic-thread generator and its writers,
+its gradients, of the synthetic-thread generator and its writers, and
+of the average-linkage clustering baseline,
 written against plain dict/list structures
 and dense arrays with no shared code paths into the package.
 The production implementations in ``untangler.graph``,
@@ -268,6 +269,33 @@ def reference_generate(config, seed: int = 0) -> tuple[Thread, GoldStandard]:
     }
     labels = {final_index[(conv, j)]: conv for _, conv, j, _, _ in records}
     return Thread(posts=posts), GoldStandard(parents, labels)
+
+
+def reference_agglomerative(dist: np.ndarray, n_clusters: int) -> list[int]:
+    """``harness.agglomerative`` from its n x n distance matrix as the pair
+    scan: each merge joins the lexicographically first active pair whose
+    distance is within 1e-15 of the smallest, the survivor keeps the
+    smaller index and gets the size-weighted average (Lance-Williams)
+    distance to every other cluster; labels number the clusters by their
+    smallest member."""
+    n = dist.shape[0]
+    d = {(i, j): float(dist[i, j]) for i in range(n) for j in range(n) if i != j}
+    members = {i: [i] for i in range(n)}
+    while len(members) > n_clusters:
+        active = sorted(members)
+        pairs = [(i, j) for a, i in enumerate(active) for j in active[a + 1:]]
+        smallest = min(d[p] for p in pairs)
+        i, j = next(p for p in pairs if d[p] <= smallest + 1e-15)
+        ni, nj = len(members[i]), len(members[j])
+        for k in active:
+            if k not in (i, j):
+                d[i, k] = d[k, i] = (ni * d[i, k] + nj * d[j, k]) / (ni + nj)
+        members[i] += members.pop(j)
+    labels = [0] * n
+    for label, i in enumerate(sorted(members)):
+        for m in members[i]:
+            labels[m] = label
+    return labels
 
 
 def reference_thread_jsonl(thread) -> str:

@@ -620,6 +620,25 @@ class TestProject:
         assert lines[0] == "post,x,y,z"
         assert len(lines) == 13
 
+    def test_rows_match_disentangle_under_keep_empty(self, thread_file, tmp_path, capsys):
+        # one config file serves both commands, so both index the same posts
+        assert run(*train_args(thread_file, tmp_path)) == 0
+        ckpt = tmp_path / "out" / "model.untg"
+        log = tmp_path / "log.jsonl"
+        write_jsonl(log, [{"id": "a", "ts": 0.0, "text": "alpha beta"},
+                          {"id": "b", "ts": 1.0, "text": " "},
+                          {"id": "c", "ts": 2.0, "text": "gamma delta"},
+                          {"id": "d", "ts": 3.0, "text": "alpha gamma"}])
+        config = tmp_path / "cfg"
+        config.write_text("keep_empty=1\n")
+        assert run("--config", config, "--out-dir", tmp_path / "res", "disentangle",
+                   "--input", log, "--checkpoint", ckpt) == 0
+        assert run("--config", config, "--out-dir", tmp_path / "res", "project",
+                   "--input", log, "--checkpoint", ckpt) == 0
+        n = json.loads((tmp_path / "res" / "graph.json").read_text())["n"]
+        rows = (tmp_path / "res" / "projection.csv").read_text().strip().splitlines()[1:]
+        assert n == len(rows) == 4
+
 
 @pytest.fixture(scope="module")
 def tiny_model(tmp_path_factory):

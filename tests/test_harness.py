@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from untangler import cli, harness, ingest
+from untangler import cli, graph, harness, ingest
 from untangler.harness import (GoldStandard, SynthConfig, agglomerative,
                                edge_prf, generate, partition_ari, project_3d)
 from untangler.temporal import HawkesModel
 
-from oracles import reference_generate, reference_gold_json, reference_thread_jsonl
+from oracles import (reference_agglomerative, reference_generate, reference_gold_json,
+                     reference_thread_jsonl)
 
 # the benchmark's workloads, read from its own file
 BENCH = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
@@ -332,6 +333,42 @@ class TestAgglomerative:
     def test_deterministic(self):
         emb = np.random.default_rng(5).standard_normal((20, 4))
         np.testing.assert_array_equal(agglomerative(emb, 4), agglomerative(emb, 4))
+
+    def test_matches_scipy_average_linkage(self):
+        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        squareform = pytest.importorskip("scipy.spatial.distance").squareform
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            emb = rng.standard_normal((n, int(rng.integers(2, 9))))  # no ties
+            k = int(rng.integers(1, n + 1))
+            dist = squareform(1.0 - graph.similarity_matrix(emb), checks=False)
+            theirs = hierarchy.fcluster(hierarchy.linkage(dist, method="average"), k,
+                                        criterion="maxclust")
+            first = {}  # scipy's labels renumbered by each cluster's smallest member
+            theirs = [first.setdefault(c, len(first)) for c in theirs.tolist()]
+            assert agglomerative(emb, k).tolist() == theirs
+
+    @pytest.mark.parametrize("n_clusters", [1, 2, 3, 5, 7])
+    def test_identical_rows_merge_in_index_order(self, n_clusters):
+        # every distance ties: the first post absorbs the next, then the next
+        labels = agglomerative(np.tile([0.3, -1.2, 0.5], (7, 1)), n_clusters)
+        assert labels.tolist() == [0] * (8 - n_clusters) + list(range(1, n_clusters))
+
+    def test_duplicated_rows_merge_first(self):
+        rows = np.random.default_rng(6).standard_normal((3, 4))
+        labels = agglomerative(rows[[0, 1, 0, 2, 1]], 3)
+        assert labels.tolist() == [0, 1, 0, 2, 1]
+        assert labels.dtype == np.int64
+
+    def test_rounded_embeddings_follow_the_tie_rule(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(2, 25))
+            emb = np.round(rng.standard_normal((n, int(rng.integers(1, 4)))))
+            k = int(rng.integers(1, n + 1))
+            expected = reference_agglomerative(1.0 - graph.similarity_matrix(emb), k)
+            assert agglomerative(emb, k).tolist() == expected
 
 
 class TestProject3d:
