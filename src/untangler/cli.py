@@ -44,9 +44,9 @@ def _reading(path: str | Path):
         raise UserError(f"{path}: {exc}") from exc
 
 
-def _read_thread(path: str, keep_empty: bool = False) -> ingest.Thread:
+def _read_thread(path: str) -> ingest.Thread:
     with _reading(path), open(path, "r", encoding="utf-8") as fp:
-        return ingest.parse_chat_log(fp, keep_empty)
+        return ingest.parse_chat_log(fp)
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -140,7 +140,7 @@ def _finite_intensity():
 # --------------------------------------------------------------------------
 
 def cmd_stats(args) -> int:
-    thread = _read_thread(args.input, keep_empty=args.keep_empty)
+    thread = _read_thread(args.input)
     _emit(ingest.thread_stats(thread))
     return 0
 
@@ -151,7 +151,7 @@ def cmd_train(args) -> int:
         bits = 63 if name == "seed" else 31  # the checkpoint header's int64 and int32
         if getattr(args, name) >= 2**bits:
             raise UserError(f"--{name.replace('_', '-')} must be < 2**{bits} for train")
-    thread = _read_thread(args.input, keep_empty=args.keep_empty)
+    thread = _read_thread(args.input)
     if len(thread) == 0:
         raise UserError("empty corpus: nothing to train on")
     ckpt = _out_path(args, "model.untg", args.checkpoint)
@@ -201,7 +201,7 @@ def run_pipeline(thread: ingest.Thread, config: embedder.EncoderConfig,
 
 def cmd_disentangle(args) -> int:
     from . import graph
-    thread = _read_thread(args.input, keep_empty=args.keep_empty)
+    thread = _read_thread(args.input)
     if len(thread) == 0:
         raise UserError("empty thread")
     config, params, vocab = _load_model(args)
@@ -296,14 +296,15 @@ def cmd_eval(args) -> int:
     ari = score.partition_ari(pred_labels, gold.labels)
     _emit({"precision": p, "recall": r, "f1": f1, "ari": ari,
            "predicted_conversations": len(conversations),
-           "gold_conversations": len(set(gold.labels.values()))})
+           "gold_conversations": len(set(gold.labels.values())),
+           **score.forest_errors(pred_parents, pred_labels, gold.labels)})
     return 0
 
 
 def cmd_export_intensity(args) -> int:
     import numpy as np
     from . import temporal
-    thread = _read_thread(args.input, keep_empty=args.keep_empty)
+    thread = _read_thread(args.input)
     if len(thread) == 0:
         raise UserError("empty thread")
     model = _hawkes_from_args(args, thread)
@@ -320,7 +321,7 @@ def cmd_export_intensity(args) -> int:
 
 def cmd_project(args) -> int:
     from . import embedder, harness
-    thread = _read_thread(args.input, keep_empty=args.keep_empty)
+    thread = _read_thread(args.input)
     config, params, vocab = _load_model(args)
     embeddings = embedder.embed_thread(params, thread, vocab, max_len=config.max_len)
     try:
@@ -390,7 +391,6 @@ OPTIONS = [
     (("train",), "--epochs", POSITIVE_INT, 30),
     (("train",), "--negatives", COUNT, 5),
     (("train",), "--batch-size", POSITIVE_INT, 16),
-    (("stats", "train", *_HAWKES, "project"), "--keep-empty", BOOL_WORD, False),
     # explicit Hawkes parameters; _hawkes_from_args checks them together
     (_HAWKES, "--mu", float, None),
     (_HAWKES, "--alpha", float, None),

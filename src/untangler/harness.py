@@ -132,10 +132,7 @@ def generate(config: SynthConfig, seed: int = 0) -> tuple[Thread, GoldStandard]:
         records += zip(times.tolist(), itertools.repeat(conv), range(n_posts), picks, texts)
     records.sort(key=lambda r: (r[0], r[1], r[2]))
     final_index = {(conv, j): idx for idx, (_, conv, j, _, _) in enumerate(records)}
-    posts = [
-        Post(id=f"c{conv}p{j}", timestamp=t, text=text, author=f"user{conv}")
-        for t, conv, j, _, text in records
-    ]
+    posts = [Post(id=f"c{conv}p{j}", timestamp=t, text=text) for t, conv, j, _, text in records]
     parents = {
         final_index[(conv, j)]: final_index[(conv, parent)]
         for _, conv, j, parent, _ in records

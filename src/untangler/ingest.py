@@ -1,9 +1,10 @@
 """Chat-log parsing, canonicalization, and descriptive statistics.
 
 Input format is JSON-Lines: one object per line with keys ``id`` (unique
-string), ``ts`` (seconds since epoch, finite and >= 0), ``text`` (UTF-8
-string) and optional ``author``.  Author is parsed but never used
-downstream; the pipeline relies on timestamps only.
+string), ``ts`` (seconds since epoch, finite and >= 0) and ``text``
+(UTF-8 string).  An optional ``author`` must be a UTF-8 string and is
+otherwise ignored, like any other key: a post is its id, time and text,
+and the pipeline reads no metadata beyond the timestamps.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class Post:
     id: str
     timestamp: float
     text: str
-    author: Optional[str] = None
 
 
 @dataclass
@@ -48,7 +48,7 @@ class Thread:
         return [p.timestamp for p in self.posts]
 
 
-def _parse_line(raw: str, lineno: int) -> Optional[Post]:
+def _parse_line(raw: str, lineno: int) -> Post:
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -84,16 +84,16 @@ def _parse_line(raw: str, lineno: int) -> Optional[Post]:
         except UnicodeEncodeError as exc:  # a lone surrogate escape, such as "\ud800"
             raise ChatLogError(f"{key!r} is not UTF-8 text (lone surrogate "
                                f"{ascii(value[exc.start])} at character {exc.start})", lineno) from exc
-    return Post(id=pid, timestamp=ts, text=text, author=author)
+    return Post(id=pid, timestamp=ts, text=text)
 
 
-def parse_chat_log(stream: Iterable[str], keep_empty: bool = False) -> Thread:
+def parse_chat_log(stream: Iterable[str]) -> Thread:
     """Parse a JSON-Lines chat log into a canonical Thread.
 
     Posts are stably sorted by timestamp, so ties keep input order.
-    Whitespace-only posts carry no linguistic signal and are dropped
-    unless keep_empty.  Raises ChatLogError (with line number) on
-    malformed lines, duplicate ids, or negative or non-finite timestamps.
+    Whitespace-only posts carry no linguistic signal and are always
+    dropped.  Raises ChatLogError (with line number) on malformed lines,
+    duplicate ids, or negative or non-finite timestamps.
     """
     posts: list[Post] = []
     seen_ids: set[str] = set()
@@ -104,9 +104,8 @@ def parse_chat_log(stream: Iterable[str], keep_empty: bool = False) -> Thread:
         if post.id in seen_ids:
             raise ChatLogError(f"duplicate id {post.id!r}", lineno)
         seen_ids.add(post.id)
-        if not keep_empty and not post.text.strip():
-            continue
-        posts.append(post)
+        if post.text.strip():
+            posts.append(post)
     posts.sort(key=lambda p: p.timestamp)  # stable: ties keep input order
     return Thread(posts=posts)
 
@@ -125,11 +124,8 @@ def serialize_thread(thread: Thread) -> str:
     ensure_ascii=False)`` for the post's object, formatted straight from
     its fields: strings through ``encode_basestring``, as ``json`` does.
     """
-    lines = []
-    for p in thread.posts:
-        author = "" if p.author is None else f'"author": {encode_basestring(p.author)}, '
-        lines.append(f'{{{author}"id": {encode_basestring(p.id)}, '
-                     f'"text": {encode_basestring(p.text)}, "ts": {_json_number(p.timestamp)}}}')
+    lines = [f'{{"id": {encode_basestring(p.id)}, "text": {encode_basestring(p.text)}, '
+             f'"ts": {_json_number(p.timestamp)}}}' for p in thread.posts]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -1,7 +1,7 @@
 """Scoring a reply forest against a gold standard, in pure Python so that
 ``untangler eval`` runs without numpy: the checked readers of graph.json
-and gold.json, the forest's conversations, edge precision/recall/F1 and
-the adjusted Rand index."""
+and gold.json, the forest's conversations, edge precision/recall/F1,
+the adjusted Rand index and where the forest departs from gold."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -164,19 +165,23 @@ def partition_ari(predicted: dict[int, int], gold: dict[int, int]) -> float:
     n = len(gold)
     if n < 2:  # no pairs to count
         return 1.0
-    table: dict[tuple[int, int], int] = {}
-    a: dict[int, int] = {}
-    b: dict[int, int] = {}
-    for i in predicted:
-        key = (predicted[i], gold[i])
-        table[key] = table.get(key, 0) + 1
-        a[predicted[i]] = a.get(predicted[i], 0) + 1
-        b[gold[i]] = b.get(gold[i], 0) + 1
-    index = sum(comb(c, 2) for c in table.values())
-    sum_a = sum(comb(c, 2) for c in a.values())
-    sum_b = sum(comb(c, 2) for c in b.values())
+    index = sum(comb(c, 2) for c in Counter((predicted[i], gold[i]) for i in gold).values())
+    sum_a = sum(comb(c, 2) for c in Counter(predicted.values()).values())
+    sum_b = sum(comb(c, 2) for c in Counter(gold.values()).values())
     expected = sum_a * sum_b / comb(n, 2)
     maximum = (sum_a + sum_b) / 2.0
     if maximum == expected:
         return 1.0
     return (index - expected) / (maximum - expected)
+
+
+def forest_errors(parents: dict[int, int], trees: dict[int, int],
+                  gold: dict[int, int]) -> dict[str, int]:
+    """Where a forest departs from gold, keyed as `eval` prints it: edges
+    (child -> parent) whose ends lie in two gold conversations, trees
+    (post -> tree) holding more than one conversation, and conversations
+    (post -> label) spread over more than one tree."""
+    pairs = {(trees[i], gold[i]) for i in gold}  # each (tree, conversation) once
+    return {"cross_edges": sum(gold[c] != gold[p] for c, p in parents.items()),
+            "mixed_trees": sum(k > 1 for k in Counter(t for t, _ in pairs).values()),
+            "split_conversations": sum(k > 1 for k in Counter(g for _, g in pairs).values())}

@@ -258,10 +258,7 @@ def reference_generate(config, seed: int = 0) -> tuple[Thread, GoldStandard]:
             records.append((float(times[j]), conv, j, parent, text))
     records.sort(key=lambda r: (r[0], r[1], r[2]))
     final_index = {(conv, j): idx for idx, (_, conv, j, _, _) in enumerate(records)}
-    posts = [
-        Post(id=f"c{conv}p{j}", timestamp=t, text=text, author=f"user{conv}")
-        for t, conv, j, _, text in records
-    ]
+    posts = [Post(id=f"c{conv}p{j}", timestamp=t, text=text) for t, conv, j, _, text in records]
     parents = {
         final_index[(conv, j)]: final_index[(conv, parent)]
         for _, conv, j, parent, _ in records
@@ -300,12 +297,8 @@ def reference_agglomerative(dist: np.ndarray, n_clusters: int) -> list[int]:
 
 def reference_thread_jsonl(thread) -> str:
     """thread.jsonl as one ``json.dumps`` per post, keys sorted."""
-    lines = []
-    for p in thread.posts:
-        obj = {"id": p.id, "ts": p.timestamp, "text": p.text}
-        if p.author is not None:
-            obj["author"] = p.author
-        lines.append(json.dumps(obj, sort_keys=True, ensure_ascii=False))
+    lines = [json.dumps({"id": p.id, "ts": p.timestamp, "text": p.text},
+                        sort_keys=True, ensure_ascii=False) for p in thread.posts]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

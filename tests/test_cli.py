@@ -4,9 +4,11 @@ import inspect
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,15 +71,6 @@ class TestStats:
         payload = last_json(capsys)
         assert payload["message_count"] == 12
         assert payload["max_words"] == 3
-
-    def test_keep_empty_from_a_config_file(self, tmp_path, capsys):
-        log = tmp_path / "log.jsonl"
-        write_jsonl(log, [{"id": "a", "ts": 0.0, "text": "x"},
-                          {"id": "b", "ts": 1.0, "text": " "}])
-        config = tmp_path / "cfg"
-        config.write_text("keep_empty=1\n")
-        assert run("--config", config, "stats", log) == 0
-        assert last_json(capsys)["message_count"] == 2
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert run("stats", tmp_path / "nope.jsonl") == 2
@@ -403,7 +396,8 @@ class TestSynthEval:
                    "--gold", tmp_path / "gold.json") == 0
         report = last_json(capsys)
         assert set(report) == {"precision", "recall", "f1", "ari",
-                               "predicted_conversations", "gold_conversations"}
+                               "predicted_conversations", "gold_conversations",
+                               "cross_edges", "mixed_trees", "split_conversations"}
         assert report["gold_conversations"] == 2
 
     @pytest.mark.parametrize("graph,message", [
@@ -620,24 +614,62 @@ class TestProject:
         assert lines[0] == "post,x,y,z"
         assert len(lines) == 13
 
-    def test_rows_match_disentangle_under_keep_empty(self, thread_file, tmp_path, capsys):
-        # one config file serves both commands, so both index the same posts
-        assert run(*train_args(thread_file, tmp_path)) == 0
-        ckpt = tmp_path / "out" / "model.untg"
+
+class TestCanonicalThread:
+    """Every command reads the same posts: whitespace-only posts are
+    always dropped, and an `author` key is checked, then ignored."""
+
+    def test_every_command_drops_whitespace_only_posts(self, tmp_path, capsys):
         log = tmp_path / "log.jsonl"
         write_jsonl(log, [{"id": "a", "ts": 0.0, "text": "alpha beta"},
-                          {"id": "b", "ts": 1.0, "text": " "},
+                          {"id": "b", "ts": 1.0, "text": " \t"},
                           {"id": "c", "ts": 2.0, "text": "gamma delta"},
                           {"id": "d", "ts": 3.0, "text": "alpha gamma"}])
+        assert run("stats", log) == 0
+        assert last_json(capsys)["message_count"] == 3
+        assert run(*train_args(log, tmp_path)) == 0
+        ckpt = tmp_path / "out" / "model.untg"
+        res = tmp_path / "res"
+        assert run("--out-dir", res, "disentangle", "--input", log, "--checkpoint", ckpt) == 0
+        assert json.loads((res / "graph.json").read_text())["n"] == 3
+        assert run("--out-dir", res, "export-intensity", "--input", log) == 0
+        assert run("--out-dir", res, "project", "--input", log, "--checkpoint", ckpt) == 0
+        for name in ("intensity.csv", "projection.csv"):
+            assert len((res / name).read_text().splitlines()) == 1 + 3
+
+    @pytest.mark.parametrize("command", ["stats", "train", "disentangle",
+                                         "export-intensity", "project"])
+    def test_keep_empty_is_an_unrecognized_argument(self, tiny_model, tmp_path, capsys, command):
+        argv = [tiny_model / "thread.jsonl"] if command == "stats" else command_argv(
+            "disentangle" if command == "project" else command, tiny_model)
+        assert run("--out-dir", tmp_path / "out", command, *argv, "--keep-empty") == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --keep-empty" in captured.err and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_keep_empty_is_an_unknown_config_key(self, tiny_model, tmp_path, capsys):
         config = tmp_path / "cfg"
         config.write_text("keep_empty=1\n")
-        assert run("--config", config, "--out-dir", tmp_path / "res", "disentangle",
-                   "--input", log, "--checkpoint", ckpt) == 0
-        assert run("--config", config, "--out-dir", tmp_path / "res", "project",
-                   "--input", log, "--checkpoint", ckpt) == 0
-        n = json.loads((tmp_path / "res" / "graph.json").read_text())["n"]
-        rows = (tmp_path / "res" / "projection.csv").read_text().strip().splitlines()[1:]
-        assert n == len(rows) == 4
+        assert run("--config", config, "stats", tiny_model / "thread.jsonl") == 2
+        captured = capsys.readouterr()
+        assert f"error: {config}: line 1: unknown key 'keep_empty'" in captured.err
+        assert captured.out == ""
+
+    def test_synth_writes_no_author(self, tiny_model):
+        lines = (tiny_model / "thread.jsonl").read_text().splitlines()
+        assert lines and all(sorted(json.loads(line)) == ["id", "text", "ts"] for line in lines)
+
+    @pytest.mark.parametrize("author,message", [
+        (3, "line 2: 'author' must be a string when present"),
+        ("\ud800", "line 2: 'author' is not UTF-8 text (lone surrogate '\\ud800' at character 0)"),
+    ])
+    def test_bad_author_exits_2(self, tmp_path, capsys, author, message):
+        log = tmp_path / "log.jsonl"
+        write_jsonl(log, [{"id": "a", "ts": 0.0, "text": "x", "author": "sam"},
+                          {"id": "b", "ts": 1.0, "text": "y", "author": author}])
+        assert run("stats", log) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
 
 @pytest.fixture(scope="module")
@@ -733,10 +765,18 @@ class TestImports:
         pred_parents = {c: p for conv in conversations for c, p in conv.parents.items()}
         pred_labels = {m: conv.root for conv in conversations for m in conv.members}
         p, r, f1 = harness.edge_prf(pred_parents, gold.parents)
+        gold_sets = [{i for i, g in gold.labels.items() if g == label}
+                     for label in set(gold.labels.values())]
         expected = {"precision": p, "recall": r, "f1": f1,
                     "ari": harness.partition_ari(pred_labels, gold.labels),
                     "predicted_conversations": len(conversations),
-                    "gold_conversations": len(set(gold.labels.values()))}
+                    "gold_conversations": len(gold_sets),
+                    "cross_edges": sum(gold.labels[child] != gold.labels[parent]
+                                       for child, parent in pred_parents.items()),
+                    "mixed_trees": sum(len({gold.labels[m] for m in conv.members}) > 1
+                                       for conv in conversations),
+                    "split_conversations": sum(len({pred_labels[i] for i in members}) > 1
+                                               for members in gold_sets)}
         assert capsys.readouterr().out == json.dumps(expected, sort_keys=True) + "\n"
 
 
@@ -855,30 +895,27 @@ class TestOptionValues:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("line,flags,n_posts", [
-        ("keep_empty=false", [], 2),
-        ("keep_empty=false", ["--keep-empty"], 3),
-        ("keep_empty=Yes", [], 3),
-        ("keep_empty=0", [], 2),
+    @pytest.mark.parametrize("line,flags,dot", [
+        ("dot=false", [], False),
+        ("dot=false", ["--dot"], True),
+        ("dot=Yes", [], True),
+        ("dot=0", [], False),
     ])
-    def test_bool_config_word_and_flag_precedence(self, tmp_path, capsys, line, flags, n_posts):
-        log = tmp_path / "log.jsonl"
-        write_jsonl(log, [{"id": "a", "ts": 0.0, "text": "x"},
-                          {"id": "b", "ts": 1.0, "text": " "},
-                          {"id": "c", "ts": 2.0, "text": "y"}])
+    def test_bool_config_word_and_flag_precedence(self, tiny_model, tmp_path, capsys,
+                                                  line, flags, dot):
         config = tmp_path / "cfg"
         config.write_text(line + "\n")
-        assert run("--config", config, "--out-dir", tmp_path, "export-intensity",
-                   "--input", log, "--mu", 0.5, "--alpha", 0.1, "--beta", 1.0, *flags) == 0
-        assert last_json(capsys)["n_posts"] == n_posts
+        assert run("--config", config, "--out-dir", tmp_path, "disentangle",
+                   *command_argv("disentangle", tiny_model), *flags) == 0
+        assert ("dot" in last_json(capsys)) == dot == (tmp_path / "graph.dot").exists()
 
     def test_unknown_bool_config_word_exits_2(self, tiny_model, tmp_path, capsys):
         config = tmp_path / "cfg"
-        config.write_text("keep_empty=maybe\n")
-        assert run("--config", config, "--out-dir", tmp_path / "out", "train",
-                   *command_argv("train", tiny_model)) == 2
+        config.write_text("dot=maybe\n")
+        assert run("--config", config, "--out-dir", tmp_path / "out", "disentangle",
+                   *command_argv("disentangle", tiny_model)) == 2
         captured = capsys.readouterr()
-        assert "--keep-empty must be one of 1/true/yes/0/false/no" in captured.err
+        assert "--dot must be one of 1/true/yes/0/false/no" in captured.err
         assert captured.out == "" and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line", ["epoch=0", "seed=3"])
@@ -903,7 +940,8 @@ class TestOptionValues:
 
     @pytest.mark.parametrize("argv,message", [
         (["train"], "the following arguments are required: --input"),
-        (["stats", "x", "--keep-empty", "maybe"], "unrecognized arguments: maybe"),
+        (["disentangle", "--input", "x", "--checkpoint", "y", "--dot", "maybe"],
+         "unrecognized arguments: maybe"),
     ])
     def test_usage_error_returns_2(self, capsys, argv, message):
         assert cli.main(argv) == 2
@@ -914,6 +952,16 @@ class TestOptionValues:
     def test_help_returns_0(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "usage: untangler" in capsys.readouterr().out
+
+
+def test_readme_option_tables_list_the_options():
+    # every flag in a row of README's "### Options" tables, merged rows
+    # such as `--mu`, `--alpha`, `--beta` counting each, is a row of OPTIONS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Options\n", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    documented = {flag for row in rows for flag in re.findall(r"`(--[a-z][a-z-]*)`", row)}
+    assert documented == {flag for _, flag, _, _ in cli.OPTIONS}
 
 
 TRAIN_SMALL = ["--dim", 4, "--hidden", 4, "--epochs", 1, "--k", 2]

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from untangler import cli, graph, harness, ingest
+from untangler import cli, graph, harness, ingest, score
 from untangler.harness import (GoldStandard, SynthConfig, agglomerative,
                                edge_prf, generate, partition_ari, project_3d)
 from untangler.temporal import HawkesModel
@@ -302,6 +302,32 @@ class TestPartitionAri:
                                  {i: int(b[i]) for i in range(n)})
             theirs = sklearn_metrics.adjusted_rand_score(a, b)
             assert ours == pytest.approx(theirs, abs=1e-12)
+
+
+class TestForestErrors:
+    """score.forest_errors on hand-made forests, routed as `eval` routes
+    graph.json: edges, then trees, then the counts."""
+
+    @staticmethod
+    def counts(n, edges, gold):
+        trees = score.extract_trees(n, [p for p, _ in edges], [c for _, c in edges])
+        parents = {c: p for t in trees for c, p in t.parents.items()}
+        labels = {m: t.root for t in trees for m in t.members}
+        errors = score.forest_errors(parents, labels, dict(enumerate(gold)))
+        return errors["cross_edges"], errors["mixed_trees"], errors["split_conversations"]
+
+    @pytest.mark.parametrize("n,edges,gold,expected", [
+        (0, [], [], (0, 0, 0)),
+        (5, [(0, 1), (1, 3), (2, 4)], [0, 0, 1, 0, 1], (0, 0, 0)),  # the gold forest
+        (4, [(0, 1), (1, 2), (2, 3)], [0, 0, 1, 1], (1, 1, 0)),  # one chain over both
+        (3, [], [0, 0, 1], (0, 0, 1)),  # all singletons
+        (4, [(0, 2), (1, 3)], [0, 0, 1, 1], (2, 2, 2)),  # every edge crosses
+        (5, [(0, 1), (1, 2), (3, 4)], [0, 0, 1, 1, 1], (1, 1, 1)),  # one post strays
+        (6, [(0, 3), (1, 4), (2, 5)], [0, 1, 2, 0, 1, 2], (0, 0, 0)),  # interleaved, exact
+        (6, [(0, 1), (0, 2), (3, 4), (3, 5)], [0, 1, 2, 0, 1, 2], (4, 2, 3)),  # two stars
+    ])
+    def test_hand_made_forests(self, n, edges, gold, expected):
+        assert self.counts(n, edges, gold) == expected
 
 
 class TestAgglomerative:
