@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -187,6 +188,25 @@ def _load_model(args) -> tuple[embedder.EncoderConfig, embedder.EncoderParams, c
         return embedder.load_checkpoint(args.checkpoint)
 
 
+@contextmanager
+def _unreadable_posts(checkpoint: str):
+    """embed_thread's UnreadablePostsWarning as one stderr line naming
+    the checkpoint; any other warning is shown as it would have been,
+    once the recording block has put the usual showwarning back."""
+    from . import embedder
+    caught = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", embedder.UnreadablePostsWarning)
+            yield
+    finally:
+        for w in caught:
+            if issubclass(w.category, embedder.UnreadablePostsWarning):
+                print(f"warning: {checkpoint}: {w.message}", file=sys.stderr)
+            else:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+
+
 def run_pipeline(thread: ingest.Thread, config: embedder.EncoderConfig,
                  params: embedder.EncoderParams, vocab: corpus.Vocab,
                  model: temporal.HawkesModel, tau, quantile: float):
@@ -206,7 +226,7 @@ def cmd_disentangle(args) -> int:
         raise UserError("empty thread")
     config, params, vocab = _load_model(args)
     model = _hawkes_from_args(args, thread)
-    with _finite_intensity():
+    with _finite_intensity(), _unreadable_posts(args.checkpoint):
         _, ranges, forest, conversations = run_pipeline(
             thread, config, params, vocab, model, args.tau, args.quantile)
     graph_path = _out_path(args, "graph.json")
@@ -222,7 +242,7 @@ def cmd_disentangle(args) -> int:
         "ranges": [[r.lo, r.hi] for r in ranges],
         "conversations": [
             {"root": c.root, "members": c.members,
-             "parents": {str(k): v for k, v in sorted(c.parents.items())}}
+             "parents": {str(k): v for k, v in c.parents.items()}}
             for c in conversations
         ],
     }
@@ -323,7 +343,8 @@ def cmd_project(args) -> int:
     from . import embedder, harness
     thread = _read_thread(args.input)
     config, params, vocab = _load_model(args)
-    embeddings = embedder.embed_thread(params, thread, vocab, max_len=config.max_len)
+    with _unreadable_posts(args.checkpoint):
+        embeddings = embedder.embed_thread(params, thread, vocab, max_len=config.max_len)
     try:
         coords = harness.project_3d(embeddings)
     except ValueError as exc:

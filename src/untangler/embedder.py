@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -100,9 +101,9 @@ def init_params(config: EncoderConfig) -> EncoderParams:
     return params
 
 
-def _sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function as 0.5 * (1 + tanh(z / 2)), stable for every z."""
-    out = np.multiply(z, 0.5, out=out)
+    out = z * 0.5
     np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
@@ -384,18 +385,30 @@ def train(threads: list[Thread], vocab: Vocab, windows: list[list[ContextWindow]
     return params, curve
 
 
+class UnreadablePostsWarning(UserWarning):
+    """Some posts with tokens have none in the vocabulary: each encodes as
+    a run of UNK, so its embedding depends only on its length."""
+
+
 def embed_thread(params: EncoderParams, thread: Thread, vocab: Vocab,
                  max_len: int = 64) -> np.ndarray:
     """n x d matrix of post encodings; empty posts get all-zero rows and
     are excluded from graph edges downstream.  Posts are tokenized and
     encoded in packed batches of _EMBED_ROWS consecutive posts, so only
-    the output grows with the thread."""
+    the output grows with the thread.  Warns with UnreadablePostsWarning,
+    giving both counts, when some non-empty posts are all UNK."""
     posts = thread.posts
     out = np.zeros((len(posts), params.proj.shape[1]))
+    nonempty = unreadable = 0
     for lo in range(0, len(posts), _EMBED_ROWS):
         seqs = [encode_text(vocab, p.text, max_len) for p in posts[lo:lo + _EMBED_ROWS]]
         rows = [i for i, s in enumerate(seqs) if s]
+        nonempty += len(rows)
+        unreadable += [max(seqs[i]) for i in rows].count(corpus.UNK)  # UNK: the lowest index
         out[lo:lo + len(seqs)][rows] = _forward(params, [seqs[i] for i in rows])
+    if unreadable:
+        warnings.warn(f"{unreadable} of {nonempty} non-empty posts have no token in the "
+                      "vocabulary", UnreadablePostsWarning, stacklevel=2)
     return out
 
 

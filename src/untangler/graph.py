@@ -162,8 +162,8 @@ def thin(graph: ReplyGraph) -> ReplyGraph:
     last = np.flatnonzero(np.r_[child_sorted[1:] != child_sorted[:-1], True])
     keep = order[last]
     keep = keep[np.argsort(graph.parent[keep] * graph.n + graph.child[keep])]
-    return ReplyGraph(n=graph.n, parent=graph.parent[keep].copy(),
-                      child=graph.child[keep].copy(), weight=graph.weight[keep].copy())
+    return ReplyGraph(n=graph.n, parent=graph.parent[keep], child=graph.child[keep],
+                      weight=graph.weight[keep])
 
 
 def _cosines(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

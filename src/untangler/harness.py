@@ -130,7 +130,7 @@ def generate(config: SynthConfig, seed: int = 0) -> tuple[Thread, GoldStandard]:
             texts.append(" ".join(map(word, rng.integers(0, config.pool_size, size=k).tolist())))
         picks = [None, *_pick_parents(times, np.array(u), config.temperature).tolist()]
         records += zip(times.tolist(), itertools.repeat(conv), range(n_posts), picks, texts)
-    records.sort(key=lambda r: (r[0], r[1], r[2]))
+    records.sort(key=lambda r: r[0])  # stable, so time ties keep the (conv, j) order
     final_index = {(conv, j): idx for idx, (_, conv, j, _, _) in enumerate(records)}
     posts = [Post(id=f"c{conv}p{j}", timestamp=t, text=text) for t, conv, j, _, text in records]
     parents = {
@@ -138,7 +138,7 @@ def generate(config: SynthConfig, seed: int = 0) -> tuple[Thread, GoldStandard]:
         for _, conv, j, parent, _ in records
         if parent is not None
     }
-    labels = {final_index[(conv, j)]: conv for _, conv, j, _, _ in records}
+    labels = {idx: conv for idx, (_, conv, _, _, _) in enumerate(records)}
     return Thread(posts=posts), GoldStandard(parents, labels)
 
 

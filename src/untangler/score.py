@@ -5,7 +5,6 @@ the adjusted Rand index and where the forest departs from gold."""
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
@@ -88,12 +87,6 @@ def extract_trees(n: int, parent: list[int], child: list[int]) -> list[Conversat
     return conversations
 
 
-def _json_table(table: dict[int, int]) -> str:
-    """``json.dumps({str(k): v ...}, sort_keys=True)`` of an int -> int table."""
-    items = sorted(zip(map(str, table), table.values()))
-    return "{" + ", ".join(itertools.starmap('"{}": {}'.format, items)) + "}"
-
-
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object's dict, or ValueError if it repeats a key."""
     table = dict(pairs)
@@ -108,10 +101,11 @@ class GoldStandard:
     labels: dict[int, int]   # post index -> conversation id
 
     def to_json(self) -> str:
-        """The text of ``json.dumps({"parents": ..., "labels": ...},
-        sort_keys=True)`` over the tables with string keys, formatted
-        straight from them: keys sorted as strings at every level."""
-        return f'{{"labels": {_json_table(self.labels)}, "parents": {_json_table(self.parents)}}}\n'
+        """``json.dumps`` of the tables with string keys, sorted as
+        strings at every level, plus a newline."""
+        return json.dumps({"parents": {str(k): v for k, v in self.parents.items()},
+                           "labels": {str(k): v for k, v in self.labels.items()}},
+                          sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, data: str) -> "GoldStandard":

@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -613,6 +614,54 @@ class TestProject:
         lines = (tmp_path / "projection.csv").read_text().strip().splitlines()
         assert lines[0] == "post,x,y,z"
         assert len(lines) == 13
+
+
+class TestUnreadablePosts:
+    """disentangle and project say on stderr when the checkpoint's
+    vocabulary holds no token of some posts, and change nothing else."""
+
+    @pytest.mark.parametrize("command", ["disentangle", "project"])
+    def test_disjoint_checkpoint_prints_one_line(self, thread_file, tmp_path, capsys, command):
+        assert run(*train_args(thread_file, tmp_path)) == 0
+        ckpt = tmp_path / "out" / "model.untg"
+        log = tmp_path / "other.jsonl"
+        # 4 posts of unseen words, 1 that shares "alpha", 1 with no token at all
+        write_jsonl(log, [{"id": f"p{i}", "ts": 3.0 * i, "text": text} for i, text in enumerate(
+            ["omega psi", "chi phi", "alpha omega", "...", "upsilon tau", "sigma rho"])])
+        capsys.readouterr()
+        assert run("--out-dir", tmp_path / "res", command, "--input", log,
+                   "--checkpoint", ckpt) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (f"warning: {ckpt}: 4 of 5 non-empty posts have no token "
+                                "in the vocabulary\n")
+        assert json.loads(captured.out)["n_posts"] == 6  # stdout is the one JSON line
+
+    @pytest.mark.parametrize("command", ["disentangle", "project"])
+    def test_checkpoint_that_reads_every_post_prints_nothing(self, thread_file, tmp_path,
+                                                             capsys, command):
+        assert run(*train_args(thread_file, tmp_path)) == 0
+        capsys.readouterr()
+        assert run("--out-dir", tmp_path / "res", command, "--input", thread_file,
+                   "--checkpoint", tmp_path / "out" / "model.untg") == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["disentangle", "project"])
+    def test_other_warning_is_shown_once(self, thread_file, tmp_path, capsys, monkeypatch,
+                                         command):
+        assert run(*train_args(thread_file, tmp_path)) == 0
+        embed_thread = embedder.embed_thread
+
+        def noisy(*args, **kwargs):
+            warnings.warn("some other warning", UserWarning)
+            return embed_thread(*args, **kwargs)
+
+        monkeypatch.setattr(embedder, "embed_thread", noisy)
+        capsys.readouterr()
+        with pytest.warns(UserWarning) as record:
+            assert run("--out-dir", tmp_path / "res", command, "--input", thread_file,
+                       "--checkpoint", tmp_path / "out" / "model.untg") == 0
+        assert [str(w.message) for w in record] == ["some other warning"]
+        assert capsys.readouterr().err == ""
 
 
 class TestCanonicalThread:

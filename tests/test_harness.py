@@ -1,5 +1,6 @@
 """Synthetic generation, evaluation metrics, clustering, projection."""
 
+import random
 import runpy
 import tracemalloc
 from pathlib import Path
@@ -116,6 +117,20 @@ class TestGenerate:
                             labels={i: i % 3 for i in (0, 1, 2, 3, 10, 11, 100)})
         assert gold.to_json() == reference_gold_json(gold)
         assert GoldStandard({}, {}).to_json() == reference_gold_json(GoldStandard({}, {}))
+        # random valid tables: keys up to 10**6 in any insertion order, and
+        # negative labels; a parent is an earlier post of the same label
+        rng = random.Random(27)
+        for _ in range(300):
+            posts = rng.sample(range(10**6 + 1), rng.randint(0, 60))
+            labels = {i: rng.randint(-3, 3) for i in posts}
+            parents = {}
+            for i in posts:
+                earlier = [p for p in posts if p < i and labels[p] == labels[i]]
+                if earlier and rng.random() < 0.8:
+                    parents[i] = rng.choice(earlier)
+            gold = GoldStandard(parents=parents, labels=labels)
+            assert gold.to_json() == reference_gold_json(gold)
+            assert GoldStandard.from_json(gold.to_json()) == gold
 
     @pytest.mark.parametrize("data", [
         '{"labels": {"0": 0}}', '{"parents": {}}', "{}",
