@@ -5,7 +5,7 @@ project.  Option precedence is flags > config file > defaults; the
 config file is flat ``key=value`` text whose keys are the long flag
 names of OPTIONS with underscores, and OPTIONS checks its values and
 the flags' alike.  Exit codes: 0 success, 1 internal error, 2 bad input,
-such as a path that _reading or _out_path cannot use.
+such as a path that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -68,28 +68,42 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 def _out_path(args: argparse.Namespace, name: str, given: str | None = None) -> Path:
-    """`given`, else `name` in --out-dir, after making its parent directory."""
-    path = Path(given) if given else Path(args.out_dir or ".") / name
+    """`given`, else `name` in --out-dir."""
+    return Path(given) if given else Path(args.out_dir or ".") / name
+
+
+def _created(path: Path) -> Path:
+    """`path`, after making its parent directory."""
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def _check_writable(path: Path) -> None:
-    """A UserError naming `path` unless it opens for writing.  The probe
-    appends nothing, so an existing file is kept, and a new one is removed."""
-    existed = path.is_symlink() or path.exists()
+    """A UserError naming `path` unless it opens for writing (the OSError
+    of making its parent directory names that directory).  The probe
+    leaves no trace, so a run that fails later writes nothing: it appends
+    nothing, so an existing file is kept, and it removes a new file and
+    the directories it made."""
+    made = [parent for parent in path.parents if not (parent.is_symlink() or parent.exists())]
     try:
-        with open(path, "ab"):
-            pass
-    except OSError as exc:
-        raise UserError(f"{path}: {exc.strerror}") from exc
-    if not existed:
-        path.unlink()
+        _created(path)
+        existed = path.is_symlink() or path.exists()
+        try:
+            with open(path, "ab"):
+                pass
+        except OSError as exc:
+            raise UserError(f"{path}: {exc.strerror}") from exc
+        if not existed:
+            path.unlink()
+    finally:
+        for directory in made:  # deepest first
+            with suppress(OSError):  # one it did not make, or could not
+                directory.rmdir()
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """Rows of ints and Python floats; a float is written as its repr."""
-    with open(path, "w", newline="", encoding="utf-8") as fp:
+    with open(_created(path), "w", newline="", encoding="utf-8") as fp:
         writer = csv.writer(fp)
         writer.writerow(header)
         writer.writerows(rows)
@@ -173,7 +187,7 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise UserError(str(exc)) from exc
     try:
-        embedder.save_checkpoint(str(ckpt), config, params, vocab)
+        embedder.save_checkpoint(str(_created(ckpt)), config, params, vocab)
     except ValueError as exc:
         raise UserError(f"cannot save the checkpoint: {exc}; lower --lr") from exc
     _write_csv(csv_path, ["epoch", "mean_loss"], enumerate(curve))
@@ -224,19 +238,22 @@ def cmd_disentangle(args) -> int:
     thread = _read_thread(args.input)
     if len(thread) == 0:
         raise UserError("empty thread")
+    graph_path = _out_path(args, "graph.json")
+    dot_path = _out_path(args, "graph.dot") if args.dot else None
+    conv_path = _out_path(args, "conversations.json")
+    for path in (graph_path, dot_path, conv_path):  # before the fit, which can take minutes
+        if path is not None:
+            _check_writable(path)
     config, params, vocab = _load_model(args)
     model = _hawkes_from_args(args, thread)
     with _finite_intensity(), _unreadable_posts(args.checkpoint):
         _, ranges, forest, conversations = run_pipeline(
             thread, config, params, vocab, model, args.tau, args.quantile)
-    graph_path = _out_path(args, "graph.json")
-    graph_path.write_bytes(graph.export_graph(forest, "json"))
+    _created(graph_path).write_bytes(graph.export_graph(forest, "json"))
     outputs = {"graph_json": str(graph_path)}
-    if args.dot:
-        dot_path = _out_path(args, "graph.dot")
-        dot_path.write_bytes(graph.export_graph(forest, "dot"))
+    if dot_path is not None:
+        _created(dot_path).write_bytes(graph.export_graph(forest, "dot"))
         outputs["dot"] = str(dot_path)
-    conv_path = _out_path(args, "conversations.json")
     conv_payload = {
         "hawkes": {"mu": model.mu, "alpha": model.alpha, "beta": model.beta},
         "ranges": [[r.lo, r.hi] for r in ranges],
@@ -246,7 +263,8 @@ def cmd_disentangle(args) -> int:
             for c in conversations
         ],
     }
-    conv_path.write_text(json.dumps(conv_payload, sort_keys=True) + "\n", encoding="utf-8")
+    conv_text = json.dumps(conv_payload, sort_keys=True) + "\n"
+    _created(conv_path).write_text(conv_text, encoding="utf-8")
     outputs["conversations_json"] = str(conv_path)
     _emit({**outputs, "n_posts": len(thread), "n_ranges": len(ranges),
            "n_edges": forest.n_edges, "n_conversations": len(conversations)})
@@ -288,9 +306,9 @@ def cmd_synth(args) -> int:
         raise UserError(f"cannot generate the thread: {exc}; raise --mu") from exc
     except harness.RecencyOverflowError as exc:
         raise UserError(f"cannot generate the thread: {exc}; lower --temperature") from exc
-    thread_path = _out_path(args, "thread.jsonl")
+    thread_path = _created(_out_path(args, "thread.jsonl"))
     thread_path.write_text(ingest.serialize_thread(thread), encoding="utf-8")
-    gold_path = _out_path(args, "gold.json")
+    gold_path = _created(_out_path(args, "gold.json"))
     gold_path.write_text(gold.to_json(), encoding="utf-8")
     _emit({"thread": str(thread_path), "gold": str(gold_path),
            "n_posts": len(thread), "n_conversations": config.n_conversations})
@@ -327,11 +345,12 @@ def cmd_export_intensity(args) -> int:
     thread = _read_thread(args.input)
     if len(thread) == 0:
         raise UserError("empty thread")
+    csv_path = _out_path(args, "intensity.csv", args.csv)
+    _check_writable(csv_path)
     model = _hawkes_from_args(args, thread)
     times = np.asarray(thread.timestamps)
     with _finite_intensity():
         raw, smoothed = temporal.post_intensity(model, times, args.tau)
-    csv_path = _out_path(args, "intensity.csv", args.csv)
     _write_csv(csv_path, ["t", "raw", "smoothed"],
                zip(times.tolist(), raw.tolist(), smoothed.tolist()))
     _emit({"csv": str(csv_path), "n_posts": len(thread),
@@ -342,6 +361,8 @@ def cmd_export_intensity(args) -> int:
 def cmd_project(args) -> int:
     from . import embedder, harness
     thread = _read_thread(args.input)
+    csv_path = _out_path(args, "projection.csv", args.csv)
+    _check_writable(csv_path)
     config, params, vocab = _load_model(args)
     with _unreadable_posts(args.checkpoint):
         embeddings = embedder.embed_thread(params, thread, vocab, max_len=config.max_len)
@@ -349,7 +370,6 @@ def cmd_project(args) -> int:
         coords = harness.project_3d(embeddings)
     except ValueError as exc:
         raise UserError(str(exc)) from exc
-    csv_path = _out_path(args, "projection.csv", args.csv)
     _write_csv(csv_path, ["post", "x", "y", "z"],
                ([i, *row] for i, row in enumerate(coords.tolist())))
     _emit({"csv": str(csv_path), "n_posts": len(thread)})

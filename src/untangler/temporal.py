@@ -14,6 +14,8 @@ graph stage consumes.
 
 from __future__ import annotations
 
+import os
+import signal
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
@@ -50,6 +52,8 @@ def _check_sorted(events: np.ndarray, horizon: Optional[float] = None) -> np.nda
     events = np.asarray(events, dtype=np.float64)
     if events.ndim != 1:
         raise ValueError("events must be a 1-d array of times")
+    if not np.isfinite(events).all():
+        raise ValueError("events must be finite numbers")
     if events.size > 1 and np.any(np.diff(events) < 0):
         raise ValueError("events must be sorted ascending")
     if horizon is not None and events.size and (events[0] < 0 or events[-1] > horizon):
@@ -217,6 +221,19 @@ def fit_multistart(events: np.ndarray, horizon: float, steps: int = 200,
     baseline at half the empirical rate.  Starts whose beta0 overflows
     are skipped; TimescaleError when none is finite.  Of equal
     likelihoods the earliest start wins.
+
+    The starts run at once, dealt round-robin over w workers, one per
+    CPU this process may use, up to the number of starts: this process
+    runs starts 0, w, 2w, ... and each of w - 1 children made with
+    os.fork runs its share.  The fork is safe: the child runs only
+    _ascend on the arrays it inherited and leaves through os._exit, so
+    no exception or buffered output escapes it; OpenBLAS stops its
+    thread pool before a fork (a pthread_atfork handler), so no worker
+    thread holds a lock the child could wait on; and each result comes
+    back as four float64 (mu, alpha, beta, log-likelihood) in their
+    bytes, the bits of running the starts in turn.  A start whose bytes
+    do not arrive (a fork that failed, a child that died) runs in this
+    process; without os.sched_getaffinity (off Linux) all run here.
     """
     events = _check_sorted(events)
     if horizon <= 0:
@@ -228,8 +245,52 @@ def fit_multistart(events: np.ndarray, horizon: float, steps: int = 200,
         raise TimescaleError(f"median gap between events {gap:g} is too small "
                          "for a finite decay rate to start the fit from")
     gaps, tail = _gaps_and_tails(events, horizon)
-    fits = [_ascend(gaps, tail, horizon, HawkesModel(0.5 * rate, 0.5 * beta0, beta0),
-                    steps, step_size) for beta0 in starts]
+
+    def run(i: int) -> tuple[HawkesModel, float]:
+        beta0 = starts[i]
+        return _ascend(gaps, tail, horizon, HawkesModel(0.5 * rate, 0.5 * beta0, beta0),
+                       steps, step_size)
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(starts), cpus)
+    fits: list = [None] * len(starts)
+    children = []  # (pid, read end of its pipe, the starts it runs)
+    try:
+        for k in range(1, workers):
+            share = range(k, len(starts), workers)
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                try:
+                    for i in share:
+                        model, value = run(i)
+                        os.write(write_fd, np.array([model.mu, model.alpha, model.beta,
+                                                     value]).tobytes())
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children.append((pid, read_fd, share))
+        for i in range(0, len(starts), workers):
+            fits[i] = run(i)
+        for _, read_fd, share in children:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                rows = np.frombuffer(pipe.read(), np.float64).reshape(-1, 4).tolist()
+            for i, (mu, alpha, beta, value) in zip(share, rows):
+                fits[i] = HawkesModel(mu, alpha, beta), value
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read_fd, _ in children:
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+    fits = [f or run(i) for i, f in enumerate(fits)]  # a start no child sent runs here
     return max(fits, key=lambda f: f[1])[0]
 
 

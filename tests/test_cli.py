@@ -766,6 +766,7 @@ def command_argv(command, model_dir):
     return {"train": ["--input", thread],
             "disentangle": ["--input", thread, "--checkpoint", model_dir / "model.untg"],
             "export-intensity": ["--input", thread],
+            "project": ["--input", thread, "--checkpoint", model_dir / "model.untg"],
             "synth": []}[command]
 
 
@@ -1095,6 +1096,35 @@ class TestPaths:
         captured = capsys.readouterr()
         assert captured.err == f"error: {out / 'D'}: Is a directory\n" and captured.out == ""
         assert trained == [] and [p.name for p in out.iterdir()] == ["D"]
+
+    @pytest.mark.parametrize("command, name", [
+        (command, name) for command, names in {
+            "disentangle": ["graph.json", "graph.dot", "conversations.json"],
+            "export-intensity": ["intensity.csv"], "project": ["projection.csv"],
+        }.items() for name in [None, *names]])
+    def test_unusable_output_exits_2_before_any_work(self, tiny_model, tmp_path, monkeypatch,
+                                                     capsys, command, name):
+        # name None: --out-dir is a file; else that output is a directory
+        def forbidden(*args, **kwargs):
+            pytest.fail("work ran before the outputs were checked")
+
+        monkeypatch.setattr(temporal, "fit_multistart", forbidden)
+        monkeypatch.setattr(embedder, "embed_thread", forbidden)
+        monkeypatch.setattr(embedder, "load_checkpoint", forbidden)
+        out = tmp_path / "out"
+        if name is None:
+            out.write_text("x\n")
+            bad = out
+        else:
+            bad = out / name
+            bad.mkdir(parents=True)
+        dot = ["--dot"] if command == "disentangle" else []
+        assert run("--out-dir", out, command, *command_argv(command, tiny_model), *dot) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: "), captured.err
+        assert captured.out == ""
+        if name is not None:  # no output written beside the unusable one
+            assert [p.name for p in out.iterdir()] == [name]
 
     @pytest.mark.parametrize("flags", [
         ["--checkpoint", "{out}/loss.csv"],

@@ -1,11 +1,14 @@
 """Hawkes model: intensity, likelihood, simulation, fitting, ranges."""
 
 import math
+import os
+import time
+import warnings
 
 import numpy as np
 import pytest
 
-from untangler import temporal
+from untangler import cli, harness, temporal
 from untangler.temporal import (HawkesModel, Range, detect_ranges, fit,
                                 fit_multistart, intensity, log_likelihood,
                                 median_gap, sample_intensity, simulate, smooth)
@@ -285,6 +288,153 @@ class TestFit:
         # median gap 5e-324: scale / gap overflows to inf at every scale
         with pytest.raises(temporal.TimescaleError, match="median gap"):
             fit_multistart(np.array([0.0, 5e-324, 1e-323]), 1.0)
+
+
+@pytest.mark.parametrize("events", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 1.0, 2.0]],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [
+    lambda events: fit(events, 3.0, HawkesModel(1.0, 0.5, 1.0)),
+    lambda events: fit_multistart(events, 3.0),
+    lambda events: log_likelihood(HawkesModel(1.0, 0.5, 1.0), events, 3.0),
+    lambda events: sample_intensity(HawkesModel(1.0, 0.5, 1.0), events, np.array([1.5])),
+], ids=["fit", "fit_multistart", "log_likelihood", "sample_intensity"])
+def test_non_finite_events_rejected(call, events):
+    with pytest.raises(ValueError, match="finite"):
+        call(np.array(events))
+
+
+def cli_events(seed, **synth):
+    """The events and horizon disentangle fits on a synthetic thread."""
+    thread, _ = harness.generate(cli.default_synth_config(**synth), seed=seed)
+    times = np.asarray(thread.timestamps)
+    events = times - times[0]
+    return events, (float(events[-1]) or 1.0) + 1.0
+
+
+# name -> () -> (events, horizon, steps)
+FIT_CASES = {
+    **{f"oracle-180 seed {seed}": (lambda seed=seed: (
+        *cli_events(seed, n_conversations=3, posts_lo=60, posts_hi=60), 200))
+       for seed in (1, 1_000_001)},
+    "criterion 4": lambda: (simulate(HawkesModel(0.2, 0.8, 1.6), 1300.0,
+                                     np.random.default_rng(11)), 1300.0, 800),
+    "criterion 8": lambda: (
+        *cli_events(8, n_conversations=25, posts_lo=200, posts_hi=200), 200),
+}
+
+
+def in_turn(events, horizon, steps=200):
+    """fit_multistart's starts run one after another: the model of the
+    best log-likelihood, the earliest start winning ties."""
+    rate, gap = events.size / horizon, median_gap(events)
+    gaps, tail = np.diff(events), horizon - events
+    best = None
+    for scale in temporal._FIT_SCALES:
+        beta0 = scale / gap
+        model, value = temporal._ascend(gaps, tail, horizon,
+                                        HawkesModel(0.5 * rate, 0.5 * beta0, beta0), steps, 0.1)
+        if best is None or value > best[1]:
+            best = model, value
+    return best[0]
+
+
+def forbidden(*args, **kwargs):
+    pytest.fail("called where it must not be")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="without sched_getaffinity the starts run in turn")
+class TestParallelStarts:
+    @pytest.fixture(autouse=True)
+    def no_child_or_descriptor_left(self):
+        descriptors = len(os.listdir("/proc/self/fd"))
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(os.listdir("/proc/self/fd")) == descriptors
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        """Two workers, so the fork runs on a one-CPU machine too."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @pytest.mark.parametrize("case", FIT_CASES)
+    def test_equals_the_starts_run_in_turn(self, case):
+        events, horizon, steps = FIT_CASES[case]()
+        assert fit_multistart(events, horizon, steps=steps) == in_turn(events, horizon, steps)
+
+    def test_one_cpu_forks_nothing(self, monkeypatch):
+        events, horizon, _ = FIT_CASES["oracle-180 seed 1"]()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", forbidden)
+        assert fit_multistart(events, horizon) == in_turn(events, horizon)
+
+    def test_failed_fork_runs_the_starts_here(self, monkeypatch, two_cpus):
+        # start 1, the child's, wins on this thread
+        events, horizon, _ = FIT_CASES["oracle-180 seed 1"]()
+
+        def fork():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert fit_multistart(events, horizon) == in_turn(events, horizon)
+
+    @pytest.mark.parametrize("dies_at", [1, 2], ids=["before-writing", "after-one-start"])
+    def test_dead_child_s_starts_run_here(self, monkeypatch, two_cpus, dies_at):
+        events, horizon, _ = FIT_CASES["oracle-180 seed 1"]()
+        expected = in_turn(events, horizon)
+        parent, ascend, calls = os.getpid(), temporal._ascend, []
+
+        def dying(*args):
+            if os.getpid() != parent:
+                calls.append(args)
+                if len(calls) == dies_at:
+                    os._exit(1)
+            return ascend(*args)
+
+        monkeypatch.setattr(temporal, "_ascend", dying)
+        assert fit_multistart(events, horizon) == expected
+
+    def test_interrupted_share_kills_the_child(self, monkeypatch, two_cpus):
+        events, horizon, _ = FIT_CASES["oracle-180 seed 1"]()
+        parent = os.getpid()
+
+        def stuck(*args):
+            if os.getpid() != parent:
+                time.sleep(30)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(temporal, "_ascend", stuck)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            fit_multistart(events, horizon)
+        assert time.monotonic() - start < 10
+
+    def test_equal_likelihoods_keep_the_earliest_start(self, monkeypatch, two_cpus):
+        # starts 1 (the child's) and 2 (this process's) tie at the best value
+        events, horizon, _ = FIT_CASES["oracle-180 seed 1"]()
+        beta0s = [scale / median_gap(events) for scale in temporal._FIT_SCALES]
+        values = [-3.0, -1.0, -1.0, -2.0]
+
+        def fake(gaps, tail, horizon, init, steps, step_size):
+            i = beta0s.index(init.beta)
+            return HawkesModel(1.0, 0.0, float(i + 1)), values[i]
+
+        monkeypatch.setattr(temporal, "_ascend", fake)
+        assert fit_multistart(events, horizon) == HawkesModel(1.0, 0.0, 2.0)
+
+    def test_no_warning_after_blas_threads_start(self, two_cpus):
+        # Python 3.12+ warns on fork in a process with more than one thread;
+        # OpenBLAS stops the pool a matmul starts in its pthread_atfork
+        # handler.  An "error" filter does not raise that warning, so record it.
+        events, horizon, _ = FIT_CASES["oracle-180 seed 1"]()
+        square = np.random.default_rng(0).standard_normal((500, 500))
+        assert np.isfinite(square @ square).all()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = fit_multistart(events, horizon)
+        assert [str(w.message) for w in caught] == []
+        assert model == in_turn(events, horizon)
 
 
 class TestSmoothing:
