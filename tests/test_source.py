@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -50,3 +51,24 @@ def test_parses_at_the_python_floor(path):
     # call that is newer than the floor still passes
     ast.parse(path.read_text(encoding="utf-8"), filename=path.name,
               feature_version=python_floor())
+
+
+def test_console_script_is_cli_run():
+    # a console script that calls main skips run's freeze and its flush of stdout;
+    # a regex, as in python_floor, since tomllib is newer than the floor
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^\[project\.scripts\]\s*^untangler\s*=\s*"([\w.]+):(\w+)"$',
+                      text, re.MULTILINE)
+    assert match, "pyproject.toml declares no untangler console script"
+    cli = importlib.import_module("untangler.cli")
+    assert getattr(importlib.import_module(match[1]), match[2]) is cli.run
+
+
+def test_python_m_calls_cli_run():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    blocks = [node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert len(blocks) == 1, "cli.py needs one `if __name__ == \"__main__\":` block"
+    called = {node.func.id for node in ast.walk(blocks[0])
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "run" in called and "main" not in called, called
