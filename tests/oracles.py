@@ -5,7 +5,8 @@ stages, of conversation extraction and graph export, of the Hawkes
 excitation recursion, of the Laplace smoothing and its forward and
 backward sums, of the schism cut rule and of the LSTM post encoder and
 its gradients, of the synthetic-thread generator and its writers, and
-of the average-linkage clustering baseline,
+of the average-linkage clustering baseline, of a chat-log line's parse
+(one ``json.loads``, then every check),
 written against plain dict/list structures
 and dense arrays with no shared code paths into the package.
 The production implementations in ``untangler.graph``,
@@ -21,13 +22,14 @@ they define), which the encoder's own tests read its outputs through.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from untangler.embedder import _forward
 from untangler.graph import Conversation
 from untangler.harness import GoldStandard, _sample_times
-from untangler.ingest import Post, Thread
+from untangler.ingest import ChatLogError, Post, Thread
 
 
 def reference_prune(embeddings_sim: np.ndarray, ranges: list[tuple[int, int]]) -> np.ndarray:
@@ -300,6 +302,47 @@ def reference_thread_jsonl(thread) -> str:
     lines = [json.dumps({"id": p.id, "ts": p.timestamp, "text": p.text},
                         sort_keys=True, ensure_ascii=False) for p in thread.posts]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def reference_parse_line(raw: str, lineno: int) -> Post:
+    """One chat-log line through ``json.loads`` and every check in turn,
+    with the surrogate check on every line."""
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ChatLogError(f"invalid JSON ({exc.msg})", lineno) from exc
+    except RecursionError as exc:
+        raise ChatLogError("invalid JSON (nested too deeply)", lineno) from exc
+    if not isinstance(obj, dict):
+        raise ChatLogError("expected a JSON object", lineno)
+    for key in ("id", "ts", "text"):
+        if key not in obj:
+            raise ChatLogError(f"missing key {key!r}", lineno)
+    pid, ts, text = obj["id"], obj["ts"], obj["text"]
+    if not isinstance(pid, str) or not pid:
+        raise ChatLogError("'id' must be a non-empty string", lineno)
+    if isinstance(ts, bool) or not isinstance(ts, (int, float)):
+        raise ChatLogError("'ts' must be a number", lineno)
+    try:
+        ts = float(ts)
+    except OverflowError:  # an integer beyond the float range
+        ts = math.inf
+    if not math.isfinite(ts):
+        raise ChatLogError("'ts' must be finite", lineno)
+    if ts < 0:
+        raise ChatLogError("'ts' must be >= 0", lineno)
+    if not isinstance(text, str):
+        raise ChatLogError("'text' must be a string", lineno)
+    author = obj.get("author")
+    if author is not None and not isinstance(author, str):
+        raise ChatLogError("'author' must be a string when present", lineno)
+    for key, value in (("id", pid), ("text", text), ("author", author or "")):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate escape, such as "\ud800"
+            raise ChatLogError(f"{key!r} is not UTF-8 text (lone surrogate "
+                               f"{ascii(value[exc.start])} at character {exc.start})", lineno) from exc
+    return Post(id=pid, timestamp=ts, text=text)
 
 
 def reference_gold_json(gold) -> str:

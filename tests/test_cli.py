@@ -88,6 +88,16 @@ class TestStats:
         assert "line 2: 'ts' must be finite" in captured.err
         assert captured.out == ""
 
+    def test_over_long_number_exits_2_with_its_line(self, tmp_path, capsys):
+        path = tmp_path / "big.jsonl"
+        path.write_text('{"id": "a", "ts": 1, "text": "x"}\n'
+                        '{"id":"b","ts":' + "9" * 5000 + ',"text":"y"}\n')
+        assert run("stats", path) == 2
+        captured = capsys.readouterr()
+        assert f"line 2: invalid JSON (a number longer than {sys.get_int_max_str_digits()} " \
+               "digits)" in captured.err
+        assert captured.out == ""
+
 
 class TestTrain:
     def test_writes_outputs(self, thread_file, tmp_path, capsys):

@@ -68,6 +68,20 @@ class TestVocab:
         with pytest.raises(ValueError):
             encode_text(vocab, "a", max_len=0)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_encode_text_indexes_tokenize(self, data):
+        """Words, punctuation-only words, a capital whose lowercase is two
+        characters (İ) and Unicode whitespace, cut at every length."""
+        vocab = build_vocab([make_thread([0], ["a b i\u0307 x"])])
+        words = st.one_of(st.sampled_from(["a", "B", "c.", "...", "?!", "(x)", "\u0130",
+                                           "\u0130,"]), st.text(max_size=3))
+        spaces = st.sampled_from([" ", "\n", "\u3000", "\x1c", "\xa0", ""])
+        text = "".join(w + sp for w, sp in data.draw(st.lists(st.tuples(words, spaces),
+                                                                max_size=12)))
+        m = data.draw(st.integers(1, len(tokenize(text)) + 2))
+        assert encode_text(vocab, text, m) == [vocab.index(t) for t in tokenize(text)[:m]]
+
     def test_save_load_round_trip(self):
         vocab = build_vocab([make_thread([0, 1], ["b a", "b naïve"])], min_count=1)
         assert save_vocab(vocab) == "b\na\nnaïve\n"

@@ -2,14 +2,17 @@
 
 import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from untangler import ingest
 from untangler.ingest import ChatLogError, Post, Thread
 
 from conftest import make_thread
-from oracles import reference_thread_jsonl
+from oracles import reference_parse_line, reference_thread_jsonl
+from test_cli_fuzz import corrupted
 
 
 def parse(lines):
@@ -60,6 +63,7 @@ class TestParse:
         ('{"id":"a","ts":1,"text":"hello \\ud800 world"}', "'text' is not UTF-8 text"),
         (row("a\udfff", 1, "x"), "'id' is not UTF-8 text"),
         (row("a", 1, "x", author="\ud800"), "'author' is not UTF-8 text"),
+        ('{"id":"b","ts":' + "9" * 5000 + ',"text":"y"}', "invalid JSON (a number longer than"),
     ])
     def test_malformed_lines_rejected(self, bad, fragment):
         with pytest.raises(ChatLogError) as err:
@@ -73,6 +77,80 @@ class TestParse:
 
     def test_empty_input(self):
         assert ingest.parse_chat_log(io.StringIO("")) == Thread(posts=[])
+
+
+def outcome(parse, raw):
+    """What a line parser makes of `raw`: the Post's repr (so -0.0 and 0.0
+    differ), or the exception's type and message."""
+    try:
+        return repr(parse(raw, 3))
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+OBJ = '{"id": "a", "ts": 1, "text": "x"}'
+OVER_LONG = '{"id":"b","ts":' + "9" * 5000 + ',"text":"y"}'
+DEEP = '{"id": "a", "ts": 1, "text": "x", "n": ' + "[" * 100_000 + "]" * 100_000 + "}"
+HAND_LINES = [
+    OBJ, OBJ + "\n",
+    '{"id":"c","ts":1,"text":"z"', '"q":1}',  # merged into one object by a joined parse
+    "  " + OBJ, "\t" + OBJ, "\r" + OBJ, OBJ + "  \n", OBJ + "\t", OBJ + "\r", OBJ + "\r\n",
+    " \t\r " + OBJ + " \t\r\n",
+    OBJ + "\x0b", OBJ + "\x0c", OBJ + "\u00a0", OBJ + "\x0b\n", OBJ + " x", OBJ + OBJ,
+    "\ufeff" + OBJ,
+    '{"id": "a", "ts": NaN, "text": "x"}', '{"id": "a", "ts": Infinity, "text": "x"}',
+    '{"id": "a", "ts": -Infinity, "text": "x"}', '{"id": "a", "ts": -0.0, "text": "x"}',
+    '{"id": "a", "ts": true, "text": "x"}', row("a", 10**400, "x"),
+    '{"id": "\\ud800", "ts": 1, "text": "x"}', '{"id": "a", "ts": 1, "text": "x\\udfff"}',
+    '{"id": "a", "ts": 1, "text": "x", "author": "\\ud800"}',
+    '{"id": "a", "ts": 1, "text": "\\ud83d\\ude00 caf\\u00e9 caf\u00e9"}',
+    '{"id": "a", "ts": 1, "text": "x\ud800"}',  # a literal surrogate, as a StringIO may hold
+    '{"id": "a\udcff", "ts": 1, "text": "x"}',
+    DEEP,
+    '{"id": "a", "id": "b", "ts": 1, "ts": 2, "text": "x"}',
+    "", "\n", "null", "[]", "7",
+]
+# a chat log of two lines, one with non-ASCII text and one with \u escapes
+VALID_LOG = (json.dumps({"id": "a\u00e9", "ts": 1.5, "text": "caf\u00e9 \U0001f600",
+                         "author": "kim"}, ensure_ascii=False)
+             + "\n" + row("b", 2, "caf\u00e9 ok") + "\n").encode()
+
+
+class TestParseLineMatchesJsonLoads:
+    """`_parse_line` against the one-`json.loads` reference: the same Post,
+    or the same exception type and message, on every line."""
+
+    @pytest.mark.parametrize("raw", HAND_LINES)
+    def test_hand_lines(self, raw):
+        assert outcome(ingest._parse_line, raw) == outcome(reference_parse_line, raw)
+
+    @pytest.mark.parametrize("tail", ["\x0b", "\x0c", "\u00a0"])
+    def test_non_json_whitespace_after_the_object_is_extra_data(self, tail):
+        with pytest.raises(ChatLogError, match="Extra data"):
+            ingest._parse_line(OBJ + tail, 3)
+
+    def test_literal_surrogate_in_a_stringio_line(self):
+        with pytest.raises(ChatLogError, match="^line 1: 'text' is not UTF-8 text"):
+            ingest.parse_chat_log(io.StringIO('{"id": "a", "ts": 1, "text": "x\ud800"}\n'))
+
+    def test_lines_merged_by_a_joined_parse_stay_two_errors(self):
+        with pytest.raises(ChatLogError, match="^line 1: invalid JSON"):
+            parse(['{"id":"c","ts":1,"text":"z"', '"q":1}'])
+
+    def test_over_long_number_is_the_one_intended_difference(self):
+        """json.loads raises a plain ValueError, which the reference lets
+        escape without a line number; the reader names the line."""
+        limit = sys.get_int_max_str_digits()
+        assert outcome(reference_parse_line, OVER_LONG)[0] is ValueError
+        assert outcome(ingest._parse_line, OVER_LONG) == (
+            ChatLogError, f"line 3: invalid JSON (a number longer than {limit} digits)")
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_corrupted_lines(self, data):
+        text = data.draw(corrupted(VALID_LOG, jsonl=True)).decode("utf-8", "surrogateescape")
+        for raw in io.StringIO(text):
+            assert outcome(ingest._parse_line, raw) == outcome(reference_parse_line, raw)
 
 
 class TestSerialize:
