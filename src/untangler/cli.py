@@ -121,14 +121,10 @@ def _hawkes_from_args(args, thread: ingest.Thread) -> temporal.HawkesModel:
     from . import temporal
     given = [args.mu, args.alpha, args.beta]
     if all(v is not None for v in given):
-        model = temporal.HawkesModel(*given)
-        try:
-            model.validate()
-        except ValueError as exc:
-            raise UserError(f"--mu/--alpha/--beta: {exc}") from exc
-        return model
+        return temporal.HawkesModel(*given)
     if any(v is not None for v in given):
-        raise UserError("give all of --mu/--alpha/--beta or none (fit)")
+        raise UserError("give all of --mu/--alpha/--beta or none (fit); "
+                        "the config keys mu/alpha/beta give them too")
     times = np.asarray(thread.timestamps)
     if times.size < 2:
         return temporal.HawkesModel(mu=1.0, alpha=0.0, beta=1.0)
@@ -164,10 +160,8 @@ def cmd_stats(args) -> int:
 
 def cmd_train(args) -> int:
     from . import embedder
-    for name in ("max_len", "dim", "hidden", "epochs", "negatives", "batch_size", "seed"):
-        bits = 63 if name == "seed" else 31  # the checkpoint header's int64 and int32
-        if getattr(args, name) >= 2**bits:
-            raise UserError(f"--{name.replace('_', '-')} must be < 2**{bits} for train")
+    if args.seed >= 2**63:  # the checkpoint header's int64
+        raise UserError("--seed must be < 2**63 for train")
     thread = _read_thread(args.input)
     if len(thread) == 0:
         raise UserError("empty corpus: nothing to train on")
@@ -295,8 +289,6 @@ def cmd_synth(args) -> int:
         raise UserError("--tokens-lo must be <= --tokens-hi")
     if not math.isfinite(args.gap * (args.conversations - 1)):  # the last start time
         raise UserError("--gap times --conversations must be a finite number")
-    if max(args.pool_size, args.posts_hi, args.tokens_hi) >= 2**63:  # drawn as int64
-        raise UserError("--pool-size, --posts-hi and --tokens-hi must be < 2**63")
     config = default_synth_config(
         args.conversations, args.posts_lo, args.posts_hi, args.gap,
         args.pool_size, args.tokens_lo, args.tokens_hi, args.temperature,
@@ -398,6 +390,10 @@ def _checked(rule: str, convert, ok=lambda value: True):
 
 COUNT = _checked("must be an integer >= 0", int, lambda v: v >= 0)
 POSITIVE_INT = _checked("must be an integer >= 1", int, lambda v: v >= 1)
+# the widths of the checkpoint header's int32 fields and of synth's int64 draws
+COUNT32 = _checked("must be an integer in [0, 2**31)", int, lambda v: 0 <= v < 2**31)
+POSITIVE_INT32 = _checked("must be an integer in [1, 2**31)", int, lambda v: 1 <= v < 2**31)
+POSITIVE_INT64 = _checked("must be an integer in [1, 2**63)", int, lambda v: 1 <= v < 2**63)
 NON_NEGATIVE = _checked("must be a finite number >= 0", float,
                         lambda v: math.isfinite(v) and v >= 0)
 POSITIVE = _checked("must be a finite number > 0", float, lambda v: math.isfinite(v) and v > 0)
@@ -427,27 +423,27 @@ OPTIONS = [
     (("train",), "--paradigm", PARADIGM, corpus.BEFORE_ONLY),
     (("train",), "--k", POSITIVE_INT, 3),
     (("train",), "--min-count", POSITIVE_INT, 1),
-    (("train",), "--max-len", POSITIVE_INT, 64),
-    (("train",), "--dim", POSITIVE_INT, 64),
-    (("train",), "--hidden", POSITIVE_INT, 64),
-    (("train",), "--lr", float, 0.05),  # EncoderConfig.validate checks it
-    (("train",), "--epochs", POSITIVE_INT, 30),
-    (("train",), "--negatives", COUNT, 5),
-    (("train",), "--batch-size", POSITIVE_INT, 16),
-    # explicit Hawkes parameters; _hawkes_from_args checks them together
-    (_HAWKES, "--mu", float, None),
-    (_HAWKES, "--alpha", float, None),
-    (_HAWKES, "--beta", float, None),
+    (("train",), "--max-len", POSITIVE_INT32, 64),
+    (("train",), "--dim", POSITIVE_INT32, 64),
+    (("train",), "--hidden", POSITIVE_INT32, 64),
+    (("train",), "--lr", NON_NEGATIVE, 0.05),
+    (("train",), "--epochs", POSITIVE_INT32, 30),
+    (("train",), "--negatives", COUNT32, 5),
+    (("train",), "--batch-size", POSITIVE_INT32, 16),
+    # explicit Hawkes parameters, all three or none; _hawkes_from_args checks that
+    (_HAWKES, "--mu", NON_NEGATIVE, None),
+    (_HAWKES, "--alpha", NON_NEGATIVE, None),
+    (_HAWKES, "--beta", POSITIVE, None),
     (_HAWKES, "--tau", POSITIVE, None),  # None: the median inter-post gap
     (("disentangle",), "--quantile", FRACTION, 0.25),
     (("disentangle",), "--dot", BOOL_WORD, False),
     (_SYNTH, "--conversations", POSITIVE_INT, 3),
     (_SYNTH, "--posts-lo", POSITIVE_INT, 40),
-    (_SYNTH, "--posts-hi", POSITIVE_INT, 60),
+    (_SYNTH, "--posts-hi", POSITIVE_INT64, 60),
     (_SYNTH, "--gap", NON_NEGATIVE, 3600.0),
-    (_SYNTH, "--pool-size", POSITIVE_INT, 10),
+    (_SYNTH, "--pool-size", POSITIVE_INT64, 10),
     (_SYNTH, "--tokens-lo", POSITIVE_INT, 3),
-    (_SYNTH, "--tokens-hi", POSITIVE_INT, 8),
+    (_SYNTH, "--tokens-hi", POSITIVE_INT64, 8),
     (_SYNTH, "--temperature", NON_NEGATIVE, 200.0),
     (_SYNTH, "--mu", POSITIVE, 0.1),
     (_SYNTH, "--alpha", NON_NEGATIVE, 0.1),

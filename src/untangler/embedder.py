@@ -53,12 +53,18 @@ class EncoderConfig:
     batch_size: int = 16
 
     def validate(self) -> None:
+        """Also rejects a field that the checkpoint header cannot hold."""
         for name in ("vocab_size", "embed_dim", "hidden_dim", "max_len", "epochs",
                      "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.negatives_per_sample < 0:
             raise ValueError("negatives_per_sample must be >= 0")
+        for name in ("vocab_size", "embed_dim", "hidden_dim", "max_len", "epochs",
+                     "negatives_per_sample", "batch_size", "seed"):
+            bits = 63 if name == "seed" else 31
+            if not -2**bits <= getattr(self, name) < 2**bits:
+                raise ValueError(f"{name} does not fit the checkpoint header's int{bits + 1}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError("learning_rate must be finite and >= 0")
 
@@ -429,7 +435,9 @@ _HEADER = struct.Struct("<4sI7iqd")
 def save_checkpoint(path: str, config: EncoderConfig, params: EncoderParams,
                     vocab: Vocab) -> None:
     """Builds every block before the file opens, so an existing file is kept
-    when one fails.  Raises ValueError for a parameter not finite as float32."""
+    when one fails.  Raises ValueError for a config that validate rejects
+    or a parameter not finite as float32."""
+    config.validate()
     blocks = [_HEADER.pack(
         CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
         config.vocab_size, config.embed_dim, config.hidden_dim,

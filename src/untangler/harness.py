@@ -39,6 +39,8 @@ class SynthConfig:
             lo, hi = getattr(self, name)
             if not 1 <= lo <= hi:
                 raise ValueError(f"{name} (lo, hi) must have 1 <= lo <= hi")
+        if not np.isfinite(self.gap_seconds * (self.n_conversations - 1)):  # the last start
+            raise ValueError("gap_seconds * (n_conversations - 1) must be a finite number")
 
 
 class StarvedProcessError(ValueError):

@@ -19,6 +19,7 @@ from untangler import cli, corpus, embedder, graph, harness, ingest, temporal
 
 from conftest import vocab_offset, write_jsonl
 from oracles import reference_generate, reference_gold_json, reference_thread_jsonl
+from test_cli_fuzz import OPTION_VALUES
 
 
 @pytest.fixture
@@ -154,7 +155,7 @@ class TestTrain:
 
     def test_nan_learning_rate_exits_2(self, thread_file, tmp_path, capsys):
         assert run(*train_args(thread_file, tmp_path, "--lr", "nan")) == 2
-        assert "learning_rate must be finite" in capsys.readouterr().err
+        assert "--lr must be a finite number >= 0, got 'nan'" in capsys.readouterr().err
         assert not (tmp_path / "out" / "model.untg").exists()
 
     # the diverging run overflows on purpose
@@ -322,8 +323,10 @@ class TestDisentangle:
         (["--tau", "-1"], "--tau must be a finite number > 0"),
         (["--tau", "nan"], "--tau must be a finite number > 0"),
         (["--quantile", "2"], "--quantile must lie in (0, 1)"),
-        (["--mu", "nan", "--alpha", "0.1", "--beta", "0.01"], "must be finite"),
-        (["--mu", "0.1", "--alpha", "-1", "--beta", "0.01"], "alpha >= 0"),
+        pytest.param(["--mu", "nan", "--alpha", "0.1", "--beta", "0.01"],
+                     "--mu must be a finite number >= 0, got 'nan'", id="mu-nan"),
+        pytest.param(["--mu", "0.1", "--alpha", "-1", "--beta", "0.01"],
+                     "--alpha must be a finite number >= 0, got '-1'", id="alpha-negative"),
     ])
     def test_bad_schism_or_hawkes_values_exit_2(self, thread_file, tmp_path, capsys,
                                                 flags, message):
@@ -338,7 +341,8 @@ class TestDisentangle:
         ("tau=0", "--tau must be a finite number > 0"),
         ("quantile=1", "--quantile must lie in (0, 1)"),
         ("quantile=abc", "quantile"),
-        ("beta=0\nmu=1\nalpha=0", "beta > 0"),
+        pytest.param("beta=0\nmu=1\nalpha=0", "--beta must be a finite number > 0, got '0'",
+                     id="beta-zero"),
     ])
     def test_bad_config_values_exit_2(self, thread_file, tmp_path, capsys, line, message):
         assert run(*train_args(thread_file, tmp_path)) == 0
@@ -502,7 +506,8 @@ class TestExportIntensity:
     @pytest.mark.parametrize("flags,message", [
         (["--tau", "0"], "--tau must be a finite number > 0"),
         (["--tau", "nan"], "--tau must be a finite number > 0"),
-        (["--mu", "0.1", "--alpha", "0.1", "--beta", "-1"], "beta > 0"),
+        pytest.param(["--mu", "0.1", "--alpha", "0.1", "--beta", "-1"],
+                     "--beta must be a finite number > 0, got '-1'", id="beta-negative"),
     ])
     def test_bad_schism_or_hawkes_values_exit_2(self, thread_file, tmp_path, capsys,
                                                 flags, message):
@@ -771,6 +776,54 @@ BAD_VALUES = [
 ]
 
 
+def _former_float_rule(ok):
+    """float(text), finite and passing `ok`: the check of EncoderConfig.validate
+    or HawkesModel.validate on a flag typed bare float."""
+    def accepts(text):
+        try:
+            value = float(text)
+        except ValueError:
+            return False
+        return math.isfinite(value) and ok(value)
+    return accepts
+
+
+def _former_int_rule(low, bits):
+    """int(text) >= low, then < 2**bits: the check after parsing of the
+    checkpoint header's int32 fields (train) or the int64 draws (synth)."""
+    def accepts(text):
+        try:
+            value = int(text)
+        except ValueError:
+            return False
+        return low <= value < 2**bits
+    return accepts
+
+
+# (command, flag) -> the accept rule each retyped or bounded flag had when
+# part of it was checked after parsing; their OPTIONS types must keep it
+FORMER_RULES = {
+    ("train", "--lr"): _former_float_rule(lambda v: v >= 0),
+    **{("train", flag): _former_int_rule(1, 31)
+       for flag in ("--max-len", "--dim", "--hidden", "--epochs", "--batch-size")},
+    ("train", "--negatives"): _former_int_rule(0, 31),
+    **{(command, flag): _former_float_rule(ok)
+       for command in ("disentangle", "export-intensity")
+       for flag, ok in (("--mu", lambda v: v >= 0), ("--alpha", lambda v: v >= 0),
+                        ("--beta", lambda v: v > 0))},
+    **{("synth", flag): _former_int_rule(1, 63)
+       for flag in ("--pool-size", "--posts-hi", "--tokens-hi")},
+}
+DIFFERENTIAL_VALUES = [*OPTION_VALUES, "-0.0", "5e-324", "1e308", str(2**31 - 1), str(2**31),
+                       str(2**63 - 1), str(2**63)]
+# the other flags of each differential run: the Hawkes commands get all
+# three parameters, and synth's low ends are 1, so that only the value
+# under test decides
+DIFFERENTIAL_BASE = {"train": {}, "synth": {"--posts-lo": "1", "--tokens-lo": "1"},
+                     **dict.fromkeys(("disentangle", "export-intensity"),
+                                     {"--mu": "0.1", "--alpha": "0.1", "--beta": "1"})}
+
+
 def command_argv(command, model_dir):
     """The required flags of `command`."""
     thread = model_dir / "thread.jsonl"
@@ -980,6 +1033,48 @@ class TestOptionValues:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command,flag", FORMER_RULES)
+    def test_accepts_what_the_former_checks_accepted(self, tiny_model, tmp_path, monkeypatch,
+                                                      capsys, command, flag, source):
+        # the work after the checks is stubbed, so that an accepted 2**31 - 1
+        # --dim or 2**63 - 1 --posts-hi runs in no time and memory
+        def train(threads, vocab, windows, config):
+            config.validate()
+            return None, [1.0]
+
+        def generate(config, seed):
+            config.validate()
+            return ingest.Thread(posts=[]), harness.GoldStandard({}, {})
+
+        monkeypatch.setattr(embedder, "train", train)
+        monkeypatch.setattr(embedder, "save_checkpoint", lambda *args: None)
+        monkeypatch.setattr(harness, "generate", generate)
+        monkeypatch.setattr(temporal, "post_intensity", lambda model, times, tau: (times,) * 2)
+        monkeypatch.setattr(temporal, "detect_ranges", lambda thread, *args, **kw: [
+            temporal.Range(0, len(thread))])
+        accepts = FORMER_RULES[command, flag]
+        for value in DIFFERENTIAL_VALUES:
+            values = {**DIFFERENTIAL_BASE[command], flag: value}
+            config = tmp_path / "cfg"
+            argv = [f"--config={config}", f"--out-dir={tmp_path / value}", command,
+                    *command_argv(command, tiny_model)]
+            if source == "flag":
+                config.write_text("")
+                argv += [f"{key}={text}" for key, text in values.items()]
+            else:
+                config.write_text("".join(f"{key[2:].replace('-', '_')}={text}\n"
+                                          for key, text in values.items()))
+            code = run(*argv)
+            captured = capsys.readouterr()
+            assert code == (0 if accepts(value) else 2), (value, captured.err)
+            assert code == 0 or flag in captured.err, (value, captured.err)
+
+    def test_every_option_has_a_checked_type(self):
+        parse = cli._checked("", str).__code__
+        assert [flag for _, flag, kind, _ in cli.OPTIONS
+                if getattr(kind, "__code__", None) is not parse] == []
+
     def test_synth_defaults_match_default_synth_config(self):
         args = cli.build_parser().parse_args(["synth"])
         assert cli.default_synth_config() == cli.default_synth_config(
@@ -1063,6 +1158,27 @@ class TestOptionValues:
         assert run("--config", config, "--out-dir", tmp_path / "out", "train",
                    *command_argv("train", tiny_model)) == 0
         assert (tmp_path / "out" / "model.untg").exists()
+
+    def test_hawkes_config_keys_serve_synth_and_the_explicit_model(self, tiny_model, tmp_path,
+                                                                   capsys):
+        # mu alone draws synth's thread, and is a partial model for disentangle
+        config = tmp_path / "cfg"
+        config.write_text("mu=0.2\n")
+        assert run("--config", config, "--out-dir", tmp_path / "synth", "synth",
+                   "--conversations", 2, "--posts-lo", 6, "--posts-hi", 6) == 0
+        capsys.readouterr()
+        assert run("--config", config, "--out-dir", tmp_path / "out", "disentangle",
+                   *command_argv("disentangle", tiny_model)) == 2
+        captured = capsys.readouterr()
+        assert ("error: give all of --mu/--alpha/--beta or none (fit); "
+                "the config keys mu/alpha/beta give them too") in captured.err
+        assert captured.out == "" and not (tmp_path / "out").exists()
+        # all three skip the fit
+        config.write_text("mu=0.2\nalpha=0.1\nbeta=1\n")
+        assert run("--config", config, "--out-dir", tmp_path / "out", "disentangle",
+                   *command_argv("disentangle", tiny_model)) == 0
+        hawkes = json.loads((tmp_path / "out" / "conversations.json").read_text())["hawkes"]
+        assert hawkes == {"mu": 0.2, "alpha": 0.1, "beta": 1.0}
 
     @pytest.mark.parametrize("argv,message", [
         (["train"], "the following arguments are required: --input"),

@@ -684,6 +684,31 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=match):
             embedder.load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("field,value,width", [
+        ("seed", 2**63, "int64"),
+        ("seed", -2**63 - 1, "int64"),
+        ("max_len", 2**31, "int32"),
+        ("negatives_per_sample", 2**31, "int32"),
+        ("vocab_size", 2**31, "int32"),
+    ])
+    def test_fields_beyond_the_header_rejected(self, tmp_path, field, value, width):
+        match = f"{field} does not fit the checkpoint header's {width}"
+        path = tmp_path / "model.untg"
+        with pytest.raises(ValueError, match=match):
+            embedder.save_checkpoint(str(path), small_config(**{field: value}),
+                                     init_params(small_config()), small_vocab())
+        assert not path.exists()
+        thread = make_thread(range(6))
+        vocab = corpus.build_vocab([thread])
+        with pytest.raises(ValueError, match=match):
+            embedder.train([thread], vocab, [corpus.build_windows(thread, corpus.SYMMETRIC, 2)],
+                           small_config(**{"vocab_size": len(vocab), field: value}))
+
+    def test_header_limits_validate(self):
+        small_config(seed=2**63 - 1, max_len=2**31 - 1, epochs=2**31 - 1,
+                     negatives_per_sample=2**31 - 1, batch_size=2**31 - 1).validate()
+        small_config(seed=-2**63).validate()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EncoderConfig(vocab_size=0).validate()

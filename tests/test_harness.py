@@ -3,6 +3,7 @@
 import random
 import runpy
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,14 @@ class TestGenerateOracle:
         finally:
             tracemalloc.stop()
         assert peak < 2**20, peak
+
+    @pytest.mark.parametrize("n,gap", [(3, 1e308), (1, float("inf")), (2, float("nan"))])
+    def test_non_finite_last_start_rejected(self, n, gap):
+        # a ValueError naming the product, before any draw can warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"gap_seconds \* \(n_conversations - 1\)"):
+                generate(cli.default_synth_config(n, 3, 3, gap=gap), seed=0)
 
     def test_overflowing_nearest_gap_raises(self):
         with pytest.raises(harness.RecencyOverflowError, match="not a finite number"):
