@@ -8,7 +8,6 @@ what came before).
 
 from __future__ import annotations
 
-import string
 from collections import Counter
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ SYMMETRIC = "symmetric"
 BEFORE_ONLY = "before"
 PARADIGMS = (SYMMETRIC, BEFORE_ONLY)
 
-_STRIP_CHARS = string.punctuation
+_STRIP_CHARS = r"""!"#$%&'()*+,-./:;<=>?@[\]^_`{|}~"""  # string.punctuation, without its import
 
 
 def tokenize(text: str) -> list[str]:

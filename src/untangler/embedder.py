@@ -53,7 +53,8 @@ class EncoderConfig:
     batch_size: int = 16
 
     def validate(self) -> None:
-        """Also rejects a field that the checkpoint header cannot hold."""
+        """Also rejects a field that the checkpoint header cannot hold, and
+        a negative seed, which train cannot use."""
         for name in ("vocab_size", "embed_dim", "hidden_dim", "max_len", "epochs",
                      "batch_size"):
             if getattr(self, name) < 1:
@@ -65,6 +66,8 @@ class EncoderConfig:
             bits = 63 if name == "seed" else 31
             if not -2**bits <= getattr(self, name) < 2**bits:
                 raise ValueError(f"{name} does not fit the checkpoint header's int{bits + 1}")
+        if self.seed < 0:  # np.random.default_rng takes none
+            raise ValueError("seed must be >= 0")
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError("learning_rate must be finite and >= 0")
 
@@ -155,10 +158,10 @@ def _forward(params: EncoderParams, seqs: Sequence[Sequence[int]],
 def _steps(params: EncoderParams, x: np.ndarray, ids: np.ndarray, ks: np.ndarray,
            n: int, keep: bool) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """Final hidden states (n x hidden_dim) of the packed rows, step t
-    gathering its inputs from rows ids of the table x and taking its
-    recurrent products over the rows still running only.  Step 0 starts
-    from h = c = 0, so it has no recurrent product and its cell state is
-    i * g.  The three sigmoid gates share the candidate's tanh pass
+    gathering its inputs from rows ids of the table x and taking one
+    k x 4h recurrent product over the k rows still running only.  Step 0
+    starts from h = c = 0, so it has no recurrent product and its cell
+    state is i * g.  The three sigmoid gates share the candidate's tanh pass
     (`_sigmoid`'s steps around one np.tanh over the k x 4h block).  With
     ``keep``, also every step's gate activations and cell states, packed
     step after step; else one step's gate buffer is reused, and freed on
@@ -173,8 +176,7 @@ def _steps(params: EncoderParams, x: np.ndarray, ids: np.ndarray, ks: np.ndarray
         a = gates[o:o + k] if keep else gates[:k]
         np.take(x, ids[o:o + k], axis=0, out=a, mode="clip")  # in range: no checked copy
         if t:
-            for g in range(0, 4 * hd, hd):  # gate by gate: no k x 4h temporary
-                a[:, g:g + hd] += h[:k] @ params.w_h[:, g:g + hd]
+            a += h[:k] @ params.w_h
         s = a[:, :3 * hd]
         s *= 0.5
         np.tanh(a, out=a)

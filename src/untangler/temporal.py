@@ -15,9 +15,7 @@ graph stage consumes.
 from __future__ import annotations
 
 import os
-import signal
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -65,10 +63,15 @@ def _scan(gain: np.ndarray, drive: np.ndarray | float) -> np.ndarray:
     """y[0] = 0, y[i] = gain[i-1] * (y[i-1] + drive[i-1]) with drive an
     array or one number: every sum over the kernel, one Python-float step
     a point (a float overflow is inf, without a warning)."""
-    steps = drive.tolist() if isinstance(drive, np.ndarray) else repeat(drive)
     y = 0.0
-    return np.fromiter([0.0, *[y := g * (y + d) for g, d in zip(gain.tolist(), steps)]],
-                       np.float64, gain.size + 1)
+    if isinstance(drive, np.ndarray):
+        steps = [y := g * (y + d) for g, d in zip(gain.tolist(), drive.tolist())]
+    else:
+        steps = [y := g * (y + drive) for g in gain.tolist()]
+    out = np.empty(gain.size + 1)
+    out[0] = 0.0
+    out[1:] = steps
+    return out
 
 
 def _log_likelihood(gaps: np.ndarray, tail: np.ndarray, horizon: float, mu: float,
@@ -81,7 +84,7 @@ def _log_likelihood(gaps: np.ndarray, tail: np.ndarray, horizon: float, mu: floa
     decay = np.exp(-beta * gaps)
     s = _scan(decay, 1.0)[:tail.size]  # sum_{j<i} exp(-beta * (t_i - t_j))
     lam = mu + alpha * s
-    if np.any(lam <= 0):
+    if (lam <= 0).any():
         return -np.inf, None
     spent = -np.expm1(-beta * tail).sum()  # sum of 1 - exp(-beta * tail), accurate for small beta
     value = float(np.log(lam).sum() - mu * horizon - alpha * (spent / beta))
@@ -283,6 +286,7 @@ def fit_multistart(events: np.ndarray, horizon: float, steps: int = 200,
             for i, (mu, alpha, beta, value) in zip(share, rows):
                 fits[i] = HawkesModel(mu, alpha, beta), value
     except BaseException:
+        import signal
         for pid, _, _ in children:
             os.kill(pid, signal.SIGKILL)
         raise

@@ -824,6 +824,13 @@ DIFFERENTIAL_BASE = {"train": {}, "synth": {"--posts-lo": "1", "--tokens-lo": "1
                                      {"--mu": "0.1", "--alpha": "0.1", "--beta": "1"})}
 
 
+def python_c(code):
+    """`python -c code` with this tree's untangler on the path."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
 def command_argv(command, model_dir):
     """The required flags of `command`."""
     thread = model_dir / "thread.jsonl"
@@ -837,15 +844,17 @@ def command_argv(command, model_dir):
 class TestImports:
     """Each command imports only the modules it runs."""
 
-    @pytest.mark.parametrize("command,unloaded", [
-        ("--help", ["numpy"]),
-        ("stats", ["numpy"]),
-        ("eval", ["numpy"]),
-        ("train", ["untangler.graph", "untangler.harness", "untangler.temporal"]),
-        ("disentangle", ["untangler.harness"]),
-    ])
-    def test_command_leaves_modules_unloaded(self, tiny_model, tmp_path, command, unloaded):
-        thread, out = tiny_model / "thread.jsonl", tmp_path / "out"
+    @staticmethod
+    def loaded(modules, code):
+        """Which of `modules` a fresh interpreter holds after `code`."""
+        proc = python_c(f"import json, sys\n{code}\n"
+                        f"print(json.dumps(sorted(set({modules!r}) & set(sys.modules))))")
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    @classmethod
+    def loaded_by_command(cls, modules, command, tiny_model, out):
+        thread = tiny_model / "thread.jsonl"
         if command == "eval":
             assert run("--out-dir", out, "disentangle",
                        *command_argv("disentangle", tiny_model)) == 0
@@ -856,14 +865,29 @@ class TestImports:
                           "--hidden", 4, "--epochs", 1, "--k", 2],
                 "disentangle": ["--out-dir", out, "disentangle",
                                 *command_argv("disentangle", tiny_model)]}[command]
-        code = ("import sys\nfrom untangler import cli\n"
-                f"assert cli.main({list(map(str, argv))!r}) == 0\n"
-                f"loaded = sorted(set({unloaded!r}) & set(sys.modules))\n"
-                "assert not loaded, f'{loaded} imported'\n")
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src})
-        assert proc.returncode == 0, proc.stderr
+        return cls.loaded(modules, "from untangler import cli\n"
+                                   f"assert cli.main({list(map(str, argv))!r}) == 0")
+
+    @pytest.mark.parametrize("command,unloaded", [
+        ("--help", ["numpy"]),
+        ("stats", ["numpy"]),
+        ("eval", ["numpy"]),
+        ("train", ["untangler.graph", "untangler.harness", "untangler.temporal"]),
+        ("disentangle", ["untangler.harness"]),
+    ])
+    def test_command_leaves_modules_unloaded(self, tiny_model, tmp_path, command, unloaded):
+        assert self.loaded_by_command(unloaded, command, tiny_model, tmp_path / "out") == []
+
+    @pytest.mark.parametrize("command", ["stats", "eval", "disentangle"])
+    def test_command_loads_no_stdlib_module_it_never_calls(self, tiny_model, tmp_path,
+                                                           command):
+        # csv writes the CSVs of train, export-intensity and project, signal
+        # kills fit_multistart's workers, and corpus spells out
+        # string.punctuation; one that numpy or argparse loads costs nothing
+        modules = ["csv", "signal", "string"]
+        baseline = self.loaded(modules, "import numpy, argparse")
+        loaded = self.loaded_by_command(modules, command, tiny_model, tmp_path / "out")
+        assert set(loaded) - set(baseline) == set()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_eval_matches_the_graph_and_harness_route(self, tiny_model, tmp_path, capsys, seed):
@@ -896,9 +920,11 @@ class TestImports:
 
 @pytest.fixture
 def unfreeze():
-    """Gives the collector back what a cli.run() call froze."""
+    """Gives the collector back what a cli.run() call froze, and turns it
+    back on."""
     yield
     gc.unfreeze()
+    gc.enable()
 
 
 class TestEntryPoint:
@@ -915,9 +941,12 @@ class TestEntryPoint:
 
     @pytest.mark.parametrize("code", [0, 2])
     def test_run_returns_the_code_of_main_and_freezes(self, monkeypatch, unfreeze, code):
-        monkeypatch.setattr(cli, "main", lambda: code)
+        enabled = []
+        monkeypatch.setattr(cli, "main", lambda: enabled.append(gc.isenabled()) or code)
         before = gc.get_freeze_count()
         assert cli.run() == code
+        assert enabled == [False]  # main runs with the collector off
+        assert not gc.isenabled()
         assert gc.get_freeze_count() > before
 
     def test_main_leaves_the_collector_alone(self, thread_file, capsys):
@@ -957,6 +986,67 @@ class TestEntryPoint:
             for name in ("graph.json", "conversations.json"):
                 assert (tmp_path / "gone" / name).read_bytes() == \
                     (tmp_path / "normal" / name).read_bytes()
+
+
+class TestCyclicGarbage:
+    """cli.run turns the collector off for the whole command, which is
+    sound only while a command's cyclic garbage does not grow with its
+    input: each command runs on a thread and on one ten times larger, and
+    a full collection after each must find the same number of objects."""
+
+    @staticmethod
+    def synth_argv(out, posts):
+        return ["--seed", 3, "--out-dir", out, "synth", "--conversations", 2,
+                "--posts-lo", posts, "--posts-hi", posts, "--pool-size", 4]
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """small/ and large/: a thread, its gold and a graph.json of it;
+        small/model.untg serves both."""
+        root = tmp_path_factory.mktemp("garbage")
+        for size, posts in (("small", 12), ("large", 120)):
+            assert run(*self.synth_argv(root / size, posts)) == 0
+        assert run("--out-dir", root / "small", "train", "--input",
+                   root / "small" / "thread.jsonl", "--dim", 4, "--hidden", 4, "--epochs", 1,
+                   "--k", 2) == 0
+        for size in ("small", "large"):
+            assert run("--out-dir", root / size, "disentangle", "--input",
+                       root / size / "thread.jsonl", "--checkpoint", root / "small" / "model.untg",
+                       "--mu", 0.1, "--alpha", 0.1, "--beta", 0.01) == 0
+        return root
+
+    @pytest.mark.parametrize("command", ["stats", "train", "disentangle-fit",
+                                         "disentangle-given", "synth", "eval"])
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, inputs, tmp_path, command):
+        def argv(size):
+            thread, out = inputs / size / "thread.jsonl", tmp_path / size
+            disentangle = ["--out-dir", out, "disentangle", "--input", thread,
+                           "--checkpoint", inputs / "small" / "model.untg"]
+            return [str(a) for a in {
+                "stats": ["stats", thread],
+                "train": ["--out-dir", out, "train", "--input", thread, "--dim", 4,
+                          "--hidden", 4, "--epochs", 1, "--k", 2],
+                "disentangle-fit": disentangle,
+                "disentangle-given": [*disentangle, "--mu", 0.1, "--alpha", 0.1, "--beta", 0.01],
+                "synth": self.synth_argv(out, {"small": 12, "large": 120}[size]),
+                "eval": ["eval", "--pred", inputs / size / "graph.json",
+                         "--gold", inputs / size / "gold.json"],
+            }[command]]
+
+        proc = python_c(
+            "import gc, json\n"
+            "from untangler import (cli, corpus, embedder, graph, harness, ingest, score,\n"
+            "                       temporal)\n"
+            "gc.collect()\n"
+            "gc.disable()\n"
+            "found = []\n"
+            f"for argv in {[argv('small'), argv('large')]!r}:\n"
+            "    assert cli.main(argv) == 0\n"
+            "    found.append(gc.collect())\n"
+            "print(json.dumps(found))\n")
+        assert proc.returncode == 0, proc.stderr
+        small, large = json.loads(proc.stdout.splitlines()[-1])
+        assert small == large
 
 
 def openblas_dynamic_arch() -> bool:

@@ -1,5 +1,7 @@
 """Tokenization, vocabulary build/save/load, and context windows."""
 
+import string
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +28,10 @@ class TestTokenize:
 
     def test_empty(self):
         assert tokenize("") == []
+
+    def test_strip_chars_are_string_punctuation(self):
+        # spelled out, so that no command imports the string module
+        assert corpus._STRIP_CHARS == string.punctuation
 
 
 class TestVocab:

@@ -707,7 +707,28 @@ class TestCheckpoint:
     def test_header_limits_validate(self):
         small_config(seed=2**63 - 1, max_len=2**31 - 1, epochs=2**31 - 1,
                      negatives_per_sample=2**31 - 1, batch_size=2**31 - 1).validate()
-        small_config(seed=-2**63).validate()
+        small_config(seed=0).validate()
+
+    @pytest.mark.parametrize("seed", [-1, -2**63])
+    def test_negative_seed_rejected(self, tmp_path, seed):
+        # np.random.default_rng takes no negative seed, so neither train
+        # nor a checkpoint header may carry one
+        thread = make_thread(range(6))
+        vocab = corpus.build_vocab([thread])
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            embedder.train([thread], vocab, [corpus.build_windows(thread, corpus.SYMMETRIC, 2)],
+                           small_config(vocab_size=len(vocab), seed=seed))
+        path = tmp_path / "model.untg"
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            embedder.save_checkpoint(str(path), small_config(seed=seed),
+                                     init_params(small_config()), small_vocab())
+        assert not path.exists()
+        embedder.save_checkpoint(str(path), small_config(), init_params(small_config()),
+                                 small_vocab())
+        data = path.read_bytes()
+        path.write_bytes(data[:36] + struct.pack("<q", seed) + data[44:])
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            embedder.load_checkpoint(str(path))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
