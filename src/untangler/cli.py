@@ -115,24 +115,25 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, allow_nan=False))
 
 
-def _hawkes_from_args(args, thread: ingest.Thread) -> temporal.HawkesModel:
-    """Explicit (mu, alpha, beta) when all three are given, else fit."""
+def _hawkes_from_args(args, thread: ingest.Thread) -> tuple[temporal.HawkesModel, float | None]:
+    """Explicit (mu, alpha, beta) when all three are given, else fit; and the cut's tau:
+    --tau, else the median inter-post gap for explicit ones, else None (3/beta of the fit)."""
     import numpy as np
     from . import temporal
     given = [args.mu, args.alpha, args.beta]
     if all(v is not None for v in given):
-        return temporal.HawkesModel(*given)
+        tau = temporal.median_gap(thread.timestamps) if args.tau is None else args.tau
+        return temporal.HawkesModel(*given), tau
     if any(v is not None for v in given):
         raise UserError("give all of --mu/--alpha/--beta or none (fit); "
                         "the config keys mu/alpha/beta give them too")
     times = np.asarray(thread.timestamps)
     if times.size < 2:
-        return temporal.HawkesModel(mu=1.0, alpha=0.0, beta=1.0)
-    origin = times[0]
-    events = times - origin
+        return temporal.HawkesModel(mu=1.0, alpha=0.0, beta=1.0), args.tau
+    events = times - times[0]
     horizon = (float(events[-1]) or 1.0) + 1.0
     try:
-        return temporal.fit_multistart(events, horizon)
+        return temporal.fit_multistart(events, horizon), args.tau
     except temporal.TimescaleError as exc:
         raise UserError(f"cannot fit the Hawkes process: {exc}; "
                         "give --mu/--alpha/--beta instead") from exc
@@ -241,10 +242,10 @@ def cmd_disentangle(args) -> int:
         if path is not None:
             _check_writable(path)
     config, params, vocab = _load_model(args)
-    model = _hawkes_from_args(args, thread)
+    model, tau = _hawkes_from_args(args, thread)
     with _finite_intensity(), _unreadable_posts(args.checkpoint):
         _, ranges, forest, conversations = run_pipeline(
-            thread, config, params, vocab, model, args.tau, args.quantile)
+            thread, config, params, vocab, model, tau, args.quantile)
     _created(graph_path).write_bytes(graph.export_graph(forest, "json"))
     outputs = {"graph_json": str(graph_path)}
     if dot_path is not None:
@@ -341,10 +342,10 @@ def cmd_export_intensity(args) -> int:
         raise UserError("empty thread")
     csv_path = _out_path(args, "intensity.csv", args.csv)
     _check_writable(csv_path)
-    model = _hawkes_from_args(args, thread)
+    model, tau = _hawkes_from_args(args, thread)
     times = np.asarray(thread.timestamps)
     with _finite_intensity():
-        raw, smoothed = temporal.post_intensity(model, times, args.tau)
+        raw, smoothed = temporal.post_intensity(model, times, tau)
     _write_csv(csv_path, ["t", "raw", "smoothed"],
                zip(times.tolist(), raw.tolist(), smoothed.tolist()))
     _emit({"csv": str(csv_path), "n_posts": len(thread),
@@ -434,7 +435,8 @@ OPTIONS = [
     (_HAWKES, "--mu", NON_NEGATIVE, None),
     (_HAWKES, "--alpha", NON_NEGATIVE, None),
     (_HAWKES, "--beta", POSITIVE, None),
-    (_HAWKES, "--tau", POSITIVE, None),  # None: the median inter-post gap
+    # None: 3/beta of the fit; the median inter-post gap with --mu/--alpha/--beta
+    (_HAWKES, "--tau", POSITIVE, None),
     (("disentangle",), "--quantile", FRACTION, 0.25),
     (("disentangle",), "--dot", BOOL_WORD, False),
     (_SYNTH, "--conversations", POSITIVE_INT, 3),
@@ -547,8 +549,7 @@ def run() -> int:
     process that only imports disentangle's modules: 88.2 ms, 85.9 ms
     with the collector off, 79.5 ms off and frozen).  Nothing the CLI
     makes needs a finalizer at exit: every file is closed by a ``with``
-    block or a Path read or write, fit_multistart reaps its children
-    before it returns, and stdout has just been flushed."""
+    block or a Path read or write, and stdout has just been flushed."""
     gc.disable()
     code = main()
     try:

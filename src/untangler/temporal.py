@@ -6,15 +6,15 @@ The conversation rate is modeled with the exponential-kernel intensity
 
 Every sum over this kernel is one O(n) scan of decayed running sums
 (_scan): the excitation, its beta-slope for the exact gradient, and both
-halves of the Laplace kernel that smooths the intensity.  Fitting is
-projected gradient ascent on the log-likelihood; low local minima of the
-smoothed intensity mark conversation schisms, yielding the ranges the
-graph stage consumes.
+halves of the Laplace kernel that smooths the intensity.  Fitting
+maximises the log-likelihood's profile over beta, with an exact concave
+solve for (mu, alpha) at each beta, and polishes the optimum by projected
+gradient ascent; low local minima of the smoothed intensity mark
+conversation schisms, yielding the ranges the graph stage consumes.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -206,96 +206,94 @@ def fit(events: np.ndarray, horizon: float, init: HawkesModel,
     return _ascend(*_gaps_and_tails(events, horizon), horizon, init, steps, step_size)[0]
 
 
-_FIT_SCALES = (0.01, 0.1, 1.0, 10.0)
-
-
 class TimescaleError(ValueError):
     """The events' median gap gives no finite decay rate to fit from."""
 
 
+def _profile(gaps: np.ndarray, tail: np.ndarray, horizon: float, beta: float,
+             mu: float, alpha: float) -> tuple[float, float, float]:
+    """(value, mu, alpha) at the log-likelihood's maximum for this beta,
+    from (mu, alpha); value -inf for an infinite beta.  At a fixed beta, s
+    and A = sum(1 - exp(-beta * tail)) / beta are fixed, so
+    L = sum(log(mu + alpha * s)) - mu * horizon - alpha * A is concave on
+    the box mu >= 1e-12, 0 <= alpha <= 0.999 beta.  Damped Newton steps,
+    taken relative to mu so the system's entries are of order n in any
+    time unit; past an alpha bound, alpha stops at it and mu takes the
+    model's best there.  Call under np.errstate, as _log_likelihood."""
+    if not beta < np.inf:
+        return -np.inf, mu, alpha
+    s = _scan(np.exp(-beta * gaps), 1.0)[:tail.size]
+    spent, cap = -np.expm1(-beta * tail).sum() / beta, 0.999 * beta
+
+    def value(mu: float, alpha: float) -> float:
+        v = float(np.log(mu + alpha * s).sum() - mu * horizon - alpha * spent)
+        return v if -np.inf < v < np.inf else -np.inf  # an intensity overflowed
+
+    mu, alpha = max(mu, 1e-12), min(alpha, cap)
+    if (cur := value(mu, alpha)) == -np.inf:  # start below the overflow
+        alpha, cur = 0.0, value(mu, 0.0)
+    for _ in range(50):
+        q = mu / (mu + alpha * s)
+        sq = s * q
+        g_mu, g_alpha = q.sum() - mu * horizon, sq.sum() - mu * spent  # mu * gradient
+        m00, m01, m11 = q @ q, q @ sq, sq @ sq  # mu**2 * minus the Hessian
+        det = m00 * m11 - m01 * m01
+        target = (alpha + mu * (m00 * g_alpha - m01 * g_mu) / det if det > 0
+                  else cap if g_alpha > 0 else 0.0)  # s is all 0: L is linear in alpha
+        step = min(max(target, 0.0), cap) - alpha
+        x = (g_mu - m01 * step / mu) / m00  # mu's step, relative to mu
+        if not 1e-10 < g_mu * x + g_alpha * step / mu < np.inf:  # twice the model's gain
+            break
+        for k in range(34):  # step lengths 1, 1/2, ... down to about 1e-10
+            cand = max(mu * (1.0 + x / 2**k), 1e-12), alpha + step / 2**k
+            if (val := value(*cand)) >= cur:
+                break
+        else:  # no step length keeps L from falling
+            break
+        (mu, alpha), cur = cand, val
+    return cur, mu, alpha
+
+
 def fit_multistart(events: np.ndarray, horizon: float, steps: int = 200,
                    step_size: float = 0.1) -> HawkesModel:
-    """Fit from several decay timescales and keep the best likelihood.
-
-    The log-likelihood surface has separate basins for fast decay (within
-    bursts) and slow decay (across bursts); a single start from the
-    median-gap timescale routinely misses the better one.  Each start
-    uses beta0 = scale / median_gap with alpha0 = beta0 / 2 and a
-    baseline at half the empirical rate.  Starts whose beta0 overflows
-    are skipped; TimescaleError when none is finite.  Of equal
-    likelihoods the earliest start wins.
-
-    The starts run at once, dealt round-robin over w workers, one per
-    CPU this process may use, up to the number of starts: this process
-    runs starts 0, w, 2w, ... and each of w - 1 children made with
-    os.fork runs its share.  The fork is safe: the child runs only
-    _ascend on the arrays it inherited and leaves through os._exit, so
-    no exception or buffered output escapes it; OpenBLAS stops its
-    thread pool before a fork (a pthread_atfork handler), so no worker
-    thread holds a lock the child could wait on; and each result comes
-    back as four float64 (mu, alpha, beta, log-likelihood) in their
-    bytes, the bits of running the starts in turn.  A start whose bytes
-    do not arrive (a fork that failed, a child that died) runs in this
-    process; without os.sched_getaffinity (off Linux) all run here.
-    """
-    events = _check_sorted(events)
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    rate = events.size / horizon
-    gap = median_gap(events)
-    starts = [scale / gap for scale in _FIT_SCALES if np.isfinite(scale / gap)]
-    if not starts:
-        raise TimescaleError(f"median gap between events {gap:g} is too small "
-                         "for a finite decay rate to start the fit from")
+    """Maximum likelihood by the profile over beta (_profile at each): 41
+    betas log-spaced over [1e-4, 1e2] / median gap, then 40 golden-section
+    steps in log beta between the best one's neighbours, each solve from
+    the last one's end, the earliest of equal values winning.  fit's
+    ascent (steps, step_size) polishes the optimum unless it ends lower.
+    TimescaleError when the smallest beta is not finite."""
+    if not 0 < horizon < np.inf:
+        raise ValueError("horizon must be a finite number > 0")
     gaps, tail = _gaps_and_tails(events, horizon)
+    gap = median_gap(events)
+    lo = 1e-4 / gap
+    if not lo < np.inf:
+        raise TimescaleError(f"median gap between events {gap:g} is too small "
+                             "for a finite decay rate to start the fit from")
+    mu, alpha = tail.size / horizon, 0.0  # where the next solve starts
+    best = (HawkesModel(mu, alpha, lo), -np.inf)  # as _ascend's (model, value)
 
-    def run(i: int) -> tuple[HawkesModel, float]:
-        beta0 = starts[i]
-        return _ascend(gaps, tail, horizon, HawkesModel(0.5 * rate, 0.5 * beta0, beta0),
-                       steps, step_size)
+    def profile(u: float) -> float:  # u in grid steps, 0 to 40
+        nonlocal mu, alpha, best
+        beta = lo * 10.0 ** (0.15 * u)
+        value, mu, alpha = _profile(gaps, tail, horizon, beta, mu, alpha)
+        best = max(best, (HawkesModel(mu, alpha, beta), value), key=lambda f: f[1])
+        return value
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(starts), cpus)
-    fits: list = [None] * len(starts)
-    children = []  # (pid, read end of its pipe, the starts it runs)
-    try:
-        for k in range(1, workers):
-            share = range(k, len(starts), workers)
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                break
-            if pid == 0:
-                try:
-                    for i in share:
-                        model, value = run(i)
-                        os.write(write_fd, np.array([model.mu, model.alpha, model.beta,
-                                                     value]).tobytes())
-                finally:
-                    os._exit(0)
-            os.close(write_fd)
-            children.append((pid, read_fd, share))
-        for i in range(0, len(starts), workers):
-            fits[i] = run(i)
-        for _, read_fd, share in children:
-            with open(read_fd, "rb", closefd=False) as pipe:
-                rows = np.frombuffer(pipe.read(), np.float64).reshape(-1, 4).tolist()
-            for i, (mu, alpha, beta, value) in zip(share, rows):
-                fits[i] = HawkesModel(mu, alpha, beta), value
-    except BaseException:
-        import signal
-        for pid, _, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, read_fd, _ in children:
-            os.close(read_fd)
-            os.waitpid(pid, 0)
-    fits = [f or run(i) for i, f in enumerate(fits)]  # a start no child sent runs here
-    return max(fits, key=lambda f: f[1])[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # see _log_likelihood
+        top = max(range(41), key=profile)  # profiles the grid in order; the first best wins
+        a, b, shrink = max(top - 1, 0), min(top + 1, 40), (5.0 ** 0.5 - 1.0) / 2.0
+        c, d = b - shrink * (b - a), a + shrink * (b - a)
+        fc, fd = profile(c), profile(d)
+        for _ in range(40):
+            if fc >= fd:
+                b, d, fd, c = d, c, fc, d - shrink * (d - a)
+                fc = profile(c)
+            else:
+                a, c, fc, d = c, d, fd, c + shrink * (b - c)
+                fd = profile(d)
+    polished = _ascend(gaps, tail, horizon, best[0], steps, step_size)
+    return max(polished, best, key=lambda f: f[1])[0]
 
 
 def sample_intensity(model: HawkesModel, events: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -363,11 +361,10 @@ def smooth(grid: np.ndarray, raw: np.ndarray, tau: float) -> np.ndarray:
 def post_intensity(model: HawkesModel, times: np.ndarray,
                    tau: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
     """Raw and smoothed intensity at the sorted post times, smoothed over
-    tau seconds (the median gap between posts by default)."""
-    if tau is None:
-        tau = median_gap(times)
+    tau seconds: by default 3 / beta, three of the kernel's decay times,
+    the span over which a burst's excitation fades to 5%."""
     raw = sample_intensity(model, times, times)
-    return raw, smooth(times, raw, tau)
+    return raw, smooth(times, raw, 3.0 / model.beta if tau is None else tau)
 
 
 def median_gap(times: np.ndarray) -> float:
@@ -400,7 +397,8 @@ def detect_ranges(thread, model: HawkesModel, tau: Optional[float] = None,
 
     A boundary is placed before post i when the smoothed intensity at
     t_i drops below the given quantile of all smoothed values and is a
-    local minimum among posts (strict drop from the left).
+    local minimum among posts (strict drop from the left).  tau is
+    post_intensity's, 3 / beta by default.
     """
     if not 0 < quantile < 1:
         raise ValueError("quantile must be in (0, 1)")

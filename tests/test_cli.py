@@ -59,7 +59,7 @@ def default_of(function, parameter):
     return inspect.signature(function).parameters[parameter].default
 
 
-SUBNORMAL_TIMES = [0.0, 5e-324, 1e-323]  # median gap 5e-324: every start's beta0 is inf
+SUBNORMAL_TIMES = [0.0, 5e-324, 1e-323]  # median gap 5e-324: the fit's smallest beta is inf
 
 
 class TestStats:
@@ -538,6 +538,79 @@ class TestExportIntensity:
         assert all(math.isfinite(v) for v in hawkes.values())
 
 
+class TestDefaultTau:
+    """Without --tau the cut smooths over 3/beta of the fit, or over the
+    median inter-post gap when --mu/--alpha/--beta are given."""
+
+    OUTPUTS = {"disentangle": ["graph.json", "conversations.json"],
+               "export-intensity": ["intensity.csv"]}
+
+    @staticmethod
+    def outputs(tiny_model, out, command, *flags):
+        assert run("--out-dir", out, command, *command_argv(command, tiny_model), *flags) == 0
+        return {name: (out / name).read_bytes() for name in TestDefaultTau.OUTPUTS[command]}
+
+    @pytest.mark.parametrize("command", ["disentangle", "export-intensity"])
+    def test_given_parameters_smooth_over_the_median_gap(self, tiny_model, tmp_path, command):
+        hawkes = ["--mu", 0.1, "--alpha", 0.1, "--beta", 0.01]
+        gap = temporal.median_gap(cli._read_thread(tiny_model / "thread.jsonl").timestamps)
+        default = self.outputs(tiny_model, tmp_path / "default", command, *hawkes)
+        assert default == self.outputs(tiny_model, tmp_path / "gap", command, *hawkes,
+                                       "--tau", repr(gap))
+        if command == "export-intensity":  # 3/beta would smooth otherwise
+            assert default != self.outputs(tiny_model, tmp_path / "fit-rule", command, *hawkes,
+                                           "--tau", repr(3 / 0.01))
+
+    @pytest.mark.parametrize("command", ["disentangle", "export-intensity"])
+    def test_fitted_parameters_smooth_over_three_decay_times(self, tiny_model, tmp_path,
+                                                             capsys, command):
+        default = self.outputs(tiny_model, tmp_path / "default", command)
+        if command == "disentangle":
+            beta = json.loads(default["conversations.json"])["hawkes"]["beta"]
+        else:
+            beta = last_json(capsys)["hawkes"]["beta"]
+        assert default == self.outputs(tiny_model, tmp_path / "three", command,
+                                       "--tau", repr(3 / beta))
+
+    @pytest.mark.parametrize("times", [[0.0, 2.5], [7.0, 7.0, 7.0]],
+                             ids=["two-posts", "equal-times"])
+    @pytest.mark.parametrize("command", ["disentangle", "export-intensity"])
+    def test_degenerate_threads_fit_silently(self, tiny_model, tmp_path, capsys, command,
+                                             times):
+        texts = [p.text for p in cli._read_thread(tiny_model / "thread.jsonl").posts]
+        log = tmp_path / "log.jsonl"
+        write_jsonl(log, [{"id": f"p{i}", "ts": t, "text": texts[i]}
+                          for i, t in enumerate(times)])
+        argv = ["--input", log]
+        if command == "disentangle":
+            argv += ["--checkpoint", tiny_model / "model.untg"]
+        assert run("--out-dir", tmp_path / "out", command, *argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if command == "disentangle":
+            hawkes = json.loads((tmp_path / "out" / "conversations.json").read_text())["hawkes"]
+        else:
+            hawkes = json.loads(captured.out)["hawkes"]
+        assert all(math.isfinite(v) for v in hawkes.values())
+        assert 0 <= hawkes["alpha"] < hawkes["beta"]
+
+    @pytest.mark.parametrize("command", ["disentangle", "export-intensity"])
+    def test_subnormal_median_gap_gives_the_timescale_message(self, tiny_model, tmp_path,
+                                                              capsys, command):
+        log = timed_log(tmp_path / "subnormal.jsonl", SUBNORMAL_TIMES)
+        argv = ["--input", log]
+        if command == "disentangle":
+            argv += ["--checkpoint", tiny_model / "model.untg"]
+        assert run("--out-dir", tmp_path / "out", command, *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: cannot fit the Hawkes process: median gap between events 4.94066e-324 "
+            "is too small for a finite decay rate to start the fit from; "
+            "give --mu/--alpha/--beta instead\n")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+
 class TestIntensityOverflow:
     # valid values at the edge of the float range, on tiny_model's synth
     # thread (12 posts, gaps of 0.1 s and more, none tied)
@@ -882,8 +955,9 @@ class TestImports:
     def test_command_loads_no_stdlib_module_it_never_calls(self, tiny_model, tmp_path,
                                                            command):
         # csv writes the CSVs of train, export-intensity and project, signal
-        # kills fit_multistart's workers, and corpus spells out
-        # string.punctuation; one that numpy or argparse loads costs nothing
+        # is what a command would load to stop a child process (none starts
+        # one), and corpus spells out string.punctuation; one that numpy or
+        # argparse loads costs nothing
         modules = ["csv", "signal", "string"]
         baseline = self.loaded(modules, "import numpy, argparse")
         loaded = self.loaded_by_command(modules, command, tiny_model, tmp_path / "out")

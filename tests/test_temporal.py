@@ -1,17 +1,15 @@
 """Hawkes model: intensity, likelihood, simulation, fitting, ranges."""
 
 import math
-import os
-import time
-import warnings
 
 import numpy as np
 import pytest
 
-from untangler import cli, harness, temporal
+from untangler import cli, corpus, embedder, harness, temporal
 from untangler.temporal import (HawkesModel, Range, detect_ranges, fit,
                                 fit_multistart, intensity, log_likelihood,
-                                median_gap, sample_intensity, simulate, smooth)
+                                median_gap, post_intensity, sample_intensity,
+                                simulate, smooth)
 
 from conftest import make_thread
 from oracles import (reference_excitation, reference_laplace_sums, reference_ranges,
@@ -266,7 +264,7 @@ class TestFit:
         rng = np.random.default_rng(14)
         events = simulate(HawkesModel(0.2, 0.5, 1.0), 400.0, rng)
         rate, gap = events.size / 400.0, median_gap(events)
-        for scale in temporal._FIT_SCALES:
+        for scale in START_SCALES:
             values.clear()
             states.clear()
             beta0 = scale / gap
@@ -283,6 +281,11 @@ class TestFit:
     def test_multistart_validates_horizon(self):
         with pytest.raises(ValueError):
             fit_multistart(np.array([0.0, 1.0]), 0.0)
+
+    @pytest.mark.parametrize("horizon", [-1.0, np.inf, np.nan])
+    def test_multistart_rejects_a_horizon_that_is_not_a_finite_positive_number(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be a finite number > 0"):
+            fit_multistart(np.array([0.0, 1.0]), horizon)
 
     def test_multistart_rejects_subnormal_timescale(self):
         # median gap 5e-324: scale / gap overflows to inf at every scale
@@ -323,13 +326,20 @@ FIT_CASES = {
 }
 
 
+# the decay timescales, in units of the median gap, that the fit used to
+# start its ascents from
+START_SCALES = (0.01, 0.1, 1.0, 10.0)
+
+
 def in_turn(events, horizon, steps=200):
-    """fit_multistart's starts run one after another: the model of the
-    best log-likelihood, the earliest start winning ties."""
+    """The naive reference fit: fit's ascent from each of START_SCALES
+    run one after another, with alpha0 = beta0 / 2 and a baseline at
+    half the empirical rate; the model of the best log-likelihood, the
+    earliest start winning ties."""
     rate, gap = events.size / horizon, median_gap(events)
     gaps, tail = np.diff(events), horizon - events
     best = None
-    for scale in temporal._FIT_SCALES:
+    for scale in START_SCALES:
         beta0 = scale / gap
         model, value = temporal._ascend(gaps, tail, horizon,
                                         HawkesModel(0.5 * rate, 0.5 * beta0, beta0), steps, 0.1)
@@ -338,103 +348,79 @@ def in_turn(events, horizon, steps=200):
     return best[0]
 
 
-def forbidden(*args, **kwargs):
-    pytest.fail("called where it must not be")
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
-                    reason="without sched_getaffinity the starts run in turn")
-class TestParallelStarts:
-    @pytest.fixture(autouse=True)
-    def no_child_or_descriptor_left(self):
-        descriptors = len(os.listdir("/proc/self/fd"))
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert len(os.listdir("/proc/self/fd")) == descriptors
-
-    @pytest.fixture
-    def two_cpus(self, monkeypatch):
-        """Two workers, so the fork runs on a one-CPU machine too."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-
+class TestProfileFit:
     @pytest.mark.parametrize("case", FIT_CASES)
-    def test_equals_the_starts_run_in_turn(self, case):
+    def test_at_least_the_starts_run_in_turn(self, case):
         events, horizon, steps = FIT_CASES[case]()
-        assert fit_multistart(events, horizon, steps=steps) == in_turn(events, horizon, steps)
+        fitted = fit_multistart(events, horizon, steps=steps)
+        fitted.validate()
+        assert log_likelihood(fitted, events, horizon) >= \
+            log_likelihood(in_turn(events, horizon, steps), events, horizon) - 1e-9
 
-    def test_one_cpu_forks_nothing(self, monkeypatch):
+    def test_inner_solve_matches_a_bounded_quasi_newton_solver(self):
+        # at a fixed beta the solve's (mu, alpha) is the concave maximum on
+        # the box mu >= 1e-12, 0 <= alpha <= 0.999 beta: scipy's L-BFGS-B,
+        # run from the solve's start and from its answer, finds no more
+        minimize = pytest.importorskip("scipy.optimize").minimize
+        rng = np.random.default_rng(45)
+        at_bound = 0
+        for case in range(100):
+            n = int(rng.integers(2, 120))
+            events = np.cumsum(rng.exponential(rng.choice([0.01, 1.0, 100.0]), size=n))
+            if rng.random() < 0.3:  # tied timestamps
+                events[rng.integers(1, n, size=n // 3)] = 0.0
+                events = np.maximum.accumulate(events)
+            horizon = float(events[-1]) + float(rng.uniform(0, 10))
+            beta = float(rng.choice([1e-4, 1e-2, 1.0, 1e2, 1e4])) / median_gap(events)
+            start = (float(rng.uniform(1e-3, 10)) * n / horizon,
+                     float(rng.uniform(0, 0.999)) * beta)
+            gaps, tail = np.diff(events), horizon - events
+
+            def loss(p):
+                return -temporal._log_likelihood(gaps, tail, horizon, p[0], p[1], beta)[0]
+
+            with np.errstate(over="ignore", invalid="ignore"):
+                value, mu, alpha = temporal._profile(gaps, tail, horizon, beta, *start)
+                assert 1e-12 <= mu and 0.0 <= alpha <= 0.999 * beta
+                assert value == -loss([mu, alpha]) >= -loss(start)
+                best = min(minimize(loss, x0, method="L-BFGS-B",
+                                    bounds=[(1e-12, None), (0.0, 0.999 * beta)],
+                                    options={"ftol": 1e-15, "gtol": 1e-12}).fun
+                           for x0 in (start, (mu, alpha)))
+            assert value >= -best - 1e-10 * (1 + abs(value))
+            at_bound += alpha in (0.0, 0.999 * beta)
+        assert 0 < at_bound < 100
+
+    def test_profile_beats_a_dense_beta_grid(self):
+        # the grid and golden-section search find the best beta that a
+        # 2,001-point grid over the same range finds, or better
         events, horizon, _ = FIT_CASES["oracle-180 seed 1"]()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(os, "fork", forbidden)
-        assert fit_multistart(events, horizon) == in_turn(events, horizon)
+        gaps, tail = np.diff(events), horizon - events
+        fitted = fit_multistart(events, horizon, steps=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dense = max(temporal._profile(gaps, tail, horizon, beta, events.size / horizon, 0.0)[0]
+                        for beta in np.geomspace(1e-4, 1e2, 2001) / median_gap(events))
+        assert log_likelihood(fitted, events, horizon) >= dense - 1e-9
 
-    def test_failed_fork_runs_the_starts_here(self, monkeypatch, two_cpus):
-        # start 1, the child's, wins on this thread
+    def test_polish_never_lowers_the_profile_optimum(self, monkeypatch):
         events, horizon, _ = FIT_CASES["oracle-180 seed 1"]()
+        profiled = fit_multistart(events, horizon, steps=0)
+        assert log_likelihood(fit_multistart(events, horizon), events, horizon) >= \
+            log_likelihood(profiled, events, horizon)
+        # an ascent that ends lower than it started is not kept
+        monkeypatch.setattr(temporal, "_ascend", lambda gaps, tail, horizon, init, steps,
+                            step_size: (HawkesModel(1.0, 0.0, 1.0), -np.inf))
+        assert fit_multistart(events, horizon) == profiled
 
-        def fork():
-            raise OSError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", fork)
-        assert fit_multistart(events, horizon) == in_turn(events, horizon)
-
-    @pytest.mark.parametrize("dies_at", [1, 2], ids=["before-writing", "after-one-start"])
-    def test_dead_child_s_starts_run_here(self, monkeypatch, two_cpus, dies_at):
+    def test_equal_values_keep_the_earliest_beta(self, monkeypatch):
+        # a flat profile: every beta ties, so the grid's first point wins
         events, horizon, _ = FIT_CASES["oracle-180 seed 1"]()
-        expected = in_turn(events, horizon)
-        parent, ascend, calls = os.getpid(), temporal._ascend, []
-
-        def dying(*args):
-            if os.getpid() != parent:
-                calls.append(args)
-                if len(calls) == dies_at:
-                    os._exit(1)
-            return ascend(*args)
-
-        monkeypatch.setattr(temporal, "_ascend", dying)
-        assert fit_multistart(events, horizon) == expected
-
-    def test_interrupted_share_kills_the_child(self, monkeypatch, two_cpus):
-        events, horizon, _ = FIT_CASES["oracle-180 seed 1"]()
-        parent = os.getpid()
-
-        def stuck(*args):
-            if os.getpid() != parent:
-                time.sleep(30)
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(temporal, "_ascend", stuck)
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            fit_multistart(events, horizon)
-        assert time.monotonic() - start < 10
-
-    def test_equal_likelihoods_keep_the_earliest_start(self, monkeypatch, two_cpus):
-        # starts 1 (the child's) and 2 (this process's) tie at the best value
-        events, horizon, _ = FIT_CASES["oracle-180 seed 1"]()
-        beta0s = [scale / median_gap(events) for scale in temporal._FIT_SCALES]
-        values = [-3.0, -1.0, -1.0, -2.0]
-
-        def fake(gaps, tail, horizon, init, steps, step_size):
-            i = beta0s.index(init.beta)
-            return HawkesModel(1.0, 0.0, float(i + 1)), values[i]
-
-        monkeypatch.setattr(temporal, "_ascend", fake)
-        assert fit_multistart(events, horizon) == HawkesModel(1.0, 0.0, 2.0)
-
-    def test_no_warning_after_blas_threads_start(self, two_cpus):
-        # Python 3.12+ warns on fork in a process with more than one thread;
-        # OpenBLAS stops the pool a matmul starts in its pthread_atfork
-        # handler.  An "error" filter does not raise that warning, so record it.
-        events, horizon, _ = FIT_CASES["oracle-180 seed 1"]()
-        square = np.random.default_rng(0).standard_normal((500, 500))
-        assert np.isfinite(square @ square).all()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            model = fit_multistart(events, horizon)
-        assert [str(w.message) for w in caught] == []
-        assert model == in_turn(events, horizon)
+        monkeypatch.setattr(temporal, "_profile",
+                            lambda gaps, tail, horizon, beta, mu, alpha: (-1.0, 0.5, 0.0))
+        monkeypatch.setattr(temporal, "_ascend", lambda gaps, tail, horizon, init, steps,
+                            step_size: (init, -np.inf))
+        model = fit_multistart(events, horizon)
+        assert model == HawkesModel(0.5, 0.0, 1e-4 / median_gap(events))
 
 
 class TestSmoothing:
@@ -594,6 +580,16 @@ class TestDetectRanges:
         ranges = detect_ranges(make_thread(times), model, tau=1.0)
         assert Range(0, 30) in ranges
 
+    def test_default_tau_is_three_decay_times(self):
+        rng = np.random.default_rng(46)
+        times = np.sort(rng.uniform(0, 1000, size=40))
+        model = HawkesModel(0.05, 0.3, 0.4)
+        raw, smoothed = post_intensity(model, times)
+        assert raw.tolist() == sample_intensity(model, times, times).tolist()
+        assert smoothed.tolist() == smooth(times, raw, 3.0 / 0.4).tolist()
+        assert detect_ranges(make_thread(times), model) == \
+            detect_ranges(make_thread(times), model, tau=3.0 / 0.4)
+
     def test_quantile_validation(self):
         with pytest.raises(ValueError):
             detect_ranges(make_thread([1.0, 2.0]), HawkesModel(1, 0, 1), quantile=1.0)
@@ -618,3 +614,23 @@ class TestDetectRanges:
         quantile = float(rng.uniform(0.05, 0.95))
         ranges = detect_ranges(make_thread(times), HawkesModel(0.5, 0.3, 0.6), quantile=quantile)
         assert [(r.lo, r.hi) for r in ranges] == reference_ranges(seen[0], quantile)
+
+
+@pytest.mark.parametrize("seed", range(3, 13))
+def test_criterion_7_recipe_holds_on_other_seeds(seed):
+    # criterion 7 (tests/test_acceptance.py) on one seed, run on ten: the
+    # fitted model's default cut must find the three conversations
+    config = cli.default_synth_config(n_conversations=3, posts_lo=60, posts_hi=60)
+    thread, gold = harness.generate(config, seed=seed)
+    vocab = corpus.build_vocab([thread])
+    windows = corpus.build_windows(thread, corpus.BEFORE_ONLY, 3)
+    enc_config = embedder.EncoderConfig(vocab_size=len(vocab))
+    params, _ = embedder.train([thread], vocab, [windows], enc_config)
+    times = np.asarray(thread.timestamps)
+    model = fit_multistart(times - times[0], float(times[-1] - times[0]) + 1.0)
+    _, _, _, conversations = cli.run_pipeline(
+        thread, enc_config, params, vocab, model, tau=None, quantile=0.25)
+    pred_labels = {m: idx for idx, conv in enumerate(conversations) for m in conv.members}
+    pred_parents = {c: p for conv in conversations for c, p in conv.parents.items()}
+    assert harness.partition_ari(pred_labels, gold.labels) >= 0.7
+    assert harness.edge_prf(pred_parents, gold.parents)[2] >= 0.5
