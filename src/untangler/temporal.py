@@ -5,12 +5,12 @@ The conversation rate is modeled with the exponential-kernel intensity
     lambda(t) = mu + sum_{t_j < t} alpha * exp(-beta * (t - t_j))
 
 Every sum over this kernel is one O(n) scan of decayed running sums
-(_scan): the excitation, its beta-slope for the exact gradient, and both
-halves of the Laplace kernel that smooths the intensity.  Fitting
-maximises the log-likelihood's profile over beta, with an exact concave
-solve for (mu, alpha) at each beta, and polishes the optimum by projected
-gradient ascent; low local minima of the smoothed intensity mark
-conversation schisms, yielding the ranges the graph stage consumes.
+(_scan): the excitation and both halves of the Laplace kernel that
+smooths the intensity.  Fitting maximises the log-likelihood's profile
+over beta, with an exact concave solve for (mu, alpha) at each beta in
+the stationary box alpha <= 0.999 beta; low local minima of the smoothed
+intensity mark conversation schisms, yielding the ranges the graph stage
+consumes.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-_POSITIVE_FLOOR = 1e-8
 
 
 @dataclass
@@ -74,37 +72,26 @@ def _scan(gain: np.ndarray, drive: np.ndarray | float) -> np.ndarray:
     return out
 
 
-def _log_likelihood(gaps: np.ndarray, tail: np.ndarray, horizon: float, mu: float,
-                    alpha: float, beta: float) -> tuple[float, Optional[tuple]]:
-    """Log-likelihood on [0, horizon] of the events with these gaps
-    (np.diff(events)) and tails (horizon - events), and the state that
-    _gradient reads; (-inf, None) if any event intensity is non-positive
-    or overflows.  Call under np.errstate(over="ignore", invalid="ignore"):
-    a decay whose exponent overflows is 0."""
-    decay = np.exp(-beta * gaps)
-    s = _scan(decay, 1.0)[:tail.size]  # sum_{j<i} exp(-beta * (t_i - t_j))
+def _value(s: np.ndarray, horizon: float, spent: float, mu: float, alpha: float) -> float:
+    """L = sum(log(mu + alpha * s)) - mu * horizon - alpha * spent, the
+    log-likelihood given the excitation s and the compensator's
+    spent = sum(1 - exp(-beta * tail)) / beta; -inf if any event intensity
+    is non-positive or overflows."""
     lam = mu + alpha * s
-    if (lam <= 0).any():
-        return -np.inf, None
-    spent = -np.expm1(-beta * tail).sum()  # sum of 1 - exp(-beta * tail), accurate for small beta
-    value = float(np.log(lam).sum() - mu * horizon - alpha * (spent / beta))
-    if value != value or value == np.inf:  # an intensity overflowed
-        return -np.inf, None
-    return value, (s, decay, lam, spent)
+    if (lam <= 0).any():  # checked before the log, which warns at 0
+        return -np.inf
+    value = float(np.log(lam).sum() - mu * horizon - alpha * spent)
+    return value if -np.inf < value < np.inf else -np.inf  # an intensity overflowed
 
 
-def _gradient(gaps: np.ndarray, tail: np.ndarray, horizon: float, alpha: float,
-              beta: float, state: Optional[tuple]) -> np.ndarray:
-    """Exact gradient in (mu, alpha, beta) from the state _log_likelihood
-    returned at the same point; nan where it returned -inf."""
-    if state is None:
-        return np.full(3, np.nan)
-    s, decay, lam, spent = state
-    r = _scan(decay, gaps * (s[:-1] + 1.0))[:s.size]  # r[i] = -ds[i]/dbeta
-    inv = 1.0 / lam
-    return np.array([inv.sum() - horizon, (s * inv).sum() - spent / beta,
-                     alpha * (spent / beta / beta - (r * inv).sum()
-                              - (tail * np.exp(-beta * tail)).sum() / beta)])
+def _log_likelihood(gaps: np.ndarray, tail: np.ndarray, horizon: float, mu: float,
+                    alpha: float, beta: float) -> float:
+    """Log-likelihood on [0, horizon] of the events with these gaps
+    (np.diff(events)) and tails (horizon - events), as _value.  Call under
+    np.errstate(over="ignore", invalid="ignore"): a decay whose exponent
+    overflows is 0."""
+    s = _scan(np.exp(-beta * gaps), 1.0)[:tail.size]  # sum_{j<i} exp(-beta * (t_i - t_j))
+    return _value(s, horizon, -np.expm1(-beta * tail).sum() / beta, mu, alpha)
 
 
 def log_likelihood(model: HawkesModel, events: np.ndarray, horizon: float) -> float:
@@ -116,7 +103,7 @@ def log_likelihood(model: HawkesModel, events: np.ndarray, horizon: float) -> fl
     events = _check_sorted(events, horizon)
     with np.errstate(over="ignore", invalid="ignore"):
         return _log_likelihood(np.diff(events), horizon - events, horizon,
-                               model.mu, model.alpha, model.beta)[0]
+                               model.mu, model.alpha, model.beta)
 
 
 def simulate(model: HawkesModel, horizon: float, rng: np.random.Generator,
@@ -149,63 +136,6 @@ def simulate(model: HawkesModel, horizon: float, rng: np.random.Generator,
     return np.array(times)
 
 
-def _gaps_and_tails(events: np.ndarray, horizon: float) -> tuple[np.ndarray, np.ndarray]:
-    """The gaps and tails _log_likelihood reads, of at least 2 events."""
-    events = _check_sorted(events, horizon)
-    if events.size < 2:
-        raise ValueError("need at least 2 events to fit")
-    return np.diff(events), horizon - events
-
-
-def _ascend(gaps: np.ndarray, tail: np.ndarray, horizon: float, init: HawkesModel,
-            steps: int, step_size: float) -> tuple[HawkesModel, float]:
-    """fit's ascent from init: the model it stops at and its log-likelihood."""
-    init.validate()
-
-    def project(p: np.ndarray) -> np.ndarray:
-        p = np.maximum(p, _POSITIVE_FLOOR)
-        if p[1] >= p[2]:
-            p[1] = 0.999 * p[2]
-        return p
-
-    p = project(np.array([init.mu, init.alpha, init.beta]))
-    with np.errstate(over="ignore", invalid="ignore"):  # see _log_likelihood
-        cur, state = _log_likelihood(gaps, tail, horizon, *p)
-        g = _gradient(gaps, tail, horizon, p[1], p[2], state)
-        delta = step_size
-        for _ in range(steps):
-            top = float(np.abs(g).max())
-            if not np.isfinite(top) or top == 0.0:
-                break
-            direction = g / top  # scaled first, so the norm cannot overflow
-            direction /= np.linalg.norm(direction)
-            delta = min(delta * 2.0, step_size * 8)
-            while delta > 1e-12:
-                cand = project(p + delta * direction)
-                val, state = _log_likelihood(gaps, tail, horizon, *cand)
-                if val > cur:
-                    p, cur = cand, val
-                    g = _gradient(gaps, tail, horizon, p[1], p[2], state)
-                    break
-                delta *= 0.5
-            else:  # no step length improved
-                break
-    return HawkesModel(*p.tolist()), cur
-
-
-def fit(events: np.ndarray, horizon: float, init: HawkesModel,
-        steps: int = 400, step_size: float = 0.1) -> HawkesModel:
-    """Projected gradient ascent on the log-likelihood (exact gradient).
-
-    Parameters are clamped at 1e-8 and projected to alpha < beta
-    (stationarity).  Backtracking on the step length guarantees the
-    returned likelihood is never below the initial one; each candidate
-    costs one likelihood value, and the gradient is taken only at the
-    start and at each accepted step.  Deterministic.
-    """
-    return _ascend(*_gaps_and_tails(events, horizon), horizon, init, steps, step_size)[0]
-
-
 class TimescaleError(ValueError):
     """The events' median gap gives no finite decay rate to fit from."""
 
@@ -224,14 +154,9 @@ def _profile(gaps: np.ndarray, tail: np.ndarray, horizon: float, beta: float,
         return -np.inf, mu, alpha
     s = _scan(np.exp(-beta * gaps), 1.0)[:tail.size]
     spent, cap = -np.expm1(-beta * tail).sum() / beta, 0.999 * beta
-
-    def value(mu: float, alpha: float) -> float:
-        v = float(np.log(mu + alpha * s).sum() - mu * horizon - alpha * spent)
-        return v if -np.inf < v < np.inf else -np.inf  # an intensity overflowed
-
     mu, alpha = max(mu, 1e-12), min(alpha, cap)
-    if (cur := value(mu, alpha)) == -np.inf:  # start below the overflow
-        alpha, cur = 0.0, value(mu, 0.0)
+    if (cur := _value(s, horizon, spent, mu, alpha)) == -np.inf:  # start below the overflow
+        alpha, cur = 0.0, _value(s, horizon, spent, mu, 0.0)
     for _ in range(50):
         q = mu / (mu + alpha * s)
         sq = s * q
@@ -246,7 +171,7 @@ def _profile(gaps: np.ndarray, tail: np.ndarray, horizon: float, beta: float,
             break
         for k in range(34):  # step lengths 1, 1/2, ... down to about 1e-10
             cand = max(mu * (1.0 + x / 2**k), 1e-12), alpha + step / 2**k
-            if (val := value(*cand)) >= cur:
+            if (val := _value(s, horizon, spent, *cand)) >= cur:
                 break
         else:  # no step length keeps L from falling
             break
@@ -254,46 +179,55 @@ def _profile(gaps: np.ndarray, tail: np.ndarray, horizon: float, beta: float,
     return cur, mu, alpha
 
 
-def fit_multistart(events: np.ndarray, horizon: float, steps: int = 200,
-                   step_size: float = 0.1) -> HawkesModel:
-    """Maximum likelihood by the profile over beta (_profile at each): 41
-    betas log-spaced over [1e-4, 1e2] / median gap, then 40 golden-section
-    steps in log beta between the best one's neighbours, each solve from
-    the last one's end, the earliest of equal values winning.  fit's
-    ascent (steps, step_size) polishes the optimum unless it ends lower.
-    TimescaleError when the smallest beta is not finite."""
+def fit_multistart(events: np.ndarray, horizon: float, steps: int = 40,
+                   step_size: float = 0.15) -> HawkesModel:
+    """Maximum likelihood by the profile over beta (_profile at each):
+    betas log-spaced step_size decades apart over [1e-4, 1e2] / median gap
+    (41 by default), then `steps` golden-section steps in log beta between
+    the best one's neighbours (none: the grid alone), each solve from the
+    last one's end, the earliest of equal values winning.  The model is
+    always in _profile's box, so alpha <= 0.999 beta.  TimescaleError when
+    the smallest beta is not finite."""
     if not 0 < horizon < np.inf:
         raise ValueError("horizon must be a finite number > 0")
-    gaps, tail = _gaps_and_tails(events, horizon)
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    if not 0 < step_size <= 6:
+        raise ValueError("step_size must be in (0, 6] decades")
+    events = _check_sorted(events, horizon)
+    if events.size < 2:
+        raise ValueError("need at least 2 events to fit")
+    gaps, tail = np.diff(events), horizon - events
     gap = median_gap(events)
     lo = 1e-4 / gap
     if not lo < np.inf:
         raise TimescaleError(f"median gap between events {gap:g} is too small "
                              "for a finite decay rate to start the fit from")
     mu, alpha = tail.size / horizon, 0.0  # where the next solve starts
-    best = (HawkesModel(mu, alpha, lo), -np.inf)  # as _ascend's (model, value)
+    best = (HawkesModel(mu, alpha, lo), -np.inf)  # (model, value)
+    last = int(6.0 / step_size)  # the grid's last step
 
-    def profile(u: float) -> float:  # u in grid steps, 0 to 40
+    def profile(u: float) -> float:  # u in grid steps, 0 to last
         nonlocal mu, alpha, best
-        beta = lo * 10.0 ** (0.15 * u)
+        beta = lo * 10.0 ** (step_size * u)
         value, mu, alpha = _profile(gaps, tail, horizon, beta, mu, alpha)
         best = max(best, (HawkesModel(mu, alpha, beta), value), key=lambda f: f[1])
         return value
 
     with np.errstate(over="ignore", invalid="ignore"):  # see _log_likelihood
-        top = max(range(41), key=profile)  # profiles the grid in order; the first best wins
-        a, b, shrink = max(top - 1, 0), min(top + 1, 40), (5.0 ** 0.5 - 1.0) / 2.0
+        top = max(range(last + 1), key=profile)  # profiles the grid in order; the first best wins
+        a, b, shrink = max(top - 1, 0), min(top + 1, last), (5.0 ** 0.5 - 1.0) / 2.0
         c, d = b - shrink * (b - a), a + shrink * (b - a)
-        fc, fd = profile(c), profile(d)
-        for _ in range(40):
+        if steps:
+            fc, fd = profile(c), profile(d)
+        for _ in range(steps):
             if fc >= fd:
                 b, d, fd, c = d, c, fc, d - shrink * (d - a)
                 fc = profile(c)
             else:
                 a, c, fc, d = c, d, fd, c + shrink * (b - c)
                 fd = profile(d)
-    polished = _ascend(gaps, tail, horizon, best[0], steps, step_size)
-    return max(polished, best, key=lambda f: f[1])[0]
+    return best[0]
 
 
 def sample_intensity(model: HawkesModel, events: np.ndarray, grid: np.ndarray) -> np.ndarray:

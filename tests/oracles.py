@@ -127,17 +127,13 @@ def reference_export(graph, fmt: str) -> bytes:
     return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
 
 
-def reference_excitation(events: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """s[i] = sum_{j<i} exp(-beta * (t_i - t_j)) and r[i] = -ds[i]/dbeta in
-    one indexed loop over the gaps g, with e = exp(-beta * g):
-    s[i] = e * (s[i-1] + 1) and r[i] = e * (r[i-1] + g * (s[i-1] + 1))."""
-    gaps = np.diff(events)
+def reference_excitation(events: np.ndarray, beta: float) -> np.ndarray:
+    """s[i] = sum_{j<i} exp(-beta * (t_i - t_j)) in one indexed loop over
+    the gaps g, with e = exp(-beta * g): s[i] = e * (s[i-1] + 1)."""
     s = [0.0] * events.size
-    r = [0.0] * events.size
-    for i, (g, e) in enumerate(zip(gaps.tolist(), np.exp(-beta * gaps).tolist()), start=1):
+    for i, e in enumerate(np.exp(-beta * np.diff(events)).tolist(), start=1):
         s[i] = e * (s[i - 1] + 1.0)
-        r[i] = e * (r[i - 1] + g * (s[i - 1] + 1.0))
-    return np.array(s), np.array(r)
+    return np.array(s)
 
 
 def reference_laplace_sums(values: np.ndarray, decay: np.ndarray) -> np.ndarray:

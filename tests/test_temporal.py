@@ -1,27 +1,19 @@
 """Hawkes model: intensity, likelihood, simulation, fitting, ranges."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from untangler import cli, corpus, embedder, harness, temporal
-from untangler.temporal import (HawkesModel, Range, detect_ranges, fit,
-                                fit_multistart, intensity, log_likelihood,
-                                median_gap, post_intensity, sample_intensity,
-                                simulate, smooth)
+from untangler.temporal import (HawkesModel, Range, detect_ranges, fit_multistart,
+                                intensity, log_likelihood, median_gap,
+                                post_intensity, sample_intensity, simulate, smooth)
 
 from conftest import make_thread
 from oracles import (reference_excitation, reference_laplace_sums, reference_ranges,
                      reference_smooth)
-
-
-def value_and_gradient(events, horizon, mu, alpha, beta):
-    """The log-likelihood and its gradient, as fit takes them: the value
-    first, then the gradient from the state the value left."""
-    gaps, tail = np.diff(events), horizon - events
-    value, state = temporal._log_likelihood(gaps, tail, horizon, mu, alpha, beta)
-    return value, temporal._gradient(gaps, tail, horizon, alpha, beta, state)
 
 
 def naive_intensity(model, events, t):
@@ -93,43 +85,6 @@ class TestLogLikelihood:
         assert log_likelihood(HawkesModel(0.0, 1.0, 1.0),
                               np.array([1.0, 2.0]), 5.0) == -np.inf
 
-    def test_gradient_matches_central_differences(self):
-        # Compared per log-parameter, p_i * dL/dp_i, against central
-        # differences with step h = 1e-5 in log p_i.  Their rounding error
-        # (~eps * M / h) and truncation error (~h**2 * M) are both below
-        # 1e-10 * M, where M = 1 + n + mu * T + |L| bounds the terms of L;
-        # the gate is 1e-8 * M.
-        grad = value_and_gradient
-        rng = np.random.default_rng(41)
-        h = 1e-5
-        for case in range(240):
-            n = case % 3 if case < 30 else int(rng.integers(3, 60))
-            horizon = float(rng.choice([1.0, 50.0, 1e4])) * rng.uniform(0.5, 2)
-            events = np.sort(rng.uniform(0, horizon, size=n))
-            if n >= 2 and rng.random() < 0.4:  # tied timestamps
-                i = rng.integers(1, n, size=rng.integers(1, n))
-                events[i] = events[i - 1]
-                events = np.sort(events)
-            if n and rng.random() < 0.3:
-                events[0] = 0.0
-            if n and rng.random() < 0.3:
-                events[-1] = horizon
-            p = np.array([rng.uniform(0.01, 2), rng.uniform(0.01, 2),
-                          rng.uniform(0.01, 3)]) * np.exp(rng.uniform(-3, 3, size=3))
-            near_floor = rng.random(3) < 0.2
-            p[near_floor] = 1e-8 * rng.uniform(1, 10, size=near_floor.sum())
-            value, g = grad(events, horizon, *p)
-            assert value == log_likelihood(HawkesModel(*p), events, horizon)
-            central = np.zeros(3)
-            for j in range(3):
-                up, dn = p.copy(), p.copy()
-                up[j] *= np.exp(h)
-                dn[j] *= np.exp(-h)
-                central[j] = (grad(events, horizon, *up)[0]
-                              - grad(events, horizon, *dn)[0]) / (2 * h)
-            scale = 1 + n + p[0] * horizon + abs(value)
-            np.testing.assert_allclose(p * g, central, rtol=0, atol=1e-8 * scale)
-
 
 class TestExcitation:
     @pytest.mark.parametrize("beta", [1e-4, 0.01, 1.13, 114.0])
@@ -146,18 +101,8 @@ class TestExcitation:
                 events = np.maximum.accumulate(events)
             cases.append(events)
         for events in cases:
-            gaps = np.diff(events)
-            decay = np.exp(-beta * gaps)
-            s = temporal._scan(decay, 1.0)[:events.size]
-            r = temporal._scan(decay, gaps * (s[:-1] + 1.0))[:events.size]
-            ref_s, ref_r = reference_excitation(events, beta)
-            assert s.tolist() == ref_s.tolist()
-            assert r.tolist() == ref_r.tolist()
-
-    def test_non_positive_intensity_gives_minus_inf_and_nan_gradient(self):
-        events = np.array([1.0, 2.0])
-        value, g = value_and_gradient(events, 5.0, 0.0, 1.0, 1.0)
-        assert value == -np.inf and np.isnan(g).all()
+            s = temporal._scan(np.exp(-beta * np.diff(events)), 1.0)[:events.size]
+            assert s.tolist() == reference_excitation(events, beta).tolist()
 
 
 class TestOverflow:
@@ -206,77 +151,15 @@ class TestSimulate:
 
 
 class TestFit:
-    def test_never_decreases_likelihood(self):
-        rng = np.random.default_rng(11)
-        truth = HawkesModel(0.3, 0.6, 1.2)
-        events = simulate(truth, 300.0, rng)
-        init = HawkesModel(1.0, 0.1, 2.0)
-        fitted = fit(events, 300.0, init, steps=50)
-        assert log_likelihood(fitted, events, 300.0) >= \
-            log_likelihood(init, events, 300.0)
-
-    def test_projection_keeps_parameters_valid(self):
-        rng = np.random.default_rng(12)
-        events = simulate(HawkesModel(0.5, 0.8, 1.0), 200.0, rng)
-        fitted = fit(events, 200.0, HawkesModel(0.01, 5.0, 0.5), steps=40)
-        fitted.validate()
-        assert fitted.alpha < fitted.beta
-
     def test_too_few_events_rejected(self):
-        with pytest.raises(ValueError):
-            fit(np.array([1.0]), 10.0, HawkesModel(1, 0, 1))
+        with pytest.raises(ValueError, match="at least 2 events"):
+            fit_multistart(np.array([1.0]), 10.0)
 
     def test_events_outside_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon"):
-            fit(np.array([1.0, 5.0]), 4.0, HawkesModel(1, 0, 1))
+            fit_multistart(np.array([1.0, 5.0]), 4.0)
         with pytest.raises(ValueError, match="horizon"):
-            fit(np.array([-1.0, 2.0]), 4.0, HawkesModel(1, 0, 1))
-
-    def test_multistart_beats_or_ties_single_start(self):
-        rng = np.random.default_rng(13)
-        events = simulate(HawkesModel(0.2, 0.5, 1.0), 400.0, rng)
-        horizon = 400.0
-        multi = fit_multistart(events, horizon, steps=100)
-        gap = median_gap(events)
-        rate = events.size / horizon
-        single = fit(events, horizon,
-                     HawkesModel(0.5 * rate, 0.5 / gap, 1.0 / gap), steps=100)
-        assert log_likelihood(multi, events, horizon) >= \
-            log_likelihood(single, events, horizon) - 1e-9
-
-    def test_gradient_only_at_the_start_and_each_accepted_step(self, monkeypatch):
-        # the line search takes values only; fit accepts the first
-        # candidate above the current value, so replaying the values finds
-        # every accepted step and the state the gradient must be taken at
-        values, states = [], []
-        value_fn, gradient_fn = temporal._log_likelihood, temporal._gradient
-
-        def value_spy(*args):
-            values.append(value_fn(*args))
-            return values[-1]
-
-        def gradient_spy(gaps, tail, horizon, alpha, beta, state):
-            states.append(state)
-            return gradient_fn(gaps, tail, horizon, alpha, beta, state)
-
-        monkeypatch.setattr(temporal, "_log_likelihood", value_spy)
-        monkeypatch.setattr(temporal, "_gradient", gradient_spy)
-        rng = np.random.default_rng(14)
-        events = simulate(HawkesModel(0.2, 0.5, 1.0), 400.0, rng)
-        rate, gap = events.size / 400.0, median_gap(events)
-        for scale in START_SCALES:
-            values.clear()
-            states.clear()
-            beta0 = scale / gap
-            fit(events, 400.0, HawkesModel(0.5 * rate, 0.5 * beta0, beta0), steps=200)
-            cur, accepted = values[0][0], []
-            for value, state in values[1:]:
-                if value > cur:
-                    cur = value
-                    accepted.append(state)
-            assert len(states) == len(accepted) + 1
-            assert all(a is b for a, b in zip(states, [values[0][1], *accepted]))
-            assert len(values) > len(states) > 1
+            fit_multistart(np.array([-1.0, 2.0]), 4.0)
 
     def test_multistart_validates_horizon(self):
         with pytest.raises(ValueError):
@@ -296,11 +179,10 @@ class TestFit:
 @pytest.mark.parametrize("events", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 1.0, 2.0]],
                          ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("call", [
-    lambda events: fit(events, 3.0, HawkesModel(1.0, 0.5, 1.0)),
     lambda events: fit_multistart(events, 3.0),
     lambda events: log_likelihood(HawkesModel(1.0, 0.5, 1.0), events, 3.0),
     lambda events: sample_intensity(HawkesModel(1.0, 0.5, 1.0), events, np.array([1.5])),
-], ids=["fit", "fit_multistart", "log_likelihood", "sample_intensity"])
+], ids=["fit_multistart", "log_likelihood", "sample_intensity"])
 def test_non_finite_events_rejected(call, events):
     with pytest.raises(ValueError, match="finite"):
         call(np.array(events))
@@ -314,48 +196,85 @@ def cli_events(seed, **synth):
     return events, (float(events[-1]) or 1.0) + 1.0
 
 
-# name -> () -> (events, horizon, steps)
+# name -> () -> (events, horizon)
 FIT_CASES = {
-    **{f"oracle-180 seed {seed}": (lambda seed=seed: (
-        *cli_events(seed, n_conversations=3, posts_lo=60, posts_hi=60), 200))
-       for seed in (1, 1_000_001)},
+    **{f"oracle-180 seed {seed}": (lambda seed=seed: cli_events(
+        seed, n_conversations=3, posts_lo=60, posts_hi=60)) for seed in (1, 1_000_001)},
     "criterion 4": lambda: (simulate(HawkesModel(0.2, 0.8, 1.6), 1300.0,
-                                     np.random.default_rng(11)), 1300.0, 800),
-    "criterion 8": lambda: (
-        *cli_events(8, n_conversations=25, posts_lo=200, posts_hi=200), 200),
+                                     np.random.default_rng(11)), 1300.0),
+    "criterion 8": lambda: cli_events(8, n_conversations=25, posts_lo=200, posts_hi=200),
 }
 
+# fit_multistart's (steps, step_size): the defaults and criterion 4's
+BUDGETS = {"default": {}, "criterion 4": {"steps": 800, "step_size": 0.1}}
 
-# the decay timescales, in units of the median gap, that the fit used to
-# start its ascents from
+# the decay timescales, in units of the median gap, that the reference
+# starts from
 START_SCALES = (0.01, 0.1, 1.0, 10.0)
 
 
-def in_turn(events, horizon, steps=200):
-    """The naive reference fit: fit's ascent from each of START_SCALES
-    run one after another, with alpha0 = beta0 / 2 and a baseline at
-    half the empirical rate; the model of the best log-likelihood, the
-    earliest start winning ties."""
+@functools.lru_cache(maxsize=None)
+def quasi_newton_reference(case):
+    """The best log-likelihood that scipy's L-BFGS-B finds over
+    (log mu, alpha / beta in [0, 0.999], log beta) from each of
+    START_SCALES, with beta0 = scale / median gap, alpha0 = beta0 / 2 and
+    a baseline at half the empirical rate."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    events, horizon = FIT_CASES[case]()
     rate, gap = events.size / horizon, median_gap(events)
-    gaps, tail = np.diff(events), horizon - events
-    best = None
-    for scale in START_SCALES:
-        beta0 = scale / gap
-        model, value = temporal._ascend(gaps, tail, horizon,
-                                        HawkesModel(0.5 * rate, 0.5 * beta0, beta0), steps, 0.1)
-        if best is None or value > best[1]:
-            best = model, value
-    return best[0]
+
+    def loss(p):
+        beta = math.exp(p[2])
+        value = log_likelihood(HawkesModel(math.exp(p[0]), p[1] * beta, beta), events, horizon)
+        return -value if value > -np.inf else 1e300
+
+    return max(-minimize(loss, (math.log(0.5 * rate), 0.5, math.log(scale / gap)),
+                         method="L-BFGS-B", bounds=[(None, None), (0.0, 0.999), (None, None)],
+                         options={"ftol": 1e-15, "gtol": 1e-12}).fun
+               for scale in START_SCALES)
 
 
 class TestProfileFit:
+    @pytest.mark.parametrize("budget", BUDGETS)
     @pytest.mark.parametrize("case", FIT_CASES)
-    def test_at_least_the_starts_run_in_turn(self, case):
-        events, horizon, steps = FIT_CASES[case]()
-        fitted = fit_multistart(events, horizon, steps=steps)
+    def test_at_least_a_quasi_newton_reference(self, case, budget):
+        events, horizon = FIT_CASES[case]()
+        value = log_likelihood(fit_multistart(events, horizon, **BUDGETS[budget]),
+                               events, horizon)
+        assert value >= quasi_newton_reference(case) - 1e-9 * (1 + abs(value))
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("case", FIT_CASES)
+    def test_fit_stays_in_the_box(self, case, budget):
+        # a stationary process, alpha < beta, at the profile's bound at most
+        fitted = fit_multistart(*FIT_CASES[case](), **BUDGETS[budget])
         fitted.validate()
-        assert log_likelihood(fitted, events, horizon) >= \
-            log_likelihood(in_turn(events, horizon, steps), events, horizon) - 1e-9
+        assert fitted.mu >= 1e-12 and fitted.alpha <= 0.999 * fitted.beta
+
+    def test_budgets(self, monkeypatch):
+        # steps golden-section steps (2 + steps solves, none for 0 steps)
+        # after 6 / step_size + 1 grid points; the defaults are 40 and 0.15
+        events, horizon = FIT_CASES["oracle-180 seed 1"]()
+        assert fit_multistart(events, horizon) == \
+            fit_multistart(events, horizon, steps=40, step_size=0.15)
+        for steps, step_size in [(-1, 0.15), (40, 0.0), (40, -0.1), (40, 6.01),
+                                 (40, np.nan), (40, np.inf)]:
+            with pytest.raises(ValueError, match="steps|step_size"):
+                fit_multistart(events, horizon, steps=steps, step_size=step_size)
+        solve, betas = temporal._profile, []
+
+        def spy(gaps, tail, horizon, beta, mu, alpha):
+            betas.append(beta)
+            return solve(gaps, tail, horizon, beta, mu, alpha)
+
+        monkeypatch.setattr(temporal, "_profile", spy)
+        for budget, solves in [({}, 83), ({"steps": 0}, 41),
+                               ({"steps": 5, "step_size": 0.1}, 68), ({"step_size": 6.0}, 44)]:
+            betas.clear()
+            fit_multistart(events, horizon, **budget)
+            assert len(betas) == solves
+        np.testing.assert_allclose(betas[:2], np.array([1e-4, 1e2]) / median_gap(events),
+                                   rtol=1e-12)
 
     def test_inner_solve_matches_a_bounded_quasi_newton_solver(self):
         # at a fixed beta the solve's (mu, alpha) is the concave maximum on
@@ -377,7 +296,7 @@ class TestProfileFit:
             gaps, tail = np.diff(events), horizon - events
 
             def loss(p):
-                return -temporal._log_likelihood(gaps, tail, horizon, p[0], p[1], beta)[0]
+                return -temporal._log_likelihood(gaps, tail, horizon, p[0], p[1], beta)
 
             with np.errstate(over="ignore", invalid="ignore"):
                 value, mu, alpha = temporal._profile(gaps, tail, horizon, beta, *start)
@@ -394,31 +313,19 @@ class TestProfileFit:
     def test_profile_beats_a_dense_beta_grid(self):
         # the grid and golden-section search find the best beta that a
         # 2,001-point grid over the same range finds, or better
-        events, horizon, _ = FIT_CASES["oracle-180 seed 1"]()
+        events, horizon = FIT_CASES["oracle-180 seed 1"]()
         gaps, tail = np.diff(events), horizon - events
-        fitted = fit_multistart(events, horizon, steps=0)
+        fitted = fit_multistart(events, horizon)
         with np.errstate(over="ignore", invalid="ignore"):
             dense = max(temporal._profile(gaps, tail, horizon, beta, events.size / horizon, 0.0)[0]
                         for beta in np.geomspace(1e-4, 1e2, 2001) / median_gap(events))
         assert log_likelihood(fitted, events, horizon) >= dense - 1e-9
 
-    def test_polish_never_lowers_the_profile_optimum(self, monkeypatch):
-        events, horizon, _ = FIT_CASES["oracle-180 seed 1"]()
-        profiled = fit_multistart(events, horizon, steps=0)
-        assert log_likelihood(fit_multistart(events, horizon), events, horizon) >= \
-            log_likelihood(profiled, events, horizon)
-        # an ascent that ends lower than it started is not kept
-        monkeypatch.setattr(temporal, "_ascend", lambda gaps, tail, horizon, init, steps,
-                            step_size: (HawkesModel(1.0, 0.0, 1.0), -np.inf))
-        assert fit_multistart(events, horizon) == profiled
-
     def test_equal_values_keep_the_earliest_beta(self, monkeypatch):
         # a flat profile: every beta ties, so the grid's first point wins
-        events, horizon, _ = FIT_CASES["oracle-180 seed 1"]()
+        events, horizon = FIT_CASES["oracle-180 seed 1"]()
         monkeypatch.setattr(temporal, "_profile",
                             lambda gaps, tail, horizon, beta, mu, alpha: (-1.0, 0.5, 0.0))
-        monkeypatch.setattr(temporal, "_ascend", lambda gaps, tail, horizon, init, steps,
-                            step_size: (init, -np.inf))
         model = fit_multistart(events, horizon)
         assert model == HawkesModel(0.5, 0.0, 1e-4 / median_gap(events))
 
