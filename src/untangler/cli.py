@@ -238,7 +238,7 @@ def cmd_disentangle(args) -> int:
     graph_path = _out_path(args, "graph.json")
     dot_path = _out_path(args, "graph.dot") if args.dot else None
     conv_path = _out_path(args, "conversations.json")
-    for path in (graph_path, dot_path, conv_path):  # before the fit, which can take minutes
+    for path in (graph_path, dot_path, conv_path):  # all first: a run that fails writes nothing
         if path is not None:
             _check_writable(path)
     config, params, vocab = _load_model(args)

@@ -87,9 +87,9 @@ def _value(s: np.ndarray, horizon: float, spent: float, mu: float, alpha: float)
 def _log_likelihood(gaps: np.ndarray, tail: np.ndarray, horizon: float, mu: float,
                     alpha: float, beta: float) -> float:
     """Log-likelihood on [0, horizon] of the events with these gaps
-    (np.diff(events)) and tails (horizon - events), as _value.  Call under
-    np.errstate(over="ignore", invalid="ignore"): a decay whose exponent
-    overflows is 0."""
+    (np.diff(events)) and tails (horizon - events), as _value (the slice
+    drops _scan's 0 for no events).  Call under np.errstate(over="ignore",
+    invalid="ignore"): a decay whose exponent overflows is 0."""
     s = _scan(np.exp(-beta * gaps), 1.0)[:tail.size]  # sum_{j<i} exp(-beta * (t_i - t_j))
     return _value(s, horizon, -np.expm1(-beta * tail).sum() / beta, mu, alpha)
 
@@ -152,7 +152,7 @@ def _profile(gaps: np.ndarray, tail: np.ndarray, horizon: float, beta: float,
     model's best there.  Call under np.errstate, as _log_likelihood."""
     if not beta < np.inf:
         return -np.inf, mu, alpha
-    s = _scan(np.exp(-beta * gaps), 1.0)[:tail.size]
+    s = _scan(np.exp(-beta * gaps), 1.0)
     spent, cap = -np.expm1(-beta * tail).sum() / beta, 0.999 * beta
     mu, alpha = max(mu, 1e-12), min(alpha, cap)
     if (cur := _value(s, horizon, spent, mu, alpha)) == -np.inf:  # start below the overflow

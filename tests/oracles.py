@@ -5,7 +5,8 @@ stages, of conversation extraction and graph export, of the Hawkes
 excitation recursion, of the Laplace smoothing and its forward and
 backward sums, of the schism cut rule and of the LSTM post encoder and
 its gradients, of the synthetic-thread generator and its writers, and
-of the average-linkage clustering baseline, of a chat-log line's parse
+of the average-linkage clustering baseline, of the adjusted Rand index
+(pair by pair), of a chat-log line's parse
 (one ``json.loads``, then every check),
 written against plain dict/list structures
 and dense arrays with no shared code paths into the package.
@@ -291,6 +292,22 @@ def reference_agglomerative(dist: np.ndarray, n_clusters: int) -> list[int]:
         for m in members[i]:
             labels[m] = label
     return labels
+
+
+def reference_ari(a, b) -> float:
+    """Adjusted Rand index of two labelings of the same items (Hubert and
+    Arabie 1985), counting each pair i < j directly, with no contingency
+    table: `both` pairs share a label in a and in b, and the index is
+    (both - expected) / (mean - expected), where expected is the pairs
+    shared in a times those in b over all pairs, and mean is the mean of
+    the two; 1.0 where mean equals expected (one cluster each, or
+    singletons each)."""
+    pairs = [(i, j) for i in range(len(a)) for j in range(i + 1, len(a))]
+    in_a = sum(a[i] == a[j] for i, j in pairs)
+    in_b = sum(b[i] == b[j] for i, j in pairs)
+    both = sum(a[i] == a[j] and b[i] == b[j] for i, j in pairs)
+    expected, mean = in_a * in_b / len(pairs), (in_a + in_b) / 2
+    return 1.0 if mean == expected else (both - expected) / (mean - expected)
 
 
 def reference_thread_jsonl(thread) -> str:

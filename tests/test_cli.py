@@ -327,6 +327,8 @@ class TestDisentangle:
                      "--mu must be a finite number >= 0, got 'nan'", id="mu-nan"),
         pytest.param(["--mu", "0.1", "--alpha", "-1", "--beta", "0.01"],
                      "--alpha must be a finite number >= 0, got '-1'", id="alpha-negative"),
+        pytest.param(["--mu", "0.1", "--alpha", "0.1", "--beta", "0"],
+                     "--beta must be a finite number > 0, got '0'", id="beta-zero"),
     ])
     def test_bad_schism_or_hawkes_values_exit_2(self, thread_file, tmp_path, capsys,
                                                 flags, message):
@@ -1060,6 +1062,48 @@ class TestEntryPoint:
             for name in ("graph.json", "conversations.json"):
                 assert (tmp_path / "gone" / name).read_bytes() == \
                     (tmp_path / "normal" / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["synth", "train", "disentangle", "eval",
+                                         "export-intensity", "project"])
+    def test_no_warning_reaches_stderr(self, tiny_model, tmp_path, command):
+        # an error filter makes a DeprecationWarning an exception, which code
+        # that catches exceptions can hide, so it is shown always; and run()
+        # ends the process with the collector off and frozen, so no file may
+        # wait for a finalizer: each command closes all it opens, or a
+        # ResourceWarning, shown always, reaches stderr
+        if command == "eval":
+            assert run("--out-dir", tmp_path, "disentangle",
+                       *command_argv("disentangle", tiny_model)) == 0
+        argv = (["eval", "--pred", tmp_path / "graph.json", "--gold", tiny_model / "gold.json"]
+                if command == "eval" else
+                ["--out-dir", tmp_path, command, *command_argv(command, tiny_model),
+                 *(["--epochs", 1] if command == "train" else [])])
+        proc = self.python_m(argv, capture_output=True, env={
+            "PYTHONWARNINGS": "always::DeprecationWarning,always::ResourceWarning"})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        if command == "disentangle":  # fitted: the fit's box keeps the process stationary
+            hawkes = json.loads((tmp_path / "conversations.json").read_text())["hawkes"]
+            assert hawkes["alpha"] <= 0.999 * hawkes["beta"], hawkes
+
+    def test_the_workflow_console_script_step_passes(self, tmp_path):
+        """The "Console script" step of the CI workflow, run in a scratch
+        directory by the runner's default shell, `bash -e`, with a stand-in
+        for the `untangler` script that pip installs (untangler.cli:run)."""
+        yaml = pytest.importorskip("yaml")
+        workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+        step, = (step for step in yaml.safe_load(workflow.read_text())["jobs"]["tests"]["steps"]
+                 if step.get("name") == "Console script")
+        script = tmp_path / "bin" / "untangler"
+        script.parent.mkdir()
+        script.write_text(f"#!{sys.executable}\nimport sys\nfrom untangler.cli import run\n"
+                          "sys.exit(run())\n")
+        script.chmod(0o755)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, **step.get("env", {}), "PYTHONPATH": src,
+               "PATH": f"{script.parent}{os.pathsep}{os.environ.get('PATH', '')}"}
+        proc = subprocess.run(["bash", "-e", "-c", step["run"]], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCyclicGarbage:

@@ -14,8 +14,8 @@ from untangler.harness import (GoldStandard, SynthConfig, agglomerative,
                                edge_prf, generate, partition_ari, project_3d)
 from untangler.temporal import HawkesModel
 
-from oracles import (reference_agglomerative, reference_generate, reference_gold_json,
-                     reference_thread_jsonl)
+from oracles import (reference_agglomerative, reference_ari, reference_generate,
+                     reference_gold_json, reference_thread_jsonl)
 
 # the benchmark's workloads, read from its own file
 BENCH = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
@@ -315,8 +315,10 @@ class TestPartitionAri:
         assert partition_ari({}, {}) == 1.0
         assert partition_ari({0: 3}, {0: 7}) == 1.0
 
-    def test_matches_sklearn_on_random_partitions(self):
-        sklearn_metrics = pytest.importorskip("sklearn.metrics")
+    @pytest.mark.parametrize("oracle", ["sklearn", "pairs"])
+    def test_matches_an_oracle_on_random_partitions(self, oracle):
+        theirs = (pytest.importorskip("sklearn.metrics").adjusted_rand_score
+                  if oracle == "sklearn" else reference_ari)
         rng = np.random.default_rng(41)
         for _ in range(50):
             n = int(rng.integers(2, 40))
@@ -324,8 +326,7 @@ class TestPartitionAri:
             b = rng.integers(0, 5, size=n)
             ours = partition_ari({i: int(a[i]) for i in range(n)},
                                  {i: int(b[i]) for i in range(n)})
-            theirs = sklearn_metrics.adjusted_rand_score(a, b)
-            assert ours == pytest.approx(theirs, abs=1e-12)
+            assert ours == pytest.approx(theirs(a, b), abs=1e-12)
 
 
 class TestForestErrors:
