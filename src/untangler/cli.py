@@ -68,23 +68,20 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _out_path(args: argparse.Namespace, name: str, given: str | None = None) -> Path:
-    """`given`, else `name` in --out-dir."""
-    return Path(given) if given else Path(args.out_dir or ".") / name
-
-
 def _created(path: Path) -> Path:
     """`path`, after making its parent directory."""
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _check_writable(path: Path) -> None:
-    """A UserError naming `path` unless it opens for writing (the OSError
-    of making its parent directory names that directory).  The probe
-    leaves no trace, so a run that fails later writes nothing: it appends
-    nothing, so an existing file is kept, and it removes a new file and
-    the directories it made."""
+def _out_path(args: argparse.Namespace, name: str, given: str | None = None) -> Path:
+    """`given`, else `name` in --out-dir, once it opens for writing; else a
+    UserError naming it (the OSError of making its parent directory names
+    that directory).  Each command names its outputs before any work, and
+    the probe leaves no trace, so a run that fails later writes nothing:
+    it appends nothing, so an existing file is kept, and it removes a new
+    file and the directories it made."""
+    path = Path(given) if given else Path(args.out_dir or ".") / name
     made = [parent for parent in path.parents if not (parent.is_symlink() or parent.exists())]
     try:
         _created(path)
@@ -100,6 +97,7 @@ def _check_writable(path: Path) -> None:
         for directory in made:  # deepest first
             with suppress(OSError):  # one it did not make, or could not
                 directory.rmdir()
+    return path
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -170,8 +168,6 @@ def cmd_train(args) -> int:
     csv_path = _out_path(args, "loss.csv", args.loss_csv)
     if ckpt.resolve() == csv_path.resolve():
         raise UserError(f"{ckpt} and {csv_path} must be two different files")
-    for path in (ckpt, csv_path):  # before training, which can take minutes
-        _check_writable(path)
     vocab = corpus.build_vocab([thread], min_count=args.min_count)
     windows = corpus.build_windows(thread, args.paradigm, args.k)
     config = embedder.EncoderConfig(
@@ -238,9 +234,6 @@ def cmd_disentangle(args) -> int:
     graph_path = _out_path(args, "graph.json")
     dot_path = _out_path(args, "graph.dot") if args.dot else None
     conv_path = _out_path(args, "conversations.json")
-    for path in (graph_path, dot_path, conv_path):  # all first: a run that fails writes nothing
-        if path is not None:
-            _check_writable(path)
     config, params, vocab = _load_model(args)
     model, tau = _hawkes_from_args(args, thread)
     with _finite_intensity(), _unreadable_posts(args.checkpoint):
@@ -290,6 +283,8 @@ def cmd_synth(args) -> int:
         raise UserError("--tokens-lo must be <= --tokens-hi")
     if not math.isfinite(args.gap * (args.conversations - 1)):  # the last start time
         raise UserError("--gap times --conversations must be a finite number")
+    thread_path = _out_path(args, "thread.jsonl")
+    gold_path = _out_path(args, "gold.json")
     config = default_synth_config(
         args.conversations, args.posts_lo, args.posts_hi, args.gap,
         args.pool_size, args.tokens_lo, args.tokens_hi, args.temperature,
@@ -301,10 +296,8 @@ def cmd_synth(args) -> int:
         raise UserError(f"cannot generate the thread: {exc}; raise --mu") from exc
     except harness.RecencyOverflowError as exc:
         raise UserError(f"cannot generate the thread: {exc}; lower --temperature") from exc
-    thread_path = _created(_out_path(args, "thread.jsonl"))
-    thread_path.write_text(ingest.serialize_thread(thread), encoding="utf-8")
-    gold_path = _created(_out_path(args, "gold.json"))
-    gold_path.write_text(gold.to_json(), encoding="utf-8")
+    _created(thread_path).write_text(ingest.serialize_thread(thread), encoding="utf-8")
+    _created(gold_path).write_text(gold.to_json(), encoding="utf-8")
     _emit({"thread": str(thread_path), "gold": str(gold_path),
            "n_posts": len(thread), "n_conversations": config.n_conversations})
     return 0
@@ -341,7 +334,6 @@ def cmd_export_intensity(args) -> int:
     if len(thread) == 0:
         raise UserError("empty thread")
     csv_path = _out_path(args, "intensity.csv", args.csv)
-    _check_writable(csv_path)
     model, tau = _hawkes_from_args(args, thread)
     times = np.asarray(thread.timestamps)
     with _finite_intensity():
@@ -357,7 +349,6 @@ def cmd_project(args) -> int:
     from . import embedder, harness
     thread = _read_thread(args.input)
     csv_path = _out_path(args, "projection.csv", args.csv)
-    _check_writable(csv_path)
     config, params, vocab = _load_model(args)
     with _unreadable_posts(args.checkpoint):
         embeddings = embedder.embed_thread(params, thread, vocab, max_len=config.max_len)

@@ -38,6 +38,27 @@ def run(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def child_env(**changes):
+    """os.environ with this tree's untangler on the path, and `changes`;
+    a change to None unsets its variable."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src, **changes}
+    return {key: value for key, value in env.items() if value is not None}
+
+
+def python_c(code):
+    """`python -c code` with this tree's untangler on the path."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+
+
+def python_m(argv, env=None, **kwargs):
+    """`python -m untangler.cli argv` with this tree's untangler on the
+    path and the changes `env` to the environment."""
+    return subprocess.run([sys.executable, "-m", "untangler.cli", *map(str, argv)],
+                          env=child_env(**(env or {})), text=True, **kwargs)
+
+
 def train_args(thread_file, tmp_path, *extra):
     return ["--out-dir", tmp_path / "out", "train", "--input", thread_file,
             "--dim", 4, "--hidden", 4, "--epochs", 2, "--k", 2,
@@ -111,18 +132,6 @@ class TestTrain:
         assert loss_lines[0] == "epoch,mean_loss"
         assert len(loss_lines) == 3
         assert payload["final_epoch_loss"] > 0
-
-    def test_does_not_import_numpy_ma(self, thread_file, tmp_path):
-        # numpy.ma adds ~1.4 MB to train's peak RSS; a plain np.unique
-        # imports it on first use
-        argv = list(map(str, train_args(thread_file, tmp_path)))
-        code = ("import sys\nfrom untangler import cli\n"
-                f"assert cli.main({argv!r}) == 0\n"
-                "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src})
-        assert proc.returncode == 0, proc.stderr
 
     def test_empty_corpus_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
@@ -271,28 +280,6 @@ class TestDisentangle:
         assert capsys.readouterr().err == (f"error: {ckpt}: vocabulary block is not UTF-8 "
                                            f"(invalid start byte at byte {at})\n")
 
-    def test_does_not_import_numpy_ma(self, tiny_model, tmp_path):
-        # numpy.ma takes ~15 ms to import, and np.median, np.quantile and
-        # np.unique import it on first use
-        argv = ["--out-dir", str(tmp_path), "disentangle", *map(str, command_argv(
-            "disentangle", tiny_model))]
-        code = ("import sys\nfrom untangler import cli\n"
-                f"assert cli.main({argv!r}) == 0\n"
-                "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src})
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["n_posts"] == 12
-
-    def test_subnormal_gaps_exit_2(self, thread_file, tmp_path, capsys):
-        assert run(*train_args(thread_file, tmp_path)) == 0
-        log = timed_log(tmp_path / "subnormal.jsonl", SUBNORMAL_TIMES)
-        assert run("--out-dir", tmp_path / "out", "disentangle", "--input", log,
-                   "--checkpoint", tmp_path / "out" / "model.untg") == 2
-        err = capsys.readouterr().err
-        assert "cannot fit the Hawkes process" in err and "--mu/--alpha/--beta" in err
-
     def test_negative_checkpoint_dim_exits_2(self, thread_file, tmp_path, capsys):
         assert run(*train_args(thread_file, tmp_path)) == 0
         ckpt = tmp_path / "out" / "model.untg"
@@ -316,43 +303,6 @@ class TestDisentangle:
                    "--checkpoint", ckpt) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "dis").exists()
-
-
-    @pytest.mark.parametrize("flags,message", [
-        (["--tau", "0"], "--tau must be a finite number > 0"),
-        (["--tau", "-1"], "--tau must be a finite number > 0"),
-        (["--tau", "nan"], "--tau must be a finite number > 0"),
-        (["--quantile", "2"], "--quantile must lie in (0, 1)"),
-        pytest.param(["--mu", "nan", "--alpha", "0.1", "--beta", "0.01"],
-                     "--mu must be a finite number >= 0, got 'nan'", id="mu-nan"),
-        pytest.param(["--mu", "0.1", "--alpha", "-1", "--beta", "0.01"],
-                     "--alpha must be a finite number >= 0, got '-1'", id="alpha-negative"),
-        pytest.param(["--mu", "0.1", "--alpha", "0.1", "--beta", "0"],
-                     "--beta must be a finite number > 0, got '0'", id="beta-zero"),
-    ])
-    def test_bad_schism_or_hawkes_values_exit_2(self, thread_file, tmp_path, capsys,
-                                                flags, message):
-        assert run(*train_args(thread_file, tmp_path)) == 0
-        assert run("--out-dir", tmp_path / "dis", "disentangle", "--input", thread_file,
-                   "--checkpoint", tmp_path / "out" / "model.untg", *flags) == 2
-        captured = capsys.readouterr()
-        assert message in captured.err and captured.out.count("\n") == 1  # train's line
-        assert not (tmp_path / "dis").exists()
-
-    @pytest.mark.parametrize("line,message", [
-        ("tau=0", "--tau must be a finite number > 0"),
-        ("quantile=1", "--quantile must lie in (0, 1)"),
-        ("quantile=abc", "quantile"),
-        pytest.param("beta=0\nmu=1\nalpha=0", "--beta must be a finite number > 0, got '0'",
-                     id="beta-zero"),
-    ])
-    def test_bad_config_values_exit_2(self, thread_file, tmp_path, capsys, line, message):
-        assert run(*train_args(thread_file, tmp_path)) == 0
-        config = tmp_path / "cfg"
-        config.write_text(line + "\n")
-        assert run("--config", config, "--out-dir", tmp_path / "dis", "disentangle",
-                   "--input", thread_file, "--checkpoint", tmp_path / "out" / "model.untg") == 2
-        assert message in capsys.readouterr().err
 
     def test_non_finite_checkpoint_exits_2(self, thread_file, tmp_path, capsys):
         assert run(*train_args(thread_file, tmp_path)) == 0
@@ -387,7 +337,7 @@ class TestScale:
                 [sys.executable, "-m", "untangler.cli", "--out-dir", str(tmp_path / "big"),
                  "disentangle", "--input", str(big), "--checkpoint", str(tmp_path / "model.untg"),
                  "--mu", "0.1", "--alpha", "0.1", "--beta", "0.01"],
-                stdout=out, stderr=err)
+                stdout=out, stderr=err, env=child_env())
             _, status, usage = os.wait4(proc.pid, 0)
             proc.returncode = os.waitstatus_to_exitcode(status)
         assert proc.returncode == 0, (tmp_path / "stderr").read_text()
@@ -505,35 +455,12 @@ class TestExportIntensity:
         assert lines[0] == "t,raw,smoothed"
         assert len(lines) == 13
 
-    @pytest.mark.parametrize("flags,message", [
-        (["--tau", "0"], "--tau must be a finite number > 0"),
-        (["--tau", "nan"], "--tau must be a finite number > 0"),
-        pytest.param(["--mu", "0.1", "--alpha", "0.1", "--beta", "-1"],
-                     "--beta must be a finite number > 0, got '-1'", id="beta-negative"),
-    ])
-    def test_bad_schism_or_hawkes_values_exit_2(self, thread_file, tmp_path, capsys,
-                                                flags, message):
-        assert run("--out-dir", tmp_path / "out", "export-intensity",
-                   "--input", thread_file, *flags) == 2
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_subnormal_gaps_exit_2(self, tmp_path, capsys):
-        log = timed_log(tmp_path / "subnormal.jsonl", SUBNORMAL_TIMES)
-        assert run("--out-dir", tmp_path, "export-intensity", "--input", log) == 2
-        captured = capsys.readouterr()
-        assert "cannot fit the Hawkes process" in captured.err
-        assert "--mu/--alpha/--beta" in captured.err
-        assert captured.out == ""
-
     def test_huge_time_span_fits_silently(self, tmp_path):
         # the gradient's squared norm overflows at this span unless scaled;
         # the likelihood's maximum has mu = 3 / 1.5e308, below the 1e-8 floor
         log = timed_log(tmp_path / "huge.jsonl", [0.0, 1e300, 1.5e308])
-        proc = subprocess.run(
-            [sys.executable, "-m", "untangler.cli", "--out-dir", str(tmp_path),
-             "export-intensity", "--input", str(log)],
-            capture_output=True, text=True)
+        proc = python_m(["--out-dir", tmp_path, "export-intensity", "--input", log],
+                        capture_output=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         hawkes = json.loads(proc.stdout.strip().splitlines()[-1])["hawkes"]
@@ -675,12 +602,11 @@ class TestTinyGaps:
     @pytest.mark.parametrize("command", ["export-intensity", "disentangle"])
     def test_fits_silently(self, thread_file, tmp_path, command, times):
         log = timed_log(tmp_path / "tiny.jsonl", times)
-        argv = ["--out-dir", str(tmp_path / "res"), command, "--input", str(log)]
+        argv = ["--out-dir", tmp_path / "res", command, "--input", log]
         if command == "disentangle":
             assert run(*train_args(thread_file, tmp_path)) == 0
-            argv += ["--checkpoint", str(tmp_path / "out" / "model.untg")]
-        proc = subprocess.run([sys.executable, "-m", "untangler.cli", *argv],
-                              capture_output=True, text=True)
+            argv += ["--checkpoint", tmp_path / "out" / "model.untg"]
+        proc = python_m(argv, capture_output=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         if command == "export-intensity":
@@ -850,6 +776,23 @@ BAD_VALUES = [
       ("--batch-size", "--negatives", "--max-len", "--epochs", "--dim", "--hidden")),
 ]
 
+HAWKES = {"--mu": "0.1", "--alpha": "0.1", "--beta": "0.01"}
+# (flag, value, the error) of the cut's and the Hawkes process's options, run
+# by each of disentangle and export-intensity that has the flag; a Hawkes
+# parameter comes with the other two of HAWKES
+BAD_SCHISM_OR_HAWKES_VALUES = [
+    ("--tau", "0", "--tau must be a finite number > 0, got '0'"),
+    ("--tau", "-1", "--tau must be a finite number > 0, got '-1'"),
+    ("--tau", "nan", "--tau must be a finite number > 0, got 'nan'"),
+    ("--quantile", "1", "--quantile must lie in (0, 1), got '1'"),
+    ("--quantile", "2", "--quantile must lie in (0, 1), got '2'"),
+    ("--quantile", "abc", "--quantile must lie in (0, 1), got 'abc'"),
+    ("--mu", "nan", "--mu must be a finite number >= 0, got 'nan'"),
+    ("--alpha", "-1", "--alpha must be a finite number >= 0, got '-1'"),
+    ("--beta", "0", "--beta must be a finite number > 0, got '0'"),
+    ("--beta", "-1", "--beta must be a finite number > 0, got '-1'"),
+]
+
 
 def _former_float_rule(ok):
     """float(text), finite and passing `ok`: the check of EncoderConfig.validate
@@ -899,13 +842,6 @@ DIFFERENTIAL_BASE = {"train": {}, "synth": {"--posts-lo": "1", "--tokens-lo": "1
                                      {"--mu": "0.1", "--alpha": "0.1", "--beta": "1"})}
 
 
-def python_c(code):
-    """`python -c code` with this tree's untangler on the path."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
-
-
 def command_argv(command, model_dir):
     """The required flags of `command`."""
     thread = model_dir / "thread.jsonl"
@@ -943,12 +879,14 @@ class TestImports:
         return cls.loaded(modules, "from untangler import cli\n"
                                    f"assert cli.main({list(map(str, argv))!r}) == 0")
 
+    # numpy.ma adds ~1.4 MB to train's peak RSS and takes ~15 ms to
+    # import, and np.median, np.quantile and np.unique import it on first use
     @pytest.mark.parametrize("command,unloaded", [
         ("--help", ["numpy"]),
         ("stats", ["numpy"]),
         ("eval", ["numpy"]),
-        ("train", ["untangler.graph", "untangler.harness", "untangler.temporal"]),
-        ("disentangle", ["untangler.harness"]),
+        ("train", ["numpy.ma", "untangler.graph", "untangler.harness", "untangler.temporal"]),
+        ("disentangle", ["numpy.ma", "untangler.harness"]),
     ])
     def test_command_leaves_modules_unloaded(self, tiny_model, tmp_path, command, unloaded):
         assert self.loaded_by_command(unloaded, command, tiny_model, tmp_path / "out") == []
@@ -1007,14 +945,6 @@ class TestEntryPoint:
     """cli.run, the process entry point of the console script and of
     `python -m untangler.cli`; main stays the in-process entry."""
 
-    @staticmethod
-    def python_m(argv, **kwargs):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": src, **kwargs.pop("env", {})}
-        return subprocess.run([sys.executable, "-m", "untangler.cli", *map(str, argv)],
-                              env={k: v for k, v in env.items() if v is not None},
-                              text=True, **kwargs)
-
     @pytest.mark.parametrize("code", [0, 2])
     def test_run_returns_the_code_of_main_and_freezes(self, monkeypatch, unfreeze, code):
         enabled = []
@@ -1035,7 +965,7 @@ class TestEntryPoint:
     def test_python_m_exits_and_prints_as_main(self, thread_file, tmp_path, capsys,
                                                missing, code):
         argv = ["stats", tmp_path / "missing.jsonl" if missing else thread_file]
-        proc = self.python_m(argv, capture_output=True)
+        proc = python_m(argv, capture_output=True)
         assert proc.returncode == code, proc.stderr
         assert run(*argv) == code
         assert proc.stdout == capsys.readouterr().out
@@ -1051,7 +981,7 @@ class TestEntryPoint:
         read, write = os.pipe()
         os.close(read)
         try:
-            proc = self.python_m(argv, stdout=write, stderr=subprocess.PIPE,
+            proc = python_m(argv, stdout=write, stderr=subprocess.PIPE,
                                  env={"PYTHONUNBUFFERED": unbuffered})
         finally:
             os.close(write)
@@ -1078,7 +1008,7 @@ class TestEntryPoint:
                 if command == "eval" else
                 ["--out-dir", tmp_path, command, *command_argv(command, tiny_model),
                  *(["--epochs", 1] if command == "train" else [])])
-        proc = self.python_m(argv, capture_output=True, env={
+        proc = python_m(argv, capture_output=True, env={
             "PYTHONWARNINGS": "always::DeprecationWarning,always::ResourceWarning"})
         assert (proc.returncode, proc.stderr) == (0, "")
         if command == "disentangle":  # fitted: the fit's box keeps the process stationary
@@ -1098,9 +1028,8 @@ class TestEntryPoint:
         script.write_text(f"#!{sys.executable}\nimport sys\nfrom untangler.cli import run\n"
                           "sys.exit(run())\n")
         script.chmod(0o755)
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, **step.get("env", {}), "PYTHONPATH": src,
-               "PATH": f"{script.parent}{os.pathsep}{os.environ.get('PATH', '')}"}
+        env = child_env(**step.get("env", {}),
+                        PATH=f"{script.parent}{os.pathsep}{os.environ.get('PATH', '')}")
         proc = subprocess.run(["bash", "-e", "-c", step["run"]], cwd=tmp_path, env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -1190,21 +1119,15 @@ class TestBlasPortability:
         # one ulp away; DOT's 4-digit labels hide them
         assert run("--seed", 1, "--out-dir", tmp_path, "synth") == 0
         thread = tmp_path / "thread.jsonl"
-        src = os.path.dirname(os.path.dirname(cli.__file__))
 
         def outputs(coretype):
             out = tmp_path / coretype
-            env = {**os.environ, "PYTHONPATH": src}
-            env.pop("OPENBLAS_CORETYPE", None)
-            if coretype != "default":
-                env["OPENBLAS_CORETYPE"] = coretype
+            env = {"OPENBLAS_CORETYPE": None if coretype == "default" else coretype}
             for argv in (["train", "--input", thread, "--epochs", 3],
                          ["disentangle", "--input", thread, "--checkpoint", out / "model.untg",
                           "--dot"],
                          ["project", "--input", thread, "--checkpoint", out / "model.untg"]):
-                proc = subprocess.run([sys.executable, "-m", "untangler.cli", "--out-dir",
-                                       str(out), *map(str, argv)],
-                                      capture_output=True, text=True, env=env)
+                proc = python_m(["--out-dir", out, *argv], capture_output=True, env=env)
                 assert proc.returncode == 0, proc.stderr
             edges = json.loads((out / "graph.json").read_text())["edges"]
             return (embedder.load_checkpoint(str(out / "model.untg")),
@@ -1224,9 +1147,10 @@ class TestBlasPortability:
 
 
 class TestOptionValues:
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    @pytest.mark.parametrize("command,values", BAD_VALUES)
-    def test_bad_value_exits_2(self, tiny_model, tmp_path, capsys, command, values, source):
+    @staticmethod
+    def run_bad_values(tiny_model, tmp_path, capsys, command, values, source):
+        """The stderr of `command` given `values` as flags or as config
+        lines, once it has exited 2 writing nothing."""
         argv = command_argv(command, tiny_model)
         config = tmp_path / "cfg"
         if source == "flag":
@@ -1237,9 +1161,27 @@ class TestOptionValues:
                                       for flag, value in values.items()))
         assert run("--config", config, "--out-dir", tmp_path / "out", command, *argv) == 2
         captured = capsys.readouterr()
-        assert all(flag in captured.err for flag in values), captured.err
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+        return captured.err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command,values", BAD_VALUES)
+    def test_bad_value_exits_2(self, tiny_model, tmp_path, capsys, command, values, source):
+        err = self.run_bad_values(tiny_model, tmp_path, capsys, command, values, source)
+        assert all(flag in err for flag in values), err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command,flag,value,message", [
+        pytest.param(command, flag, value, message, id=f"{command}-{flag}={value}")
+        for flag, value, message in BAD_SCHISM_OR_HAWKES_VALUES
+        for command in ("disentangle", "export-intensity")
+        if flag != "--quantile" or command == "disentangle"])
+    def test_bad_schism_or_hawkes_value_exits_2(self, tiny_model, tmp_path, capsys, command,
+                                                flag, value, message, source):
+        values = {**(HAWKES if flag in HAWKES else {}), flag: value}
+        err = self.run_bad_values(tiny_model, tmp_path, capsys, command, values, source)
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command,flag", FORMER_RULES)
@@ -1417,42 +1359,45 @@ def test_readme_option_tables_list_the_options():
 TRAIN_SMALL = ["--dim", 4, "--hidden", 4, "--epochs", 1, "--k", 2]
 
 # case -> (argv given the tiny model's directory, the path its error must
-# name); each runs in a directory holding D (a directory), F (a file) and
-# cfg (a config file that is not UTF-8)
-UNUSABLE_PATHS = {
+# name); each runs in a directory holding D (a directory) and cfg (a config
+# file that is not UTF-8)
+UNUSABLE_INPUTS = {
     "config-not-utf8": (lambda m: ["--config", "cfg", "stats", m / "thread.jsonl"], "cfg"),
     "config-dir": (lambda m: ["--config", "D", "stats", m / "thread.jsonl"], "D"),
-    "out-dir-file-synth": (lambda m: ["--out-dir", "F", "synth"], "F"),
-    "out-dir-file-disentangle": (
-        lambda m: ["--out-dir", "F", "disentangle", *command_argv("disentangle", m)], "F"),
     "stats-dir": (lambda m: ["stats", "D"], "D"),
     "checkpoint-dir": (
         lambda m: ["disentangle", "--input", m / "thread.jsonl", "--checkpoint", "D"], "D"),
-    "intensity-csv-dir": (
-        lambda m: ["export-intensity", "--input", m / "thread.jsonl", "--csv", "D"], "D"),
-    "projection-csv-dir": (
-        lambda m: ["project", *command_argv("disentangle", m), "--csv", "D"], "D"),
-    "train-checkpoint-dir": (
-        lambda m: ["train", "--input", m / "thread.jsonl", *TRAIN_SMALL, "--checkpoint", "D"],
-        "D"),
-    "train-checkpoint-under-file": (
-        lambda m: ["train", "--input", m / "thread.jsonl", *TRAIN_SMALL,
-                   "--checkpoint", "F/m.untg"], "F"),
-    "train-checkpoint-dot": (
-        lambda m: ["train", "--input", m / "thread.jsonl", *TRAIN_SMALL, "--checkpoint", "."],
-        "."),
 }
+
+# the outputs of each command that writes, by their names in --out-dir
+OUTPUTS = {"synth": ["thread.jsonl", "gold.json"],
+           "train": ["model.untg", "loss.csv"],
+           "disentangle": ["graph.json", "graph.dot", "conversations.json"],
+           "export-intensity": ["intensity.csv"],
+           "project": ["projection.csv"]}
+
+# (--out-dir, command, output flags, the unusable path its error names): the
+# path is F, a file, or else a directory
+UNUSABLE_OUTPUTS = [
+    *(pytest.param("F", command, [], "F", id=f"{command}-out-dir-file") for command in OUTPUTS),
+    *(pytest.param("out", command, [], f"out/{name}", id=f"{command}-{name}")
+      for command, names in OUTPUTS.items() for name in names),
+    *(pytest.param("out", command, [flag, path], named, id=f"{command}-{flag}={path}")
+      for command, flag, path, named in [
+          ("train", "--checkpoint", "D", "D"), ("train", "--loss-csv", "D", "D"),
+          ("train", "--checkpoint", "F/m.untg", "F"), ("train", "--checkpoint", ".", "."),
+          ("export-intensity", "--csv", "D", "D"), ("project", "--csv", "D", "D")]),
+]
 
 
 class TestPaths:
-    @pytest.mark.parametrize("case", UNUSABLE_PATHS)
+    @pytest.mark.parametrize("case", UNUSABLE_INPUTS)
     def test_unusable_path_exits_2_naming_it(self, tiny_model, tmp_path, monkeypatch, capsys,
                                              case):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "D").mkdir()
-        (tmp_path / "F").write_text("x\n")
         (tmp_path / "cfg").write_bytes(b"\xff=2\n")
-        argv, path = UNUSABLE_PATHS[case]
+        argv, path = UNUSABLE_INPUTS[case]
         assert run(*argv(tiny_model)) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {path}: "), captured.err
@@ -1484,47 +1429,29 @@ class TestPaths:
         assert last_json(capsys)[flag[2:].replace("-", "_")] == str(csv_path)
         assert csv_path.read_text().count("\n") > 1
 
-    @pytest.mark.parametrize("flag", ["--checkpoint", "--loss-csv"])
-    def test_unwritable_train_output_exits_2_before_training(self, tiny_model, tmp_path,
-                                                             monkeypatch, capsys, flag):
-        trained = []
-        monkeypatch.setattr(embedder, "train", lambda *args: trained.append(args))
-        out = tmp_path / "out"
-        (out / "D").mkdir(parents=True)
-        assert run("--out-dir", out, "train", *command_argv("train", tiny_model),
-                   *TRAIN_SMALL, flag, out / "D") == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {out / 'D'}: Is a directory\n" and captured.out == ""
-        assert trained == [] and [p.name for p in out.iterdir()] == ["D"]
-
-    @pytest.mark.parametrize("command, name", [
-        (command, name) for command, names in {
-            "disentangle": ["graph.json", "graph.dot", "conversations.json"],
-            "export-intensity": ["intensity.csv"], "project": ["projection.csv"],
-        }.items() for name in [None, *names]])
+    @pytest.mark.parametrize("out_dir,command,flags,named", UNUSABLE_OUTPUTS)
     def test_unusable_output_exits_2_before_any_work(self, tiny_model, tmp_path, monkeypatch,
-                                                     capsys, command, name):
-        # name None: --out-dir is a file; else that output is a directory
+                                                     capsys, out_dir, command, flags, named):
         def forbidden(*args, **kwargs):
             pytest.fail("work ran before the outputs were checked")
 
-        monkeypatch.setattr(temporal, "fit_multistart", forbidden)
-        monkeypatch.setattr(embedder, "embed_thread", forbidden)
-        monkeypatch.setattr(embedder, "load_checkpoint", forbidden)
-        out = tmp_path / "out"
-        if name is None:
-            out.write_text("x\n")
-            bad = out
-        else:
-            bad = out / name
-            bad.mkdir(parents=True)
+        for module, work in [(embedder, "train"), (harness, "generate"),
+                             (embedder, "load_checkpoint"), (temporal, "fit_multistart"),
+                             (embedder, "embed_thread")]:
+            monkeypatch.setattr(module, work, forbidden)
+        monkeypatch.chdir(tmp_path)
+        Path("F").write_text("x\n")
+        if named != "F":
+            Path(named).mkdir(parents=True, exist_ok=True)
+        before = sorted(tmp_path.rglob("*"))
         dot = ["--dot"] if command == "disentangle" else []
-        assert run("--out-dir", out, command, *command_argv(command, tiny_model), *dot) == 2
+        assert run("--out-dir", out_dir, command, *command_argv(command, tiny_model), *dot,
+                   *flags) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {bad}: "), captured.err
+        reason = "File exists" if named == "F" else "Is a directory"
+        assert captured.err == f"error: {named}: {reason}\n"
         assert captured.out == ""
-        if name is not None:  # no output written beside the unusable one
-            assert [p.name for p in out.iterdir()] == [name]
+        assert sorted(tmp_path.rglob("*")) == before and Path("F").read_text() == "x\n"
 
     @pytest.mark.parametrize("flags", [
         ["--checkpoint", "{out}/loss.csv"],

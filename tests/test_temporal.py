@@ -523,10 +523,10 @@ class TestDetectRanges:
         assert [(r.lo, r.hi) for r in ranges] == reference_ranges(seen[0], quantile)
 
 
-@pytest.mark.parametrize("seed", range(3, 13))
+@pytest.mark.parametrize("seed", range(4, 13))
 def test_criterion_7_recipe_holds_on_other_seeds(seed):
-    # criterion 7 (tests/test_acceptance.py) on one seed, run on ten: the
-    # fitted model's default cut must find the three conversations
+    # criterion 7 (tests/test_acceptance.py) runs seed 3; this runs nine
+    # more: the fitted model's default cut must find the three conversations
     config = cli.default_synth_config(n_conversations=3, posts_lo=60, posts_hi=60)
     thread, gold = harness.generate(config, seed=seed)
     vocab = corpus.build_vocab([thread])
