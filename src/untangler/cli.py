@@ -76,15 +76,19 @@ def _created(path: Path) -> Path:
 
 def _out_path(args: argparse.Namespace, name: str, given: str | None = None) -> Path:
     """`given`, else `name` in --out-dir, once it opens for writing; else a
-    UserError naming it (the OSError of making its parent directory names
-    that directory).  Each command names its outputs before any work, and
+    UserError naming it, or naming the file that stands where a parent
+    directory must go (any other OSError of making the parent names that
+    directory).  Each command names its outputs before any work, and
     the probe leaves no trace, so a run that fails later writes nothing:
     it appends nothing, so an existing file is kept, and it removes a new
     file and the directories it made."""
     path = Path(given) if given else Path(args.out_dir or ".") / name
     made = [parent for parent in path.parents if not (parent.is_symlink() or parent.exists())]
     try:
-        _created(path)
+        try:
+            _created(path)
+        except (FileExistsError, NotADirectoryError) as exc:
+            raise UserError(f"{path.parents[len(made)]}: Not a directory") from exc
         existed = path.is_symlink() or path.exists()
         try:
             with open(path, "ab"):
@@ -226,19 +230,29 @@ def run_pipeline(thread: ingest.Thread, config: embedder.EncoderConfig,
     return embeddings, ranges, forest, conversations
 
 
-def cmd_disentangle(args) -> int:
-    from . import graph
+def _disentangled(args):
+    """cmd_disentangle up to its outputs: their paths (graph.json, graph.dot
+    or None, conversations.json), the post count, the Hawkes model, and the
+    ranges, forest and conversations of run_pipeline.  The thread, the
+    embeddings and the encoder die with this frame, so the outputs are
+    formatted without them."""
     thread = _read_thread(args.input)
     if len(thread) == 0:
         raise UserError("empty thread")
-    graph_path = _out_path(args, "graph.json")
-    dot_path = _out_path(args, "graph.dot") if args.dot else None
-    conv_path = _out_path(args, "conversations.json")
+    paths = (_out_path(args, "graph.json"), _out_path(args, "graph.dot") if args.dot else None,
+             _out_path(args, "conversations.json"))
     config, params, vocab = _load_model(args)
     model, tau = _hawkes_from_args(args, thread)
     with _finite_intensity(), _unreadable_posts(args.checkpoint):
         _, ranges, forest, conversations = run_pipeline(
             thread, config, params, vocab, model, tau, args.quantile)
+    return paths, len(thread), model, ranges, forest, conversations
+
+
+def cmd_disentangle(args) -> int:
+    from . import graph
+    paths, n_posts, model, ranges, forest, conversations = _disentangled(args)
+    graph_path, dot_path, conv_path = paths
     _created(graph_path).write_bytes(graph.export_graph(forest, "json"))
     outputs = {"graph_json": str(graph_path)}
     if dot_path is not None:
@@ -256,7 +270,7 @@ def cmd_disentangle(args) -> int:
     conv_text = json.dumps(conv_payload, sort_keys=True) + "\n"
     _created(conv_path).write_text(conv_text, encoding="utf-8")
     outputs["conversations_json"] = str(conv_path)
-    _emit({**outputs, "n_posts": len(thread), "n_ranges": len(ranges),
+    _emit({**outputs, "n_posts": n_posts, "n_ranges": len(ranges),
            "n_edges": forest.n_edges, "n_conversations": len(conversations)})
     return 0
 
@@ -315,7 +329,7 @@ def cmd_eval(args) -> int:
     try:
         conversations = score.extract_trees(n, parent, child)
     except ValueError as exc:
-        raise UserError(str(exc)) from exc
+        raise UserError(f"{args.pred}: {exc}") from exc
     pred_parents = {c: p for conv in conversations for c, p in conv.parents.items()}
     pred_labels = {m: conv.root for conv in conversations for m in conv.members}
     p, r, f1 = score.edge_prf(pred_parents, gold.parents)
@@ -355,7 +369,7 @@ def cmd_project(args) -> int:
     try:
         coords = harness.project_3d(embeddings)
     except ValueError as exc:
-        raise UserError(str(exc)) from exc
+        raise UserError(f"{args.input}: {exc}") from exc
     _write_csv(csv_path, ["post", "x", "y", "z"],
                ([i, *row] for i, row in enumerate(coords.tolist())))
     _emit({"csv": str(csv_path), "n_posts": len(thread)})

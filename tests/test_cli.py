@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +231,33 @@ class TestDisentangle:
         convs = json.loads((tmp_path / "out" / "conversations.json").read_text())
         assert convs["hawkes"] == {"mu": 0.5, "alpha": 0.1, "beta": 1.0}
 
+    def test_outputs_are_formatted_without_the_thread_or_the_embeddings(
+            self, tiny_model, tmp_path, monkeypatch):
+        refs = []  # weak references to the thread and the embeddings
+        alive = []  # at each export_graph call, which of them are still alive
+
+        def keeping_a_weakref(function):
+            def wrapper(*args, **kwargs):
+                result = function(*args, **kwargs)
+                refs.append(weakref.ref(result))
+                return result
+            return wrapper
+
+        def export_graph(*args, _export=graph.export_graph):
+            alive.append([ref() is not None for ref in refs])
+            return _export(*args)
+
+        monkeypatch.setattr(cli, "_read_thread", keeping_a_weakref(cli._read_thread))
+        monkeypatch.setattr(embedder, "embed_thread", keeping_a_weakref(embedder.embed_thread))
+        monkeypatch.setattr(graph, "export_graph", export_graph)
+        gc.disable()  # as in cli.run: only reference counts free them
+        try:
+            assert run("--out-dir", tmp_path, "disentangle",
+                       *command_argv("disentangle", tiny_model), "--dot") == 0
+        finally:
+            gc.enable()
+        assert alive == [[False, False]] * 2
+
     def test_partial_hawkes_params_exit_2(self, thread_file, tmp_path, capsys):
         assert run(*train_args(thread_file, tmp_path)) == 0
         ckpt = tmp_path / "out" / "model.untg"
@@ -315,6 +343,21 @@ class TestDisentangle:
         assert "non-finite value" in capsys.readouterr().err
 
 
+# `python -S -c LAUNCHER out err *args`: runs `python *args` with its stdout
+# and stderr in the files out and err, and prints its exit code and peak RSS
+# in KiB.  It imports nothing beyond os and sys, so that the peak is the
+# child's own.
+LAUNCHER = """
+import os, sys
+out, err, *args = sys.argv[1:]
+flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+pid = os.posix_spawn(sys.executable, [sys.executable, *args], os.environ, file_actions=[
+    (os.POSIX_SPAWN_OPEN, 1, out, flags, 0o644), (os.POSIX_SPAWN_OPEN, 2, err, flags, 0o644)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
 class TestScale:
     def test_20k_posts_in_linear_memory(self, tmp_path):
         # 100 conversations of 200 posts started 10 s apart interleave
@@ -332,18 +375,19 @@ class TestScale:
                    "--dim", 8, "--hidden", 8, "--epochs", 2,
                    "--k", 2, "--batch-size", 8) == 0
 
-        with open(tmp_path / "stdout", "w") as out, open(tmp_path / "stderr", "w") as err:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "untangler.cli", "--out-dir", str(tmp_path / "big"),
-                 "disentangle", "--input", str(big), "--checkpoint", str(tmp_path / "model.untg"),
-                 "--mu", "0.1", "--alpha", "0.1", "--beta", "0.01"],
-                stdout=out, stderr=err, env=child_env())
-            _, status, usage = os.wait4(proc.pid, 0)
-            proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0, (tmp_path / "stderr").read_text()
+        # Linux starts a child's peak RSS at its parent's, so the CLI is
+        # spawned by a small launcher rather than by this process
+        launched = subprocess.run(
+            [sys.executable, "-S", "-c", LAUNCHER, tmp_path / "stdout", tmp_path / "stderr",
+             "-m", "untangler.cli", "--out-dir", tmp_path / "big",
+             "disentangle", "--input", big, "--checkpoint", tmp_path / "model.untg",
+             "--mu", "0.1", "--alpha", "0.1", "--beta", "0.01"],
+            capture_output=True, text=True, env=child_env(), check=True)
+        returncode, maxrss_kb = map(int, launched.stdout.split())
+        assert returncode == 0, (tmp_path / "stderr").read_text()
         payload = json.loads((tmp_path / "stdout").read_text().strip().splitlines()[-1])
         assert payload["n_posts"] == 20000
-        peak_mb = usage.ru_maxrss / 1024
+        peak_mb = maxrss_kb / 1024
         assert peak_mb < 512, f"peak RSS {peak_mb:.0f} MB"
 
 
@@ -378,6 +422,7 @@ class TestSynthEval:
         ({"n": 3, "edges": [{"parent": 0, "child": 1, "w": float("nan")}]}, "finite"),
         ({"n": 3, "edges": [{"parent": 0, "child": 1, "w": float("inf")}]}, "finite"),
         ({"n": 3, "edges": [{"parent": 0, "child": 1, "w": "0.5"}]}, "finite"),
+        ({"n": 3, "edges": [{"parent": 0, "child": 1, "w": 10**400}]}, "finite"),
         ({"n": 3, "edges": {"parent": 0}}, "list of objects"),
         ({"n": 10**30, "edges": [{"parent": 10**20, "child": 10**21, "w": 0.5}]}, "too large"),
         ([1, 2], "JSON object"),
@@ -437,6 +482,20 @@ class TestSynthEval:
             reference_thread_jsonl(thread)
         assert (tmp_path / "gold.json").read_text(encoding="utf-8") == reference_gold_json(gold)
         assert all(gold.parents[c] == c - 1 for c in gold.parents)
+
+    def test_eval_graph_that_is_not_a_forest_exits_2_naming_it(self, tmp_path, monkeypatch,
+                                                               capsys):
+        monkeypatch.chdir(tmp_path)
+        edges = [{"parent": 0, "child": 2, "w": 0.5}, {"parent": 1, "child": 2, "w": 0.5}]
+        Path("g.json").write_text(json.dumps({"n": 3, "edges": edges, "roots": [0, 1]}))
+        Path("gold.json").write_text(json.dumps({"parents": {}, "labels": {"0": 0, "1": 1,
+                                                                           "2": 2}}))
+        before = sorted(tmp_path.rglob("*"))
+        assert run("eval", "--pred", "g.json", "--gold", "gold.json") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: g.json: graph is not a forest: a node has in-degree > 1\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_eval_mismatched_inputs_exit_2(self, tmp_path, capsys):
         (tmp_path / "g.json").write_text(json.dumps({"n": 2, "edges": [], "roots": [0, 1]}))
@@ -501,8 +560,8 @@ class TestDefaultTau:
         assert default == self.outputs(tiny_model, tmp_path / "three", command,
                                        "--tau", repr(3 / beta))
 
-    @pytest.mark.parametrize("times", [[0.0, 2.5], [7.0, 7.0, 7.0]],
-                             ids=["two-posts", "equal-times"])
+    @pytest.mark.parametrize("times", [[4.0], [0.0, 2.5], [7.0, 7.0, 7.0]],
+                             ids=["one-post", "two-posts", "equal-times"])
     @pytest.mark.parametrize("command", ["disentangle", "export-intensity"])
     def test_degenerate_threads_fit_silently(self, tiny_model, tmp_path, capsys, command,
                                              times):
@@ -522,6 +581,8 @@ class TestDefaultTau:
             hawkes = json.loads(captured.out)["hawkes"]
         assert all(math.isfinite(v) for v in hawkes.values())
         assert 0 <= hawkes["alpha"] < hawkes["beta"]
+        if len(times) == 1:  # nothing to fit: the Poisson process of rate 1
+            assert hawkes == {"mu": 1.0, "alpha": 0.0, "beta": 1.0}
 
     @pytest.mark.parametrize("command", ["disentangle", "export-intensity"])
     def test_subnormal_median_gap_gives_the_timescale_message(self, tiny_model, tmp_path,
@@ -631,6 +692,19 @@ class TestProject:
         lines = (tmp_path / "projection.csv").read_text().strip().splitlines()
         assert lines[0] == "post,x,y,z"
         assert len(lines) == 13
+
+    def test_two_posts_exit_2_naming_the_thread(self, tiny_model, tmp_path, monkeypatch,
+                                                capsys):
+        monkeypatch.chdir(tmp_path)
+        posts = cli._read_thread(tiny_model / "thread.jsonl").posts[:2]
+        write_jsonl("two.jsonl", [{"id": p.id, "ts": p.timestamp, "text": p.text}
+                                  for p in posts])
+        assert run("project", "--input", "two.jsonl",
+                   "--checkpoint", tiny_model / "model.untg") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: two.jsonl: need at least 3 rows to project\n"
+        assert captured.out == ""
+        assert not Path("projection.csv").exists()
 
 
 class TestUnreadablePosts:
@@ -1301,6 +1375,13 @@ class TestOptionValues:
         assert f"error: {config}: line 2: unknown key '{key}'" in captured.err
         assert captured.out == "" and not (tmp_path / "out").exists()
 
+    def test_blank_and_comment_lines_of_a_config_file_are_skipped(self, tmp_path, capsys):
+        config = tmp_path / "cfg"
+        config.write_text("# two conversations of five posts\n\n   \nconversations=2\n"
+                          "  # posts per conversation\nposts_lo=5\nposts_hi=5\n")
+        assert run("--config", config, "--out-dir", tmp_path / "out", "synth") == 0
+        assert last_json(capsys)["n_posts"] == 10
+
     def test_config_key_of_another_command_is_allowed(self, tiny_model, tmp_path, capsys):
         # one config file serves every command: train has no --quantile
         config = tmp_path / "cfg"
@@ -1385,7 +1466,9 @@ UNUSABLE_OUTPUTS = [
     *(pytest.param("out", command, [flag, path], named, id=f"{command}-{flag}={path}")
       for command, flag, path, named in [
           ("train", "--checkpoint", "D", "D"), ("train", "--loss-csv", "D", "D"),
-          ("train", "--checkpoint", "F/m.untg", "F"), ("train", "--checkpoint", ".", "."),
+          ("train", "--checkpoint", "F/m.untg", "F"),
+          ("train", "--checkpoint", "F/x/m.untg", "F"),
+          ("train", "--checkpoint", ".", "."),
           ("export-intensity", "--csv", "D", "D"), ("project", "--csv", "D", "D")]),
 ]
 
@@ -1448,7 +1531,7 @@ class TestPaths:
         assert run("--out-dir", out_dir, command, *command_argv(command, tiny_model), *dot,
                    *flags) == 2
         captured = capsys.readouterr()
-        reason = "File exists" if named == "F" else "Is a directory"
+        reason = "Not a directory" if named == "F" else "Is a directory"
         assert captured.err == f"error: {named}: {reason}\n"
         assert captured.out == ""
         assert sorted(tmp_path.rglob("*")) == before and Path("F").read_text() == "x\n"
