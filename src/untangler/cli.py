@@ -536,8 +536,8 @@ def main(argv=None) -> int:
 
 def run() -> int:
     """The process entry point of the console script and ``python -m``:
-    main() over sys.argv with the cyclic collector off, a flush of
-    stdout, then ``gc.freeze()``.
+    main() over sys.argv with BLAS on one thread and the cyclic
+    collector off, a flush of stdout, then ``gc.freeze()``.
 
     main() leaves its output in stdout's buffer when stdout is a pipe, so
     a reader that has gone shows up at the flush; stdout then points at
@@ -554,7 +554,18 @@ def run() -> int:
     process that only imports disentangle's modules: 88.2 ms, 85.9 ms
     with the collector off, 79.5 ms off and frozen).  Nothing the CLI
     makes needs a finalizer at exit: every file is closed by a ``with``
-    block or a Path read or write, and stdout has just been flushed."""
+    block or a Path read or write, and stdout has just been flushed.
+
+    BLAS runs on one thread unless the environment says otherwise:
+    OMP_NUM_THREADS=1 is set, if unset, before a command imports numpy
+    (this module does not); OPENBLAS_NUM_THREADS or MKL_NUM_THREADS,
+    when given, still win.  Every GEMM of the encoder is small (at most
+    1,024 x 64 x 256), and OpenBLAS's workers spin while they wait: a
+    default oracle-180 ``train`` took 2.08 s wall and 4.05 s CPU with two
+    threads on 2-core x86-64 (OpenBLAS 0.3.31), 2.01 s and 2.00 s on
+    one, and with another process busy on a core a 5-epoch ``train``
+    took 1.00 s against 0.43 s.  The thread count changes no output bit."""
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
     gc.disable()
     code = main()
     try:

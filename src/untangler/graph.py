@@ -29,6 +29,8 @@ _BAND = 64
 # float64 elements in one cosine tile of reply_forest (8 MB), which caps
 # a window's width by the number of posts still searching
 _TILE_ELEMENTS = 1 << 20
+# rows (edges or nodes) formatted at a time by export_graph
+_EXPORT_ROWS = 1024
 
 
 def _unit_rows(embeddings: np.ndarray) -> np.ndarray:
@@ -242,8 +244,9 @@ def export_graph(graph: ReplyGraph, fmt: str) -> bytes:
     Edges are ordered by (parent, child); of two edges with the same
     endpoints the later one wins, as in ``edge_dict``.  The JSON text is
     that of ``json.dumps(payload, sort_keys=True)``, formatted straight
-    from the arrays without one object per edge.  Raises ValueError on
-    a non-finite weight, which JSON cannot carry.
+    from the arrays 1,024 edges at a time, so that no more than a part's
+    Python objects are ever alive.  Raises ValueError on a non-finite
+    weight, which JSON cannot carry.
     """
     if fmt not in ("dot", "json"):
         raise ValueError(f"unknown export format {fmt!r}")
@@ -254,16 +257,24 @@ def export_graph(graph: ReplyGraph, fmt: str) -> bytes:
     last = np.ones(order.size, dtype=bool)  # the last edge of each run of equal pairs
     last[:-1] = (parent[1:] != parent[:-1]) | (child[1:] != child[:-1])
     order = order[last]
-    u, v, w = (a[order].tolist() for a in (graph.parent, graph.child, graph.weight))
+    u, v, w = graph.parent[order], graph.child[order], graph.weight[order]
     if fmt == "dot":
-        lines = ["digraph replies {"]
-        lines += [f"  {i};" for i in range(graph.n)]
-        lines += map('  {} -> {} [label="{:.4f}"];'.format, u, v, w)
-        lines.append("}")
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    edges = ", ".join(map('{{"child": {}, "parent": {}, "w": {!r}}}'.format, v, u, w))
+        return b"".join([b"digraph replies {\n", *_formatted("  {};\n", "", np.arange(graph.n)),
+                         *_formatted('  {} -> {} [label="{:.4f}"];\n', "", u, v, w), b"}\n"])
     roots = ", ".join(map(str, graph.roots()))
-    return f'{{"edges": [{edges}], "n": {graph.n}, "roots": [{roots}]}}\n'.encode("utf-8")
+    return b"".join([b'{"edges": [', *_formatted('{{"child": {1}, "parent": {0}, "w": {2!r}}}',
+                                                 ", ", u, v, w),
+                     f'], "n": {graph.n}, "roots": [{roots}]}}\n'.encode()])
+
+
+def _formatted(template: str, sep: str, *columns: np.ndarray) -> list[bytes]:
+    """`template` over the rows of `columns`, as UTF-8 parts of
+    _EXPORT_ROWS rows each with `sep` between rows."""
+    parts = []
+    for at in range(0, columns[0].size, _EXPORT_ROWS):
+        rows = (column[at:at + _EXPORT_ROWS].tolist() for column in columns)
+        parts += [sep.encode(), sep.join(map(template.format, *rows)).encode()]
+    return parts[1:]
 
 
 def parse_graph_json(data) -> ReplyGraph:

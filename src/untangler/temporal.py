@@ -20,6 +20,9 @@ from typing import Optional
 
 import numpy as np
 
+# points that _scan turns into Python floats at a time
+_SCAN_STEPS = 4096
+
 
 @dataclass
 class HawkesModel:
@@ -60,15 +63,17 @@ def _check_sorted(events: np.ndarray, horizon: Optional[float] = None) -> np.nda
 def _scan(gain: np.ndarray, drive: np.ndarray | float) -> np.ndarray:
     """y[0] = 0, y[i] = gain[i-1] * (y[i-1] + drive[i-1]) with drive an
     array or one number: every sum over the kernel, one Python-float step
-    a point (a float overflow is inf, without a warning)."""
-    y = 0.0
-    if isinstance(drive, np.ndarray):
-        steps = [y := g * (y + d) for g, d in zip(gain.tolist(), drive.tolist())]
-    else:
-        steps = [y := g * (y + drive) for g in gain.tolist()]
+    a point (a float overflow is inf, without a warning), _SCAN_STEPS
+    points at a time, since a list of Python floats takes 4x the array."""
     out = np.empty(gain.size + 1)
-    out[0] = 0.0
-    out[1:] = steps
+    out[0] = y = 0.0
+    for at in range(0, gain.size, _SCAN_STEPS):
+        part = slice(at, at + _SCAN_STEPS)
+        if isinstance(drive, np.ndarray):
+            steps = [y := g * (y + d) for g, d in zip(gain[part].tolist(), drive[part].tolist())]
+        else:
+            steps = [y := g * (y + drive) for g in gain[part].tolist()]
+        out[1:][part] = steps
     return out
 
 

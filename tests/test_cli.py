@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -344,9 +345,9 @@ class TestDisentangle:
 
 
 # `python -S -c LAUNCHER out err *args`: runs `python *args` with its stdout
-# and stderr in the files out and err, and prints its exit code and peak RSS
-# in KiB.  It imports nothing beyond os and sys, so that the peak is the
-# child's own.
+# and stderr in the files out and err, and prints its exit code, peak RSS
+# in KiB and CPU time (user and system) in seconds.  It imports nothing
+# beyond os and sys, so that the peak is the child's own.
 LAUNCHER = """
 import os, sys
 out, err, *args = sys.argv[1:]
@@ -354,8 +355,18 @@ flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 pid = os.posix_spawn(sys.executable, [sys.executable, *args], os.environ, file_actions=[
     (os.POSIX_SPAWN_OPEN, 1, out, flags, 0o644), (os.POSIX_SPAWN_OPEN, 2, err, flags, 0o644)])
 _, status, usage = os.wait4(pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, usage.ru_utime + usage.ru_stime)
 """
+
+
+def launched(tmp_path, *args):
+    """Exit code, peak RSS (KiB) and CPU seconds of `python *args` run by
+    LAUNCHER, with its stdout and stderr in tmp_path/stdout and /stderr."""
+    proc = subprocess.run([sys.executable, "-S", "-c", LAUNCHER, tmp_path / "stdout",
+                           tmp_path / "stderr", *args],
+                          capture_output=True, text=True, env=child_env(), check=True)
+    code, maxrss_kb, cpu_s = proc.stdout.split()
+    return int(code), int(maxrss_kb), float(cpu_s)
 
 
 class TestScale:
@@ -377,13 +388,10 @@ class TestScale:
 
         # Linux starts a child's peak RSS at its parent's, so the CLI is
         # spawned by a small launcher rather than by this process
-        launched = subprocess.run(
-            [sys.executable, "-S", "-c", LAUNCHER, tmp_path / "stdout", tmp_path / "stderr",
-             "-m", "untangler.cli", "--out-dir", tmp_path / "big",
-             "disentangle", "--input", big, "--checkpoint", tmp_path / "model.untg",
-             "--mu", "0.1", "--alpha", "0.1", "--beta", "0.01"],
-            capture_output=True, text=True, env=child_env(), check=True)
-        returncode, maxrss_kb = map(int, launched.stdout.split())
+        returncode, maxrss_kb, _ = launched(
+            tmp_path, "-m", "untangler.cli", "--out-dir", tmp_path / "big",
+            "disentangle", "--input", big, "--checkpoint", tmp_path / "model.untg",
+            "--mu", "0.1", "--alpha", "0.1", "--beta", "0.01")
         assert returncode == 0, (tmp_path / "stderr").read_text()
         payload = json.loads((tmp_path / "stdout").read_text().strip().splitlines()[-1])
         assert payload["n_posts"] == 20000
@@ -1007,9 +1015,11 @@ class TestImports:
 
 
 @pytest.fixture
-def unfreeze():
-    """Gives the collector back what a cli.run() call froze, and turns it
-    back on."""
+def undo_run(monkeypatch):
+    """Gives a cli.run() call a copy of os.environ, so that the
+    OMP_NUM_THREADS it sets reaches no later subprocess; then gives the
+    collector back what the call froze, and turns it back on."""
+    monkeypatch.setattr(os, "environ", dict(os.environ))
     yield
     gc.unfreeze()
     gc.enable()
@@ -1020,7 +1030,7 @@ class TestEntryPoint:
     `python -m untangler.cli`; main stays the in-process entry."""
 
     @pytest.mark.parametrize("code", [0, 2])
-    def test_run_returns_the_code_of_main_and_freezes(self, monkeypatch, unfreeze, code):
+    def test_run_returns_the_code_of_main_and_freezes(self, monkeypatch, undo_run, code):
         enabled = []
         monkeypatch.setattr(cli, "main", lambda: enabled.append(gc.isenabled()) or code)
         before = gc.get_freeze_count()
@@ -1218,6 +1228,60 @@ class TestBlasPortability:
                                                 maxulp=1)
             assert files2 == files, coretype
             assert edges2 == edges, coretype
+
+
+class TestBlasThreads:
+    """cli.run gives BLAS one thread unless the environment gives it more."""
+
+    @pytest.mark.parametrize("given", [None, "3"])
+    def test_run_sets_omp_num_threads_only_when_unset(self, monkeypatch, undo_run, given):
+        os.environ.pop("OMP_NUM_THREADS", None)
+        if given is not None:
+            os.environ["OMP_NUM_THREADS"] = given
+        seen = []
+        monkeypatch.setattr(cli, "main",
+                            lambda: seen.append(os.environ.get("OMP_NUM_THREADS")) or 0)
+        assert cli.run() == 0
+        assert seen == [given or "1"]
+
+    def test_main_leaves_the_environment_alone(self, thread_file, capsys):
+        before = dict(os.environ)
+        assert run("stats", thread_file) == 0
+        assert dict(os.environ) == before
+
+    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path):
+        # OPENBLAS_NUM_THREADS wins over the OMP_NUM_THREADS that run() sets
+        assert run("--seed", 1, "--out-dir", tmp_path, "synth") == 0
+        thread = tmp_path / "thread.jsonl"
+
+        def outputs(threads):
+            out = tmp_path / threads
+            for argv in (["train", "--input", thread, "--epochs", 3],
+                         ["disentangle", "--input", thread, "--checkpoint", out / "model.untg",
+                          "--dot"],
+                         ["project", "--input", thread, "--checkpoint", out / "model.untg"]):
+                proc = python_m(["--out-dir", out, *argv], capture_output=True,
+                                env={"OPENBLAS_NUM_THREADS": threads})
+                assert proc.returncode == 0, proc.stderr
+            return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+        one = outputs("1")
+        assert sorted(one) == ["conversations.json", "graph.dot", "graph.json", "loss.csv",
+                               "model.untg", "projection.csv"]
+        assert outputs("2") == one
+
+    def test_train_uses_at_most_one_core(self, tmp_path):
+        # OpenBLAS's workers spin: with one per core, a 5-epoch d = 64
+        # train read 1.79 CPU seconds per wall second on 2 cores, and 0.99
+        # on one thread
+        assert run("--seed", 1, "--out-dir", tmp_path, "synth") == 0
+        start = time.perf_counter()
+        returncode, _, cpu_s = launched(tmp_path, "-m", "untangler.cli", "--out-dir", tmp_path,
+                                        "train", "--input", tmp_path / "thread.jsonl",
+                                        "--epochs", "5")
+        wall_s = time.perf_counter() - start
+        assert returncode == 0, (tmp_path / "stderr").read_text()
+        assert cpu_s <= 1.3 * wall_s, f"{cpu_s:.2f} CPU s in {wall_s:.2f} s"
 
 
 class TestOptionValues:

@@ -390,6 +390,17 @@ class TestExport:
             g = ReplyGraph(n=n, parent=parent, child=child, weight=weight)
             assert export_graph(g, fmt) == reference_export(g, fmt)
 
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    @pytest.mark.parametrize("edges", [1023, 1024, 1025, 2 * 1024, 3000])
+    def test_matches_reference_across_parts(self, fmt, edges):
+        # export_graph formats 1,024 rows (edges, or DOT's nodes) a part
+        rng = np.random.default_rng(edges)
+        n = edges + 1
+        child = rng.permutation(np.arange(1, n))
+        g = ReplyGraph(n=n, parent=rng.integers(0, child), child=child,
+                       weight=rng.uniform(-1, 1, size=edges))
+        assert export_graph(g, fmt) == reference_export(g, fmt)
+
     def test_last_of_equal_edges_wins(self):
         g = ReplyGraph(n=4, parent=np.array([1, 0, 1, 0]), child=np.array([3, 2, 3, 2]),
                        weight=np.array([0.25, 0.5, 0.75, -0.0]))

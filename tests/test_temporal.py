@@ -104,6 +104,18 @@ class TestExcitation:
             s = temporal._scan(np.exp(-beta * np.diff(events)), 1.0)[:events.size]
             assert s.tolist() == reference_excitation(events, beta).tolist()
 
+    @pytest.mark.parametrize("size", [4095, 4096, 4097, 9000])
+    def test_scan_matches_one_loop_across_parts(self, size):
+        # _scan steps 4,096 points at a time; the running sum carries over
+        rng = np.random.default_rng(size)
+        gain, drive = rng.random(size), rng.random(size)
+        for d in (drive, 1.0, drive[::-1]):
+            y, expected = 0.0, [0.0]
+            for g, x in zip(gain.tolist(), np.broadcast_to(d, size).tolist()):
+                y = g * (y + x)
+                expected.append(y)
+            assert temporal._scan(gain, d).tolist() == expected
+
 
 class TestOverflow:
     # a decay whose exponent overflows is 0; an intensity that overflows
