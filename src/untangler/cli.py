@@ -64,6 +64,8 @@ def _load_config_file(path: str) -> dict[str, str]:
             key = key.strip()
             if key not in CONFIG_KEYS:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"line {lineno}: repeated key {key!r}")
             values[key] = value.strip()
     return values
 
@@ -230,29 +232,21 @@ def run_pipeline(thread: ingest.Thread, config: embedder.EncoderConfig,
     return embeddings, ranges, forest, conversations
 
 
-def _disentangled(args):
-    """cmd_disentangle up to its outputs: their paths (graph.json, graph.dot
-    or None, conversations.json), the post count, the Hawkes model, and the
-    ranges, forest and conversations of run_pipeline.  The thread, the
-    embeddings and the encoder die with this frame, so the outputs are
-    formatted without them."""
+def cmd_disentangle(args) -> int:
+    from . import graph
     thread = _read_thread(args.input)
     if len(thread) == 0:
         raise UserError("empty thread")
-    paths = (_out_path(args, "graph.json"), _out_path(args, "graph.dot") if args.dot else None,
-             _out_path(args, "conversations.json"))
+    graph_path, dot_path, conv_path = (
+        _out_path(args, "graph.json"), _out_path(args, "graph.dot") if args.dot else None,
+        _out_path(args, "conversations.json"))
     config, params, vocab = _load_model(args)
     model, tau = _hawkes_from_args(args, thread)
     with _finite_intensity(), _unreadable_posts(args.checkpoint):
-        _, ranges, forest, conversations = run_pipeline(
-            thread, config, params, vocab, model, tau, args.quantile)
-    return paths, len(thread), model, ranges, forest, conversations
-
-
-def cmd_disentangle(args) -> int:
-    from . import graph
-    paths, n_posts, model, ranges, forest, conversations = _disentangled(args)
-    graph_path, dot_path, conv_path = paths
+        ranges, forest, conversations = run_pipeline(
+            thread, config, params, vocab, model, tau, args.quantile)[1:]
+    n_posts = len(thread)
+    del thread, params, vocab  # the outputs are formatted without them or the embeddings
     _created(graph_path).write_bytes(graph.export_graph(forest, "json"))
     outputs = {"graph_json": str(graph_path)}
     if dot_path is not None:

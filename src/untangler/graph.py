@@ -34,17 +34,14 @@ _EXPORT_ROWS = 1024
 
 
 def _unit_rows(embeddings: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit length; all-zero rows stay zero."""
+    """Rows scaled to unit length; a row whose norm is 0 becomes zero."""
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.ndim != 2:
         raise ValueError("embeddings must be an n x d matrix")
     if not np.isfinite(emb).all():
         raise ValueError("embeddings must be finite")
     norms = np.linalg.norm(emb, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = emb / safe[:, None]
-    unit[norms == 0] = 0.0
-    return unit
+    return emb / np.where(norms > 0, norms, np.inf)[:, None]
 
 
 def similarity_matrix(embeddings: np.ndarray) -> np.ndarray:

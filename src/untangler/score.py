@@ -32,8 +32,9 @@ def _is_finite(value) -> bool:
 def read_graph(data) -> tuple[int, list[int], list[int], list]:
     """n and the parent, child and weight lists of a graph.json.
 
-    Raises ValueError unless 0 <= n < 2**63, every edge has
-    0 <= parent < child < n and every weight is a finite number.
+    Raises ValueError unless 0 <= n < 2**63, 'edges' is a list of
+    objects, every edge has 0 <= parent < child < n and every weight is a
+    finite number.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -46,7 +47,7 @@ def read_graph(data) -> tuple[int, list[int], list[int], list]:
     n = payload.get("n")
     if not _is_int(n) or not 0 <= n < 2 ** 63:
         raise ValueError("'n' must be an integer >= 0, not too large for int64")
-    edges = payload.get("edges", [])
+    edges = payload.get("edges")
     if not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
         raise ValueError("'edges' must be a list of objects")
     parent, child, weight = ([e.get(key) for e in edges]  # None if missing

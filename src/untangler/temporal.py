@@ -89,26 +89,16 @@ def _value(s: np.ndarray, horizon: float, spent: float, mu: float, alpha: float)
     return value if -np.inf < value < np.inf else -np.inf  # an intensity overflowed
 
 
-def _log_likelihood(gaps: np.ndarray, tail: np.ndarray, horizon: float, mu: float,
-                    alpha: float, beta: float) -> float:
-    """Log-likelihood on [0, horizon] of the events with these gaps
-    (np.diff(events)) and tails (horizon - events), as _value (the slice
-    drops _scan's 0 for no events).  Call under np.errstate(over="ignore",
-    invalid="ignore"): a decay whose exponent overflows is 0."""
-    s = _scan(np.exp(-beta * gaps), 1.0)[:tail.size]  # sum_{j<i} exp(-beta * (t_i - t_j))
-    return _value(s, horizon, -np.expm1(-beta * tail).sum() / beta, mu, alpha)
-
-
 def log_likelihood(model: HawkesModel, events: np.ndarray, horizon: float) -> float:
-    """Exponential-kernel Hawkes log-likelihood on [0, horizon].
-
-    Returns -inf if any event intensity is non-positive or overflows.
-    """
+    """Exponential-kernel Hawkes log-likelihood on [0, horizon], as _value:
+    -inf if any event intensity is non-positive or overflows.  A decay
+    whose exponent overflows is 0; the slice drops _scan's 0 for no events."""
     model.validate()
-    events = _check_sorted(events, horizon)
+    events, beta = _check_sorted(events, horizon), model.beta
+    gaps, tail = np.diff(events), horizon - events
     with np.errstate(over="ignore", invalid="ignore"):
-        return _log_likelihood(np.diff(events), horizon - events, horizon,
-                               model.mu, model.alpha, model.beta)
+        s = _scan(np.exp(-beta * gaps), 1.0)[:tail.size]  # sum_{j<i} exp(-beta * (t_i - t_j))
+        return _value(s, horizon, -np.expm1(-beta * tail).sum() / beta, model.mu, model.alpha)
 
 
 def simulate(model: HawkesModel, horizon: float, rng: np.random.Generator,
@@ -154,7 +144,7 @@ def _profile(gaps: np.ndarray, tail: np.ndarray, horizon: float, beta: float,
     the box mu >= 1e-12, 0 <= alpha <= 0.999 beta.  Damped Newton steps,
     taken relative to mu so the system's entries are of order n in any
     time unit; past an alpha bound, alpha stops at it and mu takes the
-    model's best there.  Call under np.errstate, as _log_likelihood."""
+    model's best there.  Call under log_likelihood's np.errstate."""
     if not beta < np.inf:
         return -np.inf, mu, alpha
     s = _scan(np.exp(-beta * gaps), 1.0)
@@ -219,7 +209,7 @@ def fit_multistart(events: np.ndarray, horizon: float, steps: int = 40,
         best = max(best, (HawkesModel(mu, alpha, beta), value), key=lambda f: f[1])
         return value
 
-    with np.errstate(over="ignore", invalid="ignore"):  # see _log_likelihood
+    with np.errstate(over="ignore", invalid="ignore"):  # see _profile
         top = max(range(last + 1), key=profile)  # profiles the grid in order; the first best wins
         a, b, shrink = max(top - 1, 0), min(top + 1, last), (5.0 ** 0.5 - 1.0) / 2.0
         c, d = b - shrink * (b - a), a + shrink * (b - a)
@@ -345,8 +335,6 @@ def detect_ranges(thread, model: HawkesModel, tau: Optional[float] = None,
     n = times.size
     if n == 0:
         return []
-    if n == 1:
-        return [Range(0, 1)]
     v = post_intensity(model, times, tau)[1]
     threshold = _quantile(v, quantile)
     cut = (v[1:] < threshold) & (v[1:] < v[:-1]) & np.r_[v[1:-1] <= v[2:], True]

@@ -1,11 +1,9 @@
-"""Shared fixtures and helpers for the test suite."""
+"""Shared helpers for the test suite."""
 
 from __future__ import annotations
 
 import json
 import struct
-
-import pytest
 
 from untangler.ingest import Post, Thread
 
@@ -31,12 +29,3 @@ def write_jsonl(path, rows) -> None:
     with open(path, "w", encoding="utf-8") as fp:
         for row in rows:
             fp.write(json.dumps(row) + "\n")
-
-
-@pytest.fixture
-def tiny_thread() -> Thread:
-    return make_thread(
-        [0.0, 10.0, 20.0, 3000.0, 3010.0, 3020.0],
-        ["apple pie recipe", "more apple pie", "apple crumble too",
-         "rust compiler error", "fix the rust error", "rust borrow checker"],
-    )

@@ -432,6 +432,7 @@ class TestSynthEval:
         ({"n": 3, "edges": [{"parent": 0, "child": 1, "w": "0.5"}]}, "finite"),
         ({"n": 3, "edges": [{"parent": 0, "child": 1, "w": 10**400}]}, "finite"),
         ({"n": 3, "edges": {"parent": 0}}, "list of objects"),
+        ({"n": 3}, "list of objects"),
         ({"n": 10**30, "edges": [{"parent": 10**20, "child": 10**21, "w": 0.5}]}, "too large"),
         ([1, 2], "JSON object"),
     ])
@@ -1427,16 +1428,20 @@ class TestOptionValues:
         assert "--dot must be one of 1/true/yes/0/false/no" in captured.err
         assert captured.out == "" and not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("line", ["epoch=0", "seed=3"])
-    def test_unknown_config_key_exits_2(self, tiny_model, tmp_path, capsys, line):
-        # `seed` and `out_dir` are flags only; `epoch` is a misspelt `epochs`
+    @pytest.mark.parametrize("line,message", [
+        ("epoch=0", "unknown key 'epoch'"),
+        ("seed=3", "unknown key 'seed'"),
+        ("dim=8", "repeated key 'dim'"),
+    ], ids=["epoch=0", "seed=3", "dim=8"])
+    def test_unknown_config_key_exits_2(self, tiny_model, tmp_path, capsys, line, message):
+        # `seed` and `out_dir` are flags only; `epoch` is a misspelt `epochs`;
+        # `dim` is set on line 1 already
         config = tmp_path / "cfg"
         config.write_text("dim=4\n" + line + "\n")
         assert run("--config", config, "--out-dir", tmp_path / "out", "train",
                    *command_argv("train", tiny_model)) == 2
         captured = capsys.readouterr()
-        key = line.split("=")[0]
-        assert f"error: {config}: line 2: unknown key '{key}'" in captured.err
+        assert f"error: {config}: line 2: {message}" in captured.err
         assert captured.out == "" and not (tmp_path / "out").exists()
 
     def test_blank_and_comment_lines_of_a_config_file_are_skipped(self, tmp_path, capsys):

@@ -55,6 +55,12 @@ class TestSimilarityMatrix:
         np.testing.assert_array_equal(sim[1], 0.0)
         assert sim[0, 2] == pytest.approx(1.0)
 
+    def test_a_row_whose_norm_underflows_is_isolated(self):
+        # 1e-170 squared is below the smallest float, so the row's norm is 0
+        sim = similarity_matrix(np.array([[1.0, 1.0], [1e-170, 1e-170]]))
+        np.testing.assert_array_equal(sim, 0.0)
+        assert not reply_forest(np.array([[1.0, 1.0], [1e-170, 1e-170]]), [Range(0, 2)]).n_edges
+
     def test_symmetric_zero_diagonal_bounded(self):
         rng = np.random.default_rng(1)
         sim = similarity_matrix(rng.standard_normal((12, 5)))
@@ -352,6 +358,7 @@ class TestExport:
 
     @pytest.mark.parametrize("payload", [
         {"edges": []},
+        {"n": 3},
         {"n": 3, "edges": [{"parent": 0, "w": 0.5}]},
         {"n": 3, "edges": [{"child": 1, "w": 0.5}]},
         {"n": 3, "edges": [{"parent": 0, "child": 1}]},

@@ -308,7 +308,7 @@ class TestProfileFit:
             gaps, tail = np.diff(events), horizon - events
 
             def loss(p):
-                return -temporal._log_likelihood(gaps, tail, horizon, p[0], p[1], beta)
+                return -log_likelihood(HawkesModel(p[0], p[1], beta), events, horizon)
 
             with np.errstate(over="ignore", invalid="ignore"):
                 value, mu, alpha = temporal._profile(gaps, tail, horizon, beta, *start)
@@ -481,6 +481,11 @@ class TestDetectRanges:
         model = HawkesModel(1.0, 0.0, 1.0)
         assert detect_ranges(make_thread([]), model) == []
         assert detect_ranges(make_thread([3.0]), model) == [Range(0, 1)]
+        # one post checks the model and tau as two do
+        for bad, tau in ((HawkesModel(math.nan, 0.0, 1.0), None), (model, 0.0)):
+            for times in ([3.0], [3.0, 4.0]):
+                with pytest.raises(ValueError):
+                    detect_ranges(make_thread(times), bad, tau=tau)
 
     def test_ranges_partition_indices(self):
         rng = np.random.default_rng(31)
