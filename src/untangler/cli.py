@@ -144,12 +144,16 @@ def _hawkes_from_args(args, thread: ingest.Thread) -> tuple[temporal.HawkesModel
 
 
 @contextmanager
-def _finite_intensity():
-    """A UserError naming the Hawkes flags for an intensity that overflows."""
+def _finite_intensity(fitted: bool):
+    """A UserError for an intensity that overflows: naming the Hawkes
+    flags, or, for a `fitted` process, offering them instead."""
     from . import temporal
     try:
         yield
     except temporal.IntensityError as exc:
+        if fitted:
+            raise UserError(f"cannot use the fitted Hawkes process: {exc}; "
+                            "give --mu/--alpha/--beta instead") from exc
         raise UserError(f"--mu/--alpha/--beta: {exc}") from exc
 
 
@@ -242,7 +246,7 @@ def cmd_disentangle(args) -> int:
         _out_path(args, "conversations.json"))
     config, params, vocab = _load_model(args)
     model, tau = _hawkes_from_args(args, thread)
-    with _finite_intensity(), _unreadable_posts(args.checkpoint):
+    with _finite_intensity(args.mu is None), _unreadable_posts(args.checkpoint):
         ranges, forest, conversations = run_pipeline(
             thread, config, params, vocab, model, tau, args.quantile)[1:]
     n_posts = len(thread)
@@ -253,7 +257,7 @@ def cmd_disentangle(args) -> int:
         _created(dot_path).write_bytes(graph.export_graph(forest, "dot"))
         outputs["dot"] = str(dot_path)
     conv_payload = {
-        "hawkes": {"mu": model.mu, "alpha": model.alpha, "beta": model.beta},
+        "hawkes": vars(model),
         "ranges": [[r.lo, r.hi] for r in ranges],
         "conversations": [
             {"root": c.root, "members": c.members,
@@ -298,7 +302,7 @@ def cmd_synth(args) -> int:
         args.pool_size, args.tokens_lo, args.tokens_hi, args.temperature,
         args.mu, args.alpha, args.beta)
     try:
-        with _finite_intensity():
+        with _finite_intensity(fitted=False):
             thread, gold = harness.generate(config, seed=args.seed)
     except harness.StarvedProcessError as exc:
         raise UserError(f"cannot generate the thread: {exc}; raise --mu") from exc
@@ -344,12 +348,12 @@ def cmd_export_intensity(args) -> int:
     csv_path = _out_path(args, "intensity.csv", args.csv)
     model, tau = _hawkes_from_args(args, thread)
     times = np.asarray(thread.timestamps)
-    with _finite_intensity():
+    with _finite_intensity(args.mu is None):
         raw, smoothed = temporal.post_intensity(model, times, tau)
     _write_csv(csv_path, ["t", "raw", "smoothed"],
                zip(times.tolist(), raw.tolist(), smoothed.tolist()))
     _emit({"csv": str(csv_path), "n_posts": len(thread),
-           "hawkes": {"mu": model.mu, "alpha": model.alpha, "beta": model.beta}})
+           "hawkes": vars(model)})
     return 0
 
 

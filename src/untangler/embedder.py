@@ -365,11 +365,9 @@ def train(threads: list[Thread], vocab: Vocab, windows: list[list[ContextWindow]
                 t, center, members = samples[si]
                 off = offsets[bounds[si]:bounds[si + 1]]
                 pool = nonempty[t].size - off.size
-                n_neg = min(config.negatives_per_sample, pool)
-                negs = []
-                if n_neg:
-                    j = rng.choice(pool, size=n_neg, replace=False)
-                    negs = nonempty[t][j + np.searchsorted(off, j, side="right")].tolist()
+                # size 0 draws nothing from rng
+                j = rng.choice(pool, size=min(config.negatives_per_sample, pool), replace=False)
+                negs = nonempty[t][j + np.searchsorted(off, j, side="right")].tolist()
                 contexts = [members] + [[i] for i in negs]
                 batch.append((rows.setdefault((t, center), len(rows)),
                               [[rows.setdefault((t, i), len(rows)) for i in c] for c in contexts]))

@@ -44,6 +44,12 @@ def _unit_rows(embeddings: np.ndarray) -> np.ndarray:
     return emb / np.where(norms > 0, norms, np.inf)[:, None]
 
 
+def _cosines(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Cosines of unit rows against unit cols, clipped to [-1, 1]."""
+    tile = rows @ cols.T
+    return np.clip(tile, -1.0, 1.0, out=tile)
+
+
 def similarity_matrix(embeddings: np.ndarray) -> np.ndarray:
     """Symmetric n x n cosine matrix with zero diagonal.
 
@@ -51,7 +57,7 @@ def similarity_matrix(embeddings: np.ndarray) -> np.ndarray:
     other post and therefore never take part in edges.
     """
     unit = _unit_rows(embeddings)
-    sim = np.clip(unit @ unit.T, -1.0, 1.0)
+    sim = _cosines(unit, unit)
     np.fill_diagonal(sim, 0.0)
     return sim
 
@@ -71,10 +77,6 @@ def average_score(sim: np.ndarray) -> float:
 
 
 def _check_partition(ranges: list[Range], n: int) -> None:
-    if n == 0:
-        return
-    if not ranges:
-        raise ValueError("ranges must not be empty for a non-empty matrix")
     lo = 0
     for r in ranges:
         if r.lo != lo or r.hi <= r.lo:
@@ -107,7 +109,8 @@ class ReplyGraph:
     """Directed weighted edges parent -> child over posts 0..n-1.
 
     Every edge satisfies parent < child in canonical (chronological)
-    order, so the graph is acyclic by construction.
+    order, so the graph is acyclic by construction.  The edges come in
+    no particular order; ``export_graph`` fixes one.
     """
 
     n: int
@@ -152,24 +155,13 @@ def thin(graph: ReplyGraph) -> ReplyGraph:
     each child exactly one incoming edge: the one from its largest
     (chronologically latest) parent.  That closed form is what is
     computed here; the scan itself is exercised against this in tests.
+    The edges come in no particular order.
     """
-    if graph.n_edges == 0:
-        return ReplyGraph(n=graph.n)
     order = np.lexsort((graph.parent, graph.child))
-    child_sorted = graph.child[order]
-    # last position within each run of equal children = max parent
-    last = np.flatnonzero(np.r_[child_sorted[1:] != child_sorted[:-1], True])
-    keep = order[last]
-    keep = keep[np.argsort(graph.parent[keep] * graph.n + graph.child[keep])]
+    # the last of each child's run has its max parent; children are >= 1, so -1 ends the last run
+    keep = order[np.flatnonzero(np.diff(graph.child[order], append=-1))]
     return ReplyGraph(n=graph.n, parent=graph.parent[keep], child=graph.child[keep],
                       weight=graph.weight[keep])
-
-
-def _cosines(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Cosines of unit rows against unit cols, clipped to [-1, 1]; stacks
-    of matrices give a stack of tiles."""
-    tile = rows @ np.swapaxes(cols, -1, -2)
-    return np.clip(tile, -1.0, 1.0, out=tile)
 
 
 def reply_forest(embeddings: np.ndarray, ranges: list[Range]) -> ReplyGraph:
@@ -191,7 +183,8 @@ def reply_forest(embeddings: np.ndarray, ranges: list[Range]) -> ReplyGraph:
     wide (at most _TILE_ELEMENTS cosines a tile), until it has a parent
     or has reached its range's start.  That costs _BAND cosines a post,
     plus about twice the parent distance for each post found further
-    back, or its range length for a root.
+    back, or its range length for a root.  The edges come in no
+    particular order.
     """
     unit = _unit_rows(embeddings)
     n = unit.shape[0]
@@ -225,7 +218,6 @@ def reply_forest(embeddings: np.ndarray, ranges: list[Range]) -> ReplyGraph:
             cols = cols[~hit & (first[cols] < lo)]
             hi, width = lo, 2 * width
     kept = np.flatnonzero(parent >= 0)
-    kept = kept[np.lexsort((kept, parent[kept]))]  # by parent, then child
     return ReplyGraph(n=n, parent=posts[parent[kept]], child=posts[kept],
                       weight=weight[kept])
 

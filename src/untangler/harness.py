@@ -160,8 +160,6 @@ def agglomerative(embeddings: np.ndarray, n_clusters: int) -> np.ndarray:
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     n = emb.shape[0]
-    if n == 0:
-        raise ValueError("cannot cluster an empty embedding matrix")
     if not 1 <= n_clusters <= n:
         raise ValueError("n_clusters must be in [1, n]")
     dist = 1.0 - similarity_matrix(emb)  # symmetric, so its first minimum has i < j

@@ -14,17 +14,15 @@ import math
 import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 class ChatLogError(ValueError):
     """Malformed chat log input.  Carries the 1-based line number."""
 
-    def __init__(self, message: str, line: Optional[int] = None):
+    def __init__(self, message: str, line: int):
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(f"line {line}: {message}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -29,21 +29,36 @@ def _is_finite(value) -> bool:
         return False
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict, or ValueError if it repeats a key."""
+    table = dict(pairs)
+    if len(table) != len(pairs):
+        raise ValueError("a JSON object repeats a key")
+    return table
+
+
+def _json_object(data, what: str) -> dict:
+    """The JSON object of `data` (str or UTF-8 bytes), or ValueError if it
+    is nested too deeply, repeats a key or is not an object."""
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    try:
+        payload = json.loads(data, object_pairs_hook=_unique_keys)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return payload
+
+
 def read_graph(data) -> tuple[int, list[int], list[int], list]:
     """n and the parent, child and weight lists of a graph.json.
 
     Raises ValueError unless 0 <= n < 2**63, 'edges' is a list of
-    objects, every edge has 0 <= parent < child < n and every weight is a
-    finite number.
+    objects, every edge has 0 <= parent < child < n, every weight is a
+    finite number and no object repeats a key.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        payload = json.loads(data)
-    except RecursionError as exc:
-        raise ValueError("JSON nested too deeply") from exc
-    if not isinstance(payload, dict):
-        raise ValueError("graph must be a JSON object")
+    payload = _json_object(data, "graph")
     n = payload.get("n")
     if not _is_int(n) or not 0 <= n < 2 ** 63:
         raise ValueError("'n' must be an integer >= 0, not too large for int64")
@@ -81,19 +96,10 @@ def extract_trees(n: int, parent: list[int], child: list[int]) -> list[Conversat
     for i, root in enumerate(root_of):
         members_by_root.setdefault(root, []).append(i)
     conversations = []
-    for root in sorted(members_by_root):
-        members = members_by_root[root]
+    for root, members in members_by_root.items():  # a root is its tree's first member
         parents = {c: parent_of[c] for c in members if c in parent_of}
         conversations.append(Conversation(root=root, members=members, parents=parents))
     return conversations
-
-
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object's dict, or ValueError if it repeats a key."""
-    table = dict(pairs)
-    if len(table) != len(pairs):
-        raise ValueError("a JSON object repeats a key")
-    return table
 
 
 @dataclass
@@ -115,12 +121,7 @@ class GoldStandard:
         decimals ("1", not "01"), to integers, no object repeats a key,
         and every gold edge has 0 <= parent < child and stays within one
         conversation when both its posts are labelled."""
-        try:
-            payload = json.loads(data, object_pairs_hook=_unique_keys)
-        except RecursionError as exc:
-            raise ValueError("JSON nested too deeply") from exc
-        if not isinstance(payload, dict):
-            raise ValueError("gold standard must be a JSON object")
+        payload = _json_object(data, "gold standard")
         tables = []
         for key in ("parents", "labels"):
             table = payload.get(key)

@@ -53,7 +53,7 @@ def _check_sorted(events: np.ndarray, horizon: Optional[float] = None) -> np.nda
         raise ValueError("events must be a 1-d array of times")
     if not np.isfinite(events).all():
         raise ValueError("events must be finite numbers")
-    if events.size > 1 and np.any(np.diff(events) < 0):
+    if np.any(np.diff(events) < 0):
         raise ValueError("events must be sorted ascending")
     if horizon is not None and events.size and (events[0] < 0 or events[-1] > horizon):
         raise ValueError("events must lie in [0, horizon]")

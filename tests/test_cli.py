@@ -444,6 +444,22 @@ class TestSynthEval:
                    "--gold", tmp_path / "gold.json") == 2
         assert message in capsys.readouterr().err
 
+    # raw text, since json.dumps of a dict cannot repeat a key; without the
+    # check, the last value of each key would make a valid graph
+    @pytest.mark.parametrize("text", [
+        '{"n": 5, "n": 3, "edges": [], "roots": [0, 1, 2]}',
+        '{"n": 3, "edges": [{"parent": 0, "child": 2, "child": 1, "w": 0.5}], "roots": [0, 2]}',
+    ], ids=["n", "child"])
+    def test_eval_rejects_graph_that_repeats_a_key(self, tmp_path, monkeypatch, capsys, text):
+        monkeypatch.chdir(tmp_path)
+        Path("g.json").write_text(text)
+        Path("gold.json").write_text(json.dumps({"parents": {}, "labels": {"0": 0, "1": 0,
+                                                                           "2": 1}}))
+        assert run("eval", "--pred", "g.json", "--gold", "gold.json") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: g.json: a JSON object repeats a key\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("gold,message", [
         ({"parents": [], "labels": {"0": 0, "1": 0, "2": 1}}, "'parents' must be an object"),
         ({"parents": {}, "labels": [0, 0, 1]}, "'labels' must be an object"),
@@ -690,6 +706,25 @@ class TestTinyGaps:
             values = [e["w"] for e in graph["edges"]]
             assert graph["n"] == len(times)
         assert all(math.isfinite(v) for v in [*hawkes.values(), *values])
+
+
+    # 60 posts 1e-307 s apart: the fit is finite, its smoothed intensity is not
+    @pytest.mark.parametrize("command", ["export-intensity", "disentangle"])
+    def test_fitted_overflow_names_the_fit(self, thread_file, tmp_path, command):
+        log = tmp_path / "tiny.jsonl"
+        write_jsonl(log, [{"id": f"p{i}", "ts": i * 1e-307, "text": "alpha beta gamma"}
+                          for i in range(60)])
+        argv = ["--out-dir", tmp_path / "res", command, "--input", log]
+        if command == "disentangle":
+            assert run(*train_args(thread_file, tmp_path)) == 0
+            argv += ["--checkpoint", tmp_path / "out" / "model.untg"]
+        proc = python_m(argv, capture_output=True)
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: cannot use the fitted Hawkes process: the smoothed "
+                               "intensity is not a finite number; give --mu/--alpha/--beta "
+                               "instead\n")
+        assert proc.stdout == ""
+        assert not (tmp_path / "res").exists()
 
 
 class TestProject:

@@ -423,11 +423,17 @@ class TestTrain:
             np.testing.assert_allclose(arr, ref_params.groups()[name], rtol=1e-10,
                                        atol=1e-12, err_msg=name)
 
-    def test_negatives_are_the_reference_pools(self, monkeypatch):
+    # with 4 negatives, thread 1's pools are smaller than that and thread
+    # 2's empty; with 0, train draws size-0 samples and every pool counts
+    # as large
+    @pytest.mark.parametrize("negatives, pools", [
+        (4, {"empty pool", "small pool", "large pool"}),
+        (0, {"large pool"}),
+    ])
+    def test_negatives_are_the_reference_pools(self, monkeypatch, negatives, pools):
         # thread 0 has empty posts in the middle and at both ends, so
-        # windows centre on its first and last non-empty post; thread 1's
-        # pools are smaller than negatives_per_sample, thread 2's empty.
-        # Every non-empty post holds a token of its own, so the recorded
+        # windows centre on its first and last non-empty post.  Every
+        # non-empty post holds a token of its own, so the recorded
         # minibatch rows map back to (thread, post)
         texts = [["..."] + [f"t0p{i} cat" for i in range(1, 14)] + ["..."],
                  [f"t1p{i}" for i in range(4)], ["t2p0 dog", "t2p1"]]
@@ -438,7 +444,7 @@ class TestTrain:
         windows = [corpus.build_windows(th, corpus.SYMMETRIC, k)
                    for th, k in zip(threads, (2, 1, 1))]
         config = small_config(vocab_size=len(vocab), epochs=3, batch_size=5,
-                              negatives_per_sample=4)
+                              negatives_per_sample=negatives)
         seqs = [[corpus.encode_text(vocab, p.text, config.max_len) for p in th.posts]
                 for th in threads]
         post = {tuple(s): (t, i) for t, ts in enumerate(seqs) for i, s in enumerate(ts) if s}
@@ -467,7 +473,7 @@ class TestTrain:
                                 {"empty pool" if pool == 0 else "small pool"}
                                 if pool < config.negatives_per_sample else {"large pool"})
         assert recorded == expected
-        assert seen == {"first", "last", "empty pool", "small pool", "large pool"}
+        assert seen == {"first", "last", *pools}
 
     def test_loss_curve_decreases_on_toy_corpus(self):
         thread = make_thread(range(8), ["cat dog"] * 4 + ["sun moon"] * 4)

@@ -107,6 +107,8 @@ class TestPruneAverage:
                        [Range(0, 2), Range(1, 3)], [Range(0, 3), Range(3, 3)]):
             with pytest.raises(ValueError):
                 prune_average(sim, ranges)
+        with pytest.raises(ValueError, match="cover"):
+            prune_average(np.zeros((0, 0)), [Range(0, 1)])
 
     def test_empty_matrix_allowed(self):
         out = prune_average(np.zeros((0, 0)), [])
@@ -137,8 +139,9 @@ class TestOrientAndThin:
         assert thin(g).edge_dict() == {(2, 3): 0.2}
 
     def test_thin_empty(self):
-        thinned = thin(ReplyGraph(n=5))
-        assert thinned.n == 5 and thinned.n_edges == 0
+        for n in (0, 5):
+            thinned = thin(ReplyGraph(n=n))
+            assert thinned.n == n and thinned.n_edges == 0
 
     def test_roots(self):
         g = ReplyGraph(n=4, parent=np.array([0, 0]), child=np.array([1, 3]),
@@ -295,6 +298,8 @@ class TestReplyForest:
         assert reply_forest(np.zeros((0, 3)), []).n == 0
         assert reply_forest(np.ones((1, 3)), [Range(0, 1)]).n_edges == 0
         with pytest.raises(ValueError):
+            reply_forest(np.zeros((0, 3)), [Range(0, 1)])
+        with pytest.raises(ValueError):
             reply_forest(np.ones((3, 2)), [Range(0, 2)])
         with pytest.raises(ValueError):
             reply_forest(np.ones(3), [Range(0, 3)])
@@ -308,6 +313,26 @@ class TestReplyForest:
             reply_forest(emb, [Range(0, 300)])
         with pytest.raises(ValueError, match="finite"):
             similarity_matrix(emb)
+
+
+class TestEdgeOrder:
+    """reply_forest promises no edge order; every consumer ignores it."""
+
+    def test_consumers_ignore_the_edge_order(self):
+        rng = np.random.default_rng(5)
+        emb = rng.standard_normal((300, 4))
+        emb[rng.integers(0, 300, size=30)] = 0.0  # empty posts
+        forest = reply_forest(emb, [Range(0, 120), Range(120, 300)])
+        assert forest.n_edges > 100
+        perm = rng.permutation(forest.n_edges)
+        shuffled = ReplyGraph(n=forest.n, parent=forest.parent[perm],
+                              child=forest.child[perm], weight=forest.weight[perm])
+        assert not np.array_equal(shuffled.child, forest.child)
+        for fmt in ("json", "dot"):
+            assert export_graph(shuffled, fmt) == export_graph(forest, fmt)
+        assert extract_conversations(shuffled) == extract_conversations(forest)
+        assert shuffled.edge_dict() == forest.edge_dict()
+        assert shuffled.roots() == forest.roots()
 
 
 class TestExtractConversations:
@@ -368,6 +393,15 @@ class TestExport:
     def test_missing_key_or_huge_n_raises_value_error(self, payload):
         with pytest.raises(ValueError):
             parse_graph_json(json.dumps(payload))
+
+    # raw text, since json.dumps of a dict cannot repeat a key
+    @pytest.mark.parametrize("text", [
+        '{"n": 5, "n": 3, "edges": [], "roots": [0, 1, 2]}',
+        '{"n": 3, "edges": [{"parent": 0, "child": 2, "child": 1, "w": 0.5}], "roots": [0, 2]}',
+    ], ids=["n", "child"])
+    def test_repeated_key_raises_value_error(self, text):
+        with pytest.raises(ValueError, match="a JSON object repeats a key"):
+            parse_graph_json(text)
 
     def test_dot_output(self):
         g = ReplyGraph(n=2, parent=np.array([0]), child=np.array([1]),
