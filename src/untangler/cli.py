@@ -5,7 +5,8 @@ project.  Option precedence is flags > config file > defaults; the
 config file is flat ``key=value`` text whose keys are the long flag
 names of OPTIONS with underscores, and OPTIONS checks its values and
 the flags' alike.  Exit codes: 0 success, 1 internal error, 2 bad input,
-such as a path that cannot be read or written.
+such as a path that cannot be read or written or an input too large for
+memory.
 """
 
 from __future__ import annotations
@@ -442,7 +443,7 @@ OPTIONS = [
     (_HAWKES, "--tau", POSITIVE, None),
     (("disentangle",), "--quantile", FRACTION, 0.25),
     (("disentangle",), "--dot", BOOL_WORD, False),
-    (_SYNTH, "--conversations", POSITIVE_INT, 3),
+    (_SYNTH, "--conversations", POSITIVE_INT64, 3),
     (_SYNTH, "--posts-lo", POSITIVE_INT, 40),
     (_SYNTH, "--posts-hi", POSITIVE_INT64, 60),
     (_SYNTH, "--gap", NON_NEGATIVE, 3600.0),
@@ -526,6 +527,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:  # an output that cannot be written
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an input too large for the memory at hand
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal failure path
         print(f"internal error: {exc}", file=sys.stderr)

@@ -53,21 +53,16 @@ class EncoderConfig:
     batch_size: int = 16
 
     def validate(self) -> None:
-        """Also rejects a field that the checkpoint header cannot hold, and
-        a negative seed, which train cannot use."""
-        for name in ("vocab_size", "embed_dim", "hidden_dim", "max_len", "epochs",
-                     "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.negatives_per_sample < 0:
-            raise ValueError("negatives_per_sample must be >= 0")
-        for name in ("vocab_size", "embed_dim", "hidden_dim", "max_len", "epochs",
-                     "negatives_per_sample", "batch_size", "seed"):
-            bits = 63 if name == "seed" else 31
-            if not -2**bits <= getattr(self, name) < 2**bits:
+        """Each integer field, in the checkpoint header's order, must reach its
+        low end (np.random.default_rng takes no negative seed), then fit it."""
+        for name, low in (("vocab_size", 1), ("embed_dim", 1), ("hidden_dim", 1),
+                          ("max_len", 1), ("epochs", 1), ("negatives_per_sample", 0),
+                          ("batch_size", 1), ("seed", 0)):
+            value, bits = getattr(self, name), 63 if name == "seed" else 31
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
+            if value >= 2**bits:
                 raise ValueError(f"{name} does not fit the checkpoint header's int{bits + 1}")
-        if self.seed < 0:  # np.random.default_rng takes none
-            raise ValueError("seed must be >= 0")
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError("learning_rate must be finite and >= 0")
 

@@ -35,6 +35,8 @@ class SynthConfig:
     def validate(self) -> None:
         if min(self.n_conversations, self.pool_size) < 1:
             raise ValueError("n_conversations and pool_size must be >= 1")
+        if self.n_conversations >= 2**63:  # as synth's --conversations
+            raise ValueError("n_conversations must be < 2**63")
         for name in ("posts_per_conversation", "tokens_per_post"):
             lo, hi = getattr(self, name)
             if not 1 <= lo <= hi:

@@ -2,9 +2,8 @@
 
 Input format is JSON-Lines: one object per line with keys ``id`` (unique
 string), ``ts`` (seconds since epoch, finite and >= 0) and ``text``
-(UTF-8 string).  An optional ``author`` must be a UTF-8 string and is
-otherwise ignored, like any other key: a post is its id, time and text,
-and the pipeline reads no metadata beyond the timestamps.
+(UTF-8 string).  Any other key is ignored: a post is its id, time and
+text, and the pipeline reads no metadata beyond the timestamps.
 """
 
 from __future__ import annotations
@@ -96,13 +95,10 @@ def _parse_line(raw: str, lineno: int) -> Post:
         raise ChatLogError("'ts' must be >= 0", lineno)
     if not isinstance(text, str):
         raise ChatLogError("'text' must be a string", lineno)
-    author = obj.get("author")
-    if author is not None and not isinstance(author, str):
-        raise ChatLogError("'author' must be a string when present", lineno)
     # a surrogate comes only from a \u escape or a literal non-ASCII
     # character (parse_chat_log takes any str, not only decoded UTF-8)
     if "\\u" in raw or not raw.isascii():
-        for key, value in (("id", pid), ("text", text), ("author", author or "")):
+        for key, value in (("id", pid), ("text", text)):
             try:
                 value.encode("utf-8")
             except UnicodeEncodeError as exc:  # a lone surrogate, such as "\ud800"

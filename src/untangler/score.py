@@ -97,7 +97,7 @@ def extract_trees(n: int, parent: list[int], child: list[int]) -> list[Conversat
         members_by_root.setdefault(root, []).append(i)
     conversations = []
     for root, members in members_by_root.items():  # a root is its tree's first member
-        parents = {c: parent_of[c] for c in members if c in parent_of}
+        parents = {c: parent_of[c] for c in members[1:]}
         conversations.append(Conversation(root=root, members=members, parents=parents))
     return conversations
 

@@ -346,10 +346,7 @@ def reference_parse_line(raw: str, lineno: int) -> Post:
         raise ChatLogError("'ts' must be >= 0", lineno)
     if not isinstance(text, str):
         raise ChatLogError("'text' must be a string", lineno)
-    author = obj.get("author")
-    if author is not None and not isinstance(author, str):
-        raise ChatLogError("'author' must be a string when present", lineno)
-    for key, value in (("id", pid), ("text", text), ("author", author or "")):
+    for key, value in (("id", pid), ("text", text)):
         try:
             value.encode("utf-8")
         except UnicodeEncodeError as exc:  # a lone surrogate escape, such as "\ud800"

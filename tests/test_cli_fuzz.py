@@ -160,7 +160,7 @@ def test_corrupted_checkpoint(valid, data):
 
 
 OPTION_VALUES = ["nan", "inf", "-inf", "1e999", "-1", "0", "1", "2", "0.5", "1e-300",
-                 "abc", ""]
+                 "abc", "", "1" + "0" * 400]  # the last: an integer beyond the float range
 FUZZED_COMMANDS = ("train", "disentangle", "export-intensity", "synth")
 COMMAND_OPTIONS = {command: [(flag, kind is cli.BOOL_WORD)
                              for commands, flag, kind, _ in cli.OPTIONS if command in commands]

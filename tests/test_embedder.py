@@ -692,7 +692,6 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("field,value,width", [
         ("seed", 2**63, "int64"),
-        ("seed", -2**63 - 1, "int64"),
         ("max_len", 2**31, "int32"),
         ("negatives_per_sample", 2**31, "int32"),
         ("vocab_size", 2**31, "int32"),
@@ -709,6 +708,29 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=match):
             embedder.train([thread], vocab, [corpus.build_windows(thread, corpus.SYMMETRIC, 2)],
                            small_config(**{"vocab_size": len(vocab), field: value}))
+
+    # each integer field in the checkpoint header's order: (name, low end, bits)
+    HEADER_FIELDS = [("vocab_size", 1, 31), ("embed_dim", 1, 31), ("hidden_dim", 1, 31),
+                     ("max_len", 1, 31), ("epochs", 1, 31), ("negatives_per_sample", 0, 31),
+                     ("batch_size", 1, 31), ("seed", 0, 63)]
+
+    @pytest.mark.parametrize("field,low,bits", HEADER_FIELDS)
+    def test_validate_bounds_each_field(self, field, low, bits):
+        for value, message in ((low - 1, f"{field} must be >= {low}"), (low, None),
+                               (2**bits - 1, None),
+                               (2**bits, f"{field} does not fit the checkpoint header's "
+                                         f"int{bits + 1}")):
+            config = small_config(**{field: value})
+            if message is None:
+                config.validate()
+            else:
+                with pytest.raises(ValueError) as err:
+                    config.validate()
+                assert str(err.value) == message
+
+    def test_seed_below_int64_is_negative(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            small_config(seed=-2**63 - 1).validate()
 
     def test_header_limits_validate(self):
         small_config(seed=2**63 - 1, max_len=2**31 - 1, epochs=2**31 - 1,

@@ -48,6 +48,11 @@ class TestSynthConfig:
         with pytest.raises(ValueError, match=field):
             small_config(**{field: 0}).validate()
 
+    @pytest.mark.parametrize("count", [2**63, 10**400], ids=["2**63", "10**400"])
+    def test_conversations_beyond_int64(self, count):
+        with pytest.raises(ValueError, match="^n_conversations must be < 2\\*\\*63$"):
+            small_config(n_conversations=count).validate()
+
     @pytest.mark.parametrize("field", ["posts_per_conversation", "tokens_per_post"])
     @pytest.mark.parametrize("bounds", [(0, 1), (-2, 3), (6, 5)])
     def test_range_bounds(self, field, bounds):

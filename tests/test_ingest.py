@@ -59,10 +59,8 @@ class TestParse:
         ('{"id": "a", "ts": 1e400, "text": "x"}', "finite"),
         (row("a", 10**400, "x"), "finite"),
         (json.dumps({"id": "a", "ts": 1, "text": 7}), "must be a string"),
-        (row("a", 1, "x", author=3), "'author' must be a string"),
         ('{"id":"a","ts":1,"text":"hello \\ud800 world"}', "'text' is not UTF-8 text"),
         (row("a\udfff", 1, "x"), "'id' is not UTF-8 text"),
-        (row("a", 1, "x", author="\ud800"), "'author' is not UTF-8 text"),
         ('{"id":"b","ts":' + "9" * 5000 + ',"text":"y"}', "invalid JSON (a number longer than"),
     ])
     def test_malformed_lines_rejected(self, bad, fragment):
@@ -70,6 +68,16 @@ class TestParse:
             parse([row("ok", 1, "x"), bad])
         assert fragment in str(err.value)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("line", [
+        row("a", 1, "x", author=3),
+        row("a", 1, "x", author={"id": 5}),
+        row("a", 1, "x", author=None),
+        row("a", 1, "x", author="\ud800"),
+        row("a", 1, "x", **{"from": "\ud800"}),
+    ])
+    def test_other_keys_ignored(self, line):
+        assert parse([row("ok", 0, "y"), line]) == parse([row("ok", 0, "y"), row("a", 1, "x")])
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(ChatLogError, match="duplicate id 'a'"):
@@ -161,7 +169,7 @@ class TestSerialize:
         out = ingest.serialize_thread(make_thread([1.0], ["hi"]))
         assert "author" not in out
         assert json.loads(out) == {"id": "p0", "ts": 1.0, "text": "hi"}
-        # an input's author is checked, then dropped with the other unknown keys
+        # an input's author is dropped with the other unknown keys
         assert ingest.serialize_thread(parse([row("p0", 1.0, "hi", author="kim")])) == out
 
     def test_lines_are_json_dumps(self):

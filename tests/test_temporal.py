@@ -81,6 +81,10 @@ class TestLogLikelihood:
         with pytest.raises(ValueError):
             log_likelihood(HawkesModel(1, 0, 1), np.array([5.0]), 4.0)
 
+    def test_events_of_two_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="events must be a 1-d array of times"):
+            log_likelihood(HawkesModel(1, 0, 1), np.array([[1.0, 2.0]]), 4.0)
+
     def test_zero_mu_first_event_gives_minus_inf(self):
         assert log_likelihood(HawkesModel(0.0, 1.0, 1.0),
                               np.array([1.0, 2.0]), 5.0) == -np.inf
@@ -181,6 +185,18 @@ class TestFit:
     def test_multistart_rejects_a_horizon_that_is_not_a_finite_positive_number(self, horizon):
         with pytest.raises(ValueError, match="horizon must be a finite number > 0"):
             fit_multistart(np.array([0.0, 1.0]), horizon)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_subnormal_gaps_give_a_model_in_the_box(self, seed):
+        # 70 posts about 1e-310 s apart, as disentangle fits them: the
+        # profile meets infinite betas, starts that overflow and Newton
+        # steps that no step length makes good, and still ends in the box
+        times = np.cumsum(np.random.default_rng(seed).exponential(1e-310, 70))
+        events = times - times[0]
+        fitted = fit_multistart(events, float(events[-1]) + 1.0)
+        fitted.validate()
+        assert np.isfinite([fitted.mu, fitted.alpha, fitted.beta]).all()
+        assert fitted.alpha <= 0.999 * fitted.beta
 
     def test_multistart_rejects_subnormal_timescale(self):
         # median gap 5e-324: scale / gap overflows to inf at every scale
